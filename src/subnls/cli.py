@@ -204,11 +204,7 @@ def cmd_solve(args) -> int:
         if verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
                          f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")
-    try:
-        limits = mz.multistart(solve_cfg)
-    except mz.StepFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    limits = mz.multistart(solve_cfg)
     if not limits:
         print("no stage produced a result", file=sys.stderr)
         return EXIT_NOCONV
@@ -233,6 +229,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _pool_size(jobs: int, steps: int) -> int:
+    """Sweep worker count: --jobs, capped by the number of points and by the
+    CPUs this process may run on; at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, steps, cpus))
+
+
 def _sweep_point(packed):
     cfg_values, digest, rho = packed
     cfg = RunConfig(values=cfg_values, digest=digest)
@@ -253,8 +259,9 @@ def cmd_sweep_rho(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     rhos = np.geomspace(args.rho_min, args.rho_max, args.steps)
     packed = [(cfg.values, cfg.digest, float(r)) for r in rhos]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, args.steps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, packed))
     else:
         points = [_sweep_point(p) for p in packed]

@@ -126,12 +126,10 @@ class ContinuationResult:
 
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
-    vals = u.values
-    if eps == 0.0:
-        dens = nl.G_value(spec, vals)
-    else:
-        dens = nl.G_plus_value(spec, vals) - nl.G_minus_eps(spec, vals, eps)
-    return 0.5 * kinetic(u) - float(np.dot(u.grid.w, dens))
+    dens = nl.G_eps(spec, u.values, eps)
+    # accumulated in extended precision: near a stage's end the Armijo test
+    # compares energies closer than the rounding of a double-precision sum
+    return 0.5 * kinetic(u) - float(np.sum(u.grid.w * dens, dtype=np.longdouble))
 
 
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
@@ -142,7 +140,7 @@ def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> Ra
 
 def _grad_parts(grid, vals, spec, eps):
     lap = laplacian_values(grid, vals)
-    rhs = np.atleast_1d(nl.g_eps(spec, vals, eps))
+    rhs = nl.g_eps(spec, vals, eps)
     return -lap - rhs, lap, rhs
 
 
@@ -293,7 +291,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
             if E_v <= E - config.armijo * dd / max(t, 1e-300):
                 accepted = True
                 break
-            if math.sqrt(dd) <= 1e-16 * (1.0 + math.sqrt(m_u)):
+            if math.sqrt(dd) <= 1e-16 * (1.0 + math.sqrt(m_u)) and math.isfinite(E_v):
                 # step has collapsed to rounding level: treat as stationary
                 accepted = True
                 E_v, converged = E, True
@@ -301,8 +299,10 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 break
             t *= config.backtrack
         if not accepted:
-            if E_v > E + 1e-12 * (1.0 + abs(E)):
-                raise StepFailure(f"no decrease at step {t:g} (iteration {it})")
+            # written so that a NaN trial energy fails too
+            if not E_v <= E + 1e-12 * (1.0 + abs(E)):
+                raise StepFailure(f"no decrease at step {t:g} (iteration {it}, "
+                                  f"trial energy {E_v:g})")
             v, m_v, E_v = u, m_u, E
             converged = True
         if converged and v is u:
@@ -383,7 +383,8 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
 
 def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
     """Independent continuations from jittered seeds; all limits are
-    recorded (distinct equal-energy profiles are kept, not adjudicated)."""
+    recorded (distinct equal-energy profiles are kept, not adjudicated).
+    A start that fails is logged and skipped, so the list may be empty."""
     k = starts if starts is not None else config.multistarts
     out = []
     grid = config.make_grid()
@@ -394,6 +395,8 @@ def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
         except ContinuationAborted as exc:
             if exc.stages:
                 out.append(exc.stages[-1])
+        except StepFailure as exc:
+            log.warning("start %d failed: %s", j, exc)
     return out
 
 

@@ -10,7 +10,7 @@ G_plus collects the increasing part of the primitive,
 so G_plus, G_minus >= 0 while g_minus satisfies s*g_minus(s) >= 0 (it is
 negative on the negative half line).  For the built-in families everything
 is evaluated from antiderivatives split at the sign-change points of g,
-located once at construction; no quadrature appears in the hot path.
+located once per spec and cached; no quadrature appears in the hot path.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +26,8 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "numerically-inconclusive"
 
-# below this magnitude s^2 log s^2 is treated as its limit 0; the floor sits
-# above sqrt(double minimum) so the square itself cannot underflow
+# s^2 is floored at _TINY^2 before its log, so s^k ln s^2 takes its limit 0 at
+# s = 0; the floor sits above the double minimum and cannot underflow
 _TINY = 1e-150
 
 
@@ -107,66 +107,88 @@ def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> Nonlineari
 
 
 # ---------------------------------------------------------------------------
-# half-line primitives (arguments are |s| arrays); built-in g are odd, so the
-# negative axis follows by symmetry.  P(s) = int_0^s t g(t) dt feeds the
-# cutoff integral.
-
-def _xlogx2(s):
-    # s^2 ln s^2 with the limit value 0 at s = 0
-    out = np.zeros_like(s)
-    nz = s > _TINY
-    out[nz] = s[nz] ** 2 * np.log(s[nz] ** 2)
-    return out
+# half-line kernels (arguments are |s| arrays); built-in g are odd, so the
+# negative axis follows by symmetry.  Each family supplies g, the pair
+# (G, P) with P(s) = int_0^s t g(t) dt, and the positive roots of g; each
+# call takes one log (or power) per node.
 
 
-def _g_half(spec, s):
-    if spec.family == "log":
-        out = np.zeros_like(s)
-        nz = s > _TINY
-        out[nz] = spec.alpha * s[nz] * np.log(s[nz] ** 2)
-        return out
-    if spec.family == "log_power":
-        out = _g_half(NonlinearitySpec("log", spec.dim, alpha=spec.alpha), s)
-        return out + spec.mu * s ** (spec.p_exp - 1.0)
-    if spec.family == "saturation":
-        return s**3 / (1.0 + s**2)
-    if spec.family == "power_sublinear":
-        return -(s**spec.omega)
-    return np.asarray([float(spec.g_func(x)) for x in np.atleast_1d(s)])
+def _log_g(spec, s):
+    s2 = s * s
+    g = spec.alpha * np.log(np.maximum(s2, _TINY**2)) * s
+    if spec.mu != 0.0:
+        g += spec.mu * s2 ** (0.5 * spec.p_exp - 1.0) * s
+    return g
 
 
-def _G_half(spec, s):
-    if spec.family == "log":
-        return 0.5 * spec.alpha * (_xlogx2(s) - s**2)
-    if spec.family == "log_power":
-        return (0.5 * spec.alpha * (_xlogx2(s) - s**2)
-                + spec.mu / spec.p_exp * s**spec.p_exp)
-    if spec.family == "saturation":
-        return 0.5 * (s**2 - np.log1p(s**2))
-    if spec.family == "power_sublinear":
-        return -(s ** (spec.omega + 1.0)) / (spec.omega + 1.0)
-    if spec.G_func is not None:
-        return np.asarray([float(spec.G_func(x)) for x in np.atleast_1d(s)])
-    return np.asarray([_quad(spec.g_func, 0.0, float(x)) for x in np.atleast_1d(s)])
+def _log_prims(spec, s):
+    # in place: this is the inner loop of every energy evaluation
+    s2 = s * s
+    a = spec.alpha
+    G = np.log(np.maximum(s2, _TINY**2))
+    G -= 1.0
+    G *= s2
+    G *= 0.5 * a  # a s^2 (ln s^2 - 1) / 2
+    P = G * (2.0 / 3.0)
+    P += s2 * (a / 9.0)
+    P *= s  # a s^3 (ln s^2 / 3 - 2/9)
+    if spec.mu != 0.0:
+        p = spec.p_exp
+        ts2 = spec.mu * s2 ** (0.5 * p)  # mu*s^p
+        G += ts2 * (1.0 / p)
+        P += ts2 * s * (1.0 / (p + 1.0))
+    return G, P
 
 
-def _P_half(spec, s):
-    # antiderivative of t*g(t) from 0
-    if spec.family == "log":
-        out = np.zeros_like(s)
-        nz = s > _TINY
-        sn = s[nz]
-        out[nz] = spec.alpha * (sn**3 / 3.0 * np.log(sn**2) - 2.0 / 9.0 * sn**3)
-        return out
-    if spec.family == "log_power":
-        base = _P_half(NonlinearitySpec("log", spec.dim, alpha=spec.alpha), s)
-        return base + spec.mu * s ** (spec.p_exp + 1.0) / (spec.p_exp + 1.0)
-    if spec.family == "saturation":
-        return s**3 / 3.0 - s + np.arctan(s)
-    if spec.family == "power_sublinear":
-        return -(s ** (spec.omega + 2.0)) / (spec.omega + 2.0)
-    return np.asarray([_quad(lambda t: t * spec.g_func(t), 0.0, float(x))
-                       for x in np.atleast_1d(s)])
+def _log_roots(spec):
+    from scipy.optimize import brentq
+
+    a, mu, p = spec.alpha, spec.mu, spec.p_exp
+    if mu == 0.0:
+        return (1.0,)
+
+    def h(t):
+        return a * math.log(t * t) + mu * t ** (p - 2.0)
+
+    if mu > 0.0:
+        return (brentq(h, 1e-18, 1.0, rtol=8.9e-16),)
+    t_star = (2.0 * a / (-mu * (p - 2.0))) ** (1.0 / (p - 2.0))
+    if h(t_star) <= 0.0:
+        return ()
+    hi = t_star
+    while h(hi) > 0.0:
+        hi *= 2.0
+    r2 = brentq(h, t_star, hi, rtol=8.9e-16)
+    r1 = brentq(h, 1e-18 * min(1.0, t_star), t_star, rtol=8.9e-16)
+    return (r1, r2)
+
+
+def _sublinear_prims(spec, s):
+    w = spec.omega
+    sw1 = -(s ** (w + 1.0))
+    return sw1 / (w + 1.0), sw1 * s / (w + 2.0)
+
+
+class _Family(NamedTuple):
+    g: Callable      # (spec, |s|) -> g
+    prims: Callable  # (spec, |s|) -> (G, P)
+    roots: Callable  # spec -> positive roots of g, ascending
+
+
+_FAMILIES = {
+    "log": _Family(_log_g, _log_prims, _log_roots),
+    "log_power": _Family(_log_g, _log_prims, _log_roots),
+    "saturation": _Family(lambda spec, s: s**3 / (1.0 + s * s),
+                          lambda spec, s: (0.5 * (s * s - np.log1p(s * s)),
+                                           s**3 / 3.0 - s + np.arctan(s)),
+                          lambda spec: ()),
+    "power_sublinear": _Family(lambda spec, s: -(s**spec.omega), _sublinear_prims,
+                               lambda spec: ()),
+}
+
+
+def _positive_roots(spec):
+    return _FAMILIES[spec.family].roots(spec)
 
 
 def _quad(f, a, b):
@@ -181,69 +203,45 @@ def _quad(f, a, b):
     return val
 
 
+class _SignStructure(NamedTuple):
+    roots: np.ndarray     # sign changes of g on (0, inf)
+    neg: np.ndarray       # g < 0 on interval j = [left_j, roots_j)
+    gp_prefix: np.ndarray  # G_plus at left_j
+    im_prefix: np.ndarray  # int_0^left_j t g_minus(t) dt
+    G_left: np.ndarray    # G at left_j
+    P_left: np.ndarray    # P at left_j
+
+
 @functools.lru_cache(maxsize=128)
-def _sign_structure(spec: NonlinearitySpec):
-    """Sign-change points of g on (0, inf) and per-interval prefix tables.
+def _sign_structure(spec: NonlinearitySpec) -> _SignStructure:
+    """Sign intervals of g on the half line and their prefix tables, built
+    once per spec."""
+    fam = _FAMILIES[spec.family]
+    roots = np.asarray(fam.roots(spec), dtype=float)
+    left = np.concatenate([[0.0], roots])
+    right = np.append(roots, max(2.0 * left[-1], 1.0) * 10.0)
+    mid = np.where(left > 0, np.sqrt(left * right), right / 2.0)
+    neg = fam.g(spec, mid) <= 0.0
+    G_left, P_left = fam.prims(spec, left)
+    gp = np.concatenate([[0.0], np.cumsum(np.where(neg[:-1], 0.0, np.diff(G_left)))])
+    im = np.concatenate([[0.0], np.cumsum(np.where(neg[:-1], -np.diff(P_left), 0.0))])
+    return _SignStructure(roots, neg, gp, im, G_left, P_left)
 
-    Returns (roots, signs, Gp_prefix, Im_prefix): signs[j] is the sign of g
-    on the j-th interval; Gp_prefix[j] and Im_prefix[j] are G_plus and
-    int_0^. t g_minus(t) dt accumulated up to the interval's left endpoint.
+
+@functools.lru_cache(maxsize=256)
+def _cutoff_table(spec: NonlinearitySpec, eps: float):
+    """Constants of the fused regularized density for one (spec, eps).
+
+    With m = min(|s|, eps), G_plus(s) - G_minus^eps(s) = G(|s|) + K(m), where
+    on sign interval j K(m) = c_j + P(m)/eps - G(m) if g < 0 there and
+    K(m) = c_j if g > 0.  Returns (c, K(eps), whether a root lies below eps).
     """
-    roots = _positive_roots(spec)
-    pts = [0.0] + list(roots)
-    signs = []
-    for j, left in enumerate(pts):
-        right = roots[j] if j < len(roots) else max(2.0 * left, 1.0) * 10.0
-        mid = math.sqrt(left * right) if left > 0 else right / 2.0
-        signs.append(1 if float(_g_half(spec, np.asarray([mid]))[0]) > 0 else -1)
-    Gvals = _G_half(spec, np.asarray(pts))
-    Pvals = _P_half(spec, np.asarray(pts))
-    gp = [0.0]
-    im = [0.0]
-    for j in range(len(roots)):
-        dG = float(Gvals[j + 1] - Gvals[j])
-        dP = float(Pvals[j + 1] - Pvals[j])
-        gp.append(gp[-1] + (dG if signs[j] > 0 else 0.0))
-        im.append(im[-1] + (-dP if signs[j] < 0 else 0.0))
-    return (np.asarray(roots), np.asarray(signs), np.asarray(gp), np.asarray(im))
-
-
-def _positive_roots(spec):
-    from scipy.optimize import brentq
-
-    if spec.family == "log":
-        return (1.0,)
-    if spec.family in ("saturation", "power_sublinear"):
-        return ()
-    if spec.family == "log_power":
-        a, mu, p = spec.alpha, spec.mu, spec.p_exp
-
-        def h(t):
-            return a * math.log(t * t) + mu * t ** (p - 2.0)
-
-        if mu == 0.0:
-            return (1.0,)
-        if mu > 0.0:
-            return (brentq(h, 1e-18, 1.0, rtol=8.9e-16),)
-        t_star = (2.0 * a / (-mu * (p - 2.0))) ** (1.0 / (p - 2.0))
-        if h(t_star) <= 0.0:
-            return ()
-        hi = t_star
-        while h(hi) > 0.0:
-            hi *= 2.0
-        r2 = brentq(h, t_star, hi, rtol=8.9e-16)
-        r1 = brentq(h, 1e-18 * min(1.0, t_star), t_star, rtol=8.9e-16)
-        return (r1, r2)
-    # custom: scan for sign changes on a log grid
-    grid = np.concatenate([[0.0], np.logspace(-9, 9, 1200)])
-    vals = _g_half(spec, grid)
-    roots = []
-    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if flo == 0.0 or flo * fhi >= 0.0:
-            continue
-        roots.append(brentq(lambda t: float(_g_half(spec, np.asarray([t]))[0]),
-                            lo, hi, rtol=8.9e-16))
-    return tuple(roots)
+    st = _sign_structure(spec)
+    c = st.gp_prefix - st.im_prefix / eps - np.where(st.neg, st.P_left / eps, st.G_left)
+    j = int(np.searchsorted(st.roots, eps, side="right"))
+    G_e, P_e = _FAMILIES[spec.family].prims(spec, np.asarray([eps]))
+    K = c[j] + (P_e[0] / eps - G_e[0] if st.neg[j] else 0.0)
+    return c, float(K), bool(st.roots.size and st.roots[0] < eps)
 
 
 def _is_odd(spec) -> bool:
@@ -255,24 +253,28 @@ def _as_array(s):
     return arr, arr.ndim == 0
 
 
+def _shaped(out, arr, scalar):
+    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
 def g_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
     if _is_odd(spec):
-        out = np.sign(flat) * _g_half(spec, np.abs(flat))
+        out = np.sign(flat) * _FAMILIES[spec.family].g(spec, np.abs(flat))
     else:
         out = np.asarray([float(spec.g_func(x)) for x in flat])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(out, arr, scalar)
 
 
 def G_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
     if _is_odd(spec):
-        out = _G_half(spec, np.abs(flat))
+        out = _FAMILIES[spec.family].prims(spec, np.abs(flat))[0]
     else:
         out = np.asarray([_signed_G_custom(spec, float(x)) for x in flat])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(out, arr, scalar)
 
 
 def _signed_G_custom(spec, x):
@@ -287,38 +289,27 @@ def g_plus_value(spec: NonlinearitySpec, s):
     flat = np.atleast_1d(arr)
     g = np.atleast_1d(g_value(spec, flat))
     out = np.where(flat * g > 0.0, g, 0.0)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(out, arr, scalar)
 
 
 def G_plus_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
-    if not _is_odd(spec):
+    if _is_odd(spec):
+        mag = np.abs(flat)
+        st = _sign_structure(spec)
+        j = np.searchsorted(st.roots, mag, side="right")
+        G = _FAMILIES[spec.family].prims(spec, mag)[0]
+        out = np.where(st.neg[j], st.gp_prefix[j], st.gp_prefix[j] - st.G_left[j] + G)
+    else:
         out = np.asarray([_Gp_custom(spec, float(x)) for x in flat])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
-    mag = np.abs(flat)
-    roots, signs, gp_prefix, _ = _sign_structure(spec)
-    idx = np.searchsorted(roots, mag, side="right")
-    left = np.concatenate([[0.0], roots])[idx]
-    Gl = _G_half(spec, left)
-    Gs = _G_half(spec, mag)
-    out = gp_prefix[idx] + np.where(signs[idx] > 0, Gs - Gl, 0.0)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(out, arr, scalar)
 
 
 def _Gp_custom(spec, x):
     if x >= 0:
         return _quad(lambda t: max(float(spec.g_func(t)), 0.0), 0.0, x)
     return _quad(lambda t: max(-float(spec.g_func(t)), 0.0), x, 0.0)
-
-
-def _Iminus_half(spec, m):
-    """int_0^m t g_minus(t) dt on the positive half line (vector m >= 0)."""
-    roots, signs, _, im_prefix = _sign_structure(spec)
-    idx = np.searchsorted(roots, m, side="right")
-    left = np.concatenate([[0.0], roots])[idx]
-    neg = signs[idx] < 0
-    return im_prefix[idx] + np.where(neg, -(_P_half(spec, m) - _P_half(spec, left)), 0.0)
 
 
 @dataclass
@@ -360,17 +351,11 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     decreases pointwise as eps grows.
     """
     _check_eps(eps)
+    if _is_odd(spec):
+        return G_plus_value(spec, s) - G_eps(spec, s, eps)
     arr, scalar = _as_array(s)
-    flat = np.atleast_1d(arr)
-    if not _is_odd(spec):
-        out = np.asarray([_Gme_custom(spec, float(x), eps) for x in flat])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
-    mag = np.abs(flat)
-    m = np.minimum(mag, eps)
-    Gm_s = np.atleast_1d(G_plus_value(spec, mag)) - _G_half(spec, mag)
-    Gm_m = np.atleast_1d(G_plus_value(spec, m)) - _G_half(spec, m)
-    out = _Iminus_half(spec, m) / eps + Gm_s - Gm_m
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = np.asarray([_Gme_custom(spec, float(x), eps) for x in np.atleast_1d(arr)])
+    return _shaped(out, arr, scalar)
 
 
 def _Gme_custom(spec, x, eps):
@@ -393,16 +378,30 @@ def g_eps(spec: NonlinearitySpec, s, eps: float):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
     g = np.atleast_1d(g_value(spec, flat))
-    gp = np.where(flat * g > 0.0, g, 0.0)
-    out = gp - np.minimum(np.abs(flat) / eps, 1.0) * (gp - g)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = np.where(flat * g > 0.0, g, np.minimum(np.abs(flat) / eps, 1.0) * g)
+    return _shaped(out, arr, scalar)
 
 
 def G_eps(spec: NonlinearitySpec, s, eps: float):
-    """Regularized primitive G_plus - G_minus^eps (eps=0 gives G)."""
+    """Regularized primitive G_plus - G_minus^eps (eps=0 gives G); one fused
+    pass over |s| for the built-in families."""
     if eps == 0.0:
         return G_value(spec, s)
-    return G_plus_value(spec, s) - G_minus_eps(spec, s, eps)
+    _check_eps(eps)
+    if not _is_odd(spec):
+        return G_plus_value(spec, s) - G_minus_eps(spec, s, eps)
+    arr, scalar = _as_array(s)
+    mag = np.abs(np.atleast_1d(arr))
+    st = _sign_structure(spec)
+    c, K, split = _cutoff_table(spec, eps)
+    G, P = _FAMILIES[spec.family].prims(spec, mag)
+    if split:
+        # a root of g lies below eps, so the ramp spans several sign intervals
+        j = np.searchsorted(st.roots, mag, side="right")
+        low = c[j] + np.where(st.neg[j], P / eps, G)
+    else:
+        low = P / eps if st.neg[0] else G  # c_0 = 0
+    return _shaped(np.where(mag < eps, low, G + K), arr, scalar)
 
 
 # ---------------------------------------------------------------------------

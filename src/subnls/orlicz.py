@@ -198,7 +198,8 @@ def complementary_gap(A: NFunction, s: float) -> float:
     gap = float(s * A.a(s) - A.A(s))
     rep = check_delta2_nabla2(A)
     bound = (rep.c_delta - 1.0) * float(A.A(s))
-    assert gap <= bound * (1.0 + 1e-9) + 1e-15, (gap, bound)
+    if not gap <= bound * (1.0 + 1e-9) + 1e-15:
+        raise ValueError(f"complementary gap {gap:g} exceeds the sampled bound {bound:g}")
     return gap
 
 

@@ -2,6 +2,7 @@ import json
 import math
 
 from subnls import cli
+from subnls import minimizer as mz
 
 QUICK = """
 [nonlinearity]
@@ -185,3 +186,28 @@ def test_threshold_command(capsys):
     assert f"{-2 * math.exp(-2):.6f}"[:8] in out
     assert "no_nontrivial" in out
     assert cli.main(["threshold", "--alpha", "1", "--p", "1.5"]) == cli.EXIT_USAGE
+
+
+def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
+    def failing(config, grid=None, rng=None):
+        raise mz.StepFailure("no decrease")
+
+    monkeypatch.setattr(mz, "continuation", failing)
+    rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK)])
+    assert rc == cli.EXIT_NOCONV
+    assert "no stage produced a result" in capsys.readouterr().err
+
+
+def test_sweep_pool_size_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._pool_size(10**6, 8) == 2
+    assert cli._pool_size(4, 8) == 2
+    assert cli._pool_size(2, 1) == 1
+    assert cli._pool_size(1, 8) == 1
+    assert cli._pool_size(0, 8) == 1
+    assert cli._pool_size(-5, 8) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(10**6, 8) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    assert cli._pool_size(10**6, 4) == 4

@@ -53,22 +53,41 @@ def test_gradient_zero_field(small_grid, log_spec3):
     assert np.all(g.values == 0.0)
 
 
-def test_gradient_finite_difference(small_grid, log_spec3):
-    rng = np.random.default_rng(4)
+def fd_orders(grid, spec, rng):
+    """Observed orders of central differences of energy_eps against the
+    analytic gradient, over random bumps, directions and eps."""
     orders = []
     for _ in range(10):
-        u = random_bump(small_grid, rng)
-        v = random_bump(small_grid, rng)
+        u = random_bump(grid, rng)
+        v = random_bump(grid, rng)
         eps = rng.uniform(0.02, 0.5)
-        gv = gr.inner(mz.grad_energy_eps(u, log_spec3, eps), v)
+        gv = gr.inner(mz.grad_energy_eps(u, spec, eps), v)
         errs = []
         for t in (1e-3, 1e-4):
-            up = gr.RadialField(small_grid, u.values + t * v.values)
-            dn = gr.RadialField(small_grid, u.values - t * v.values)
-            fd = (mz.energy_eps(up, log_spec3, eps) - mz.energy_eps(dn, log_spec3, eps)) / (2 * t)
+            up = gr.RadialField(grid, u.values + t * v.values)
+            dn = gr.RadialField(grid, u.values - t * v.values)
+            fd = (mz.energy_eps(up, spec, eps) - mz.energy_eps(dn, spec, eps)) / (2 * t)
             errs.append(abs(fd - gv))
         if errs[1] > 1e-12:
             orders.append(math.log10(errs[0] / errs[1]))
+    return orders
+
+
+def test_gradient_finite_difference(small_grid, log_spec3):
+    assert np.median(fd_orders(small_grid, log_spec3, np.random.default_rng(4))) >= 1.9
+
+
+@pytest.mark.parametrize("spec", [
+    nl.log_power(1.0, 0.4, 3.0, dim=3),
+    nl.log_power(1.0, -0.05, 4.0, dim=3),   # two sign changes of g
+    nl.log_power(1.0, 2400.0, 4.0, dim=3),  # sign change below most eps
+    nl.saturation(dim=3),
+    nl.power_sublinear(0.5, dim=3),
+], ids=["log_power_mu0.4", "log_power_two_roots", "log_power_small_root",
+        "saturation", "power_sublinear"])
+def test_gradient_finite_difference_families(small_grid, spec):
+    orders = fd_orders(small_grid, spec, np.random.default_rng(4))
+    assert len(orders) >= 5
     assert np.median(orders) >= 1.9
 
 
@@ -311,3 +330,35 @@ def test_disc_feasibility_every_iteration(log_spec3):
         grad = mz.grad_energy_eps(gr.RadialField(g, u), log_spec3, 0.1).values
         u = mz.project_disc(gr.RadialField(g, u - tau * grad), rho).values
         assert float(np.dot(g.w, u * u)) <= rho**2 * (1 + 1e-12)
+
+
+def test_nan_trial_energy_raises_step_failure(small_grid, log_spec3, monkeypatch):
+    # NaN compares false both ways, so it must not pass for "no increase"
+    real = mz.energy_eps
+    calls = []
+
+    def poisoned(u, spec, eps):
+        calls.append(eps)
+        return real(u, spec, eps) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(mz, "energy_eps", poisoned)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=300)
+    u0 = random_bump(small_grid, np.random.default_rng(7))
+    with pytest.raises(mz.StepFailure, match="nan"):
+        mz.solve_ground_state(cfg, 0.1, u0=u0, grid=small_grid)
+    assert len(calls) > 2
+
+
+def test_multistart_keeps_starts_after_a_step_failure(log_spec3, monkeypatch):
+    starts = []
+
+    def second_fails(config, grid=None, rng=None):
+        starts.append(rng)
+        if len(starts) == 2:
+            raise mz.StepFailure("no decrease")
+        return mz.ContinuationResult(stages=[], limit=len(starts),
+                                     eps_monotone=True, total_iterations=0)
+
+    monkeypatch.setattr(mz, "continuation", second_fails)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=100)
+    assert mz.multistart(cfg, starts=4) == [1, 3, 4]

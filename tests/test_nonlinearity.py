@@ -259,3 +259,70 @@ def test_spec_validation():
         nl.logarithmic(1.0, dim=1)
     with pytest.raises(ValueError):
         nl.custom(lambda s: s + 1.0, dim=3)  # g(0) != 0
+
+
+MU_STAR = nl.mu_threshold(1.0, 4.0)
+
+
+def _xlog(t):
+    return t * math.log(t * t) if t > 0.0 else 0.0
+
+
+# (spec, g on the half line written independently of the module)
+FUSED_CASES = {
+    "log": (nl.logarithmic(1.5, dim=3), lambda t: 1.5 * _xlog(t)),
+    "log_power_p3": (nl.log_power(1.0, 0.7, 3.0, dim=3), lambda t: _xlog(t) + 0.7 * t * t),
+    # mu = 2 mu*: g < 0 on the whole half line
+    "log_power_no_root": (nl.log_power(1.0, 2 * MU_STAR, 4.0, dim=3),
+                          lambda t: _xlog(t) + 2 * MU_STAR * t**3),
+    # roots 1.027 and 9.487
+    "log_power_two_roots": (nl.log_power(1.0, -0.05, 4.0, dim=3),
+                            lambda t: _xlog(t) - 0.05 * t**3),
+    # root 0.04997, below eps = 0.1
+    "log_power_small_root": (nl.log_power(1.0, 2400.0, 4.0, dim=3),
+                             lambda t: _xlog(t) + 2400.0 * t**3),
+    "saturation": (nl.saturation(dim=3), lambda t: t**3 / (1.0 + t * t)),
+    "power_sublinear": (nl.power_sublinear(0.5, dim=3), lambda t: -math.sqrt(t)),
+}
+FUSED_S = [1e-5, 2e-4, 0.02, 0.04, 0.07, 0.3, 1.0, 1.5, 4.0, 9.0, 12.0]
+
+
+def _g_eps_oracle(g, t, eps):
+    # g_plus - phi_eps * g_minus on t >= 0
+    gt = g(t)
+    return gt if gt > 0.0 else min(t / eps, 1.0) * gt
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4])
+def test_fused_G_eps_quadrature_oracle(name, eps):
+    spec, g = FUSED_CASES[name]
+    roots = nl._positive_roots(spec)
+    for s in FUSED_S:
+        pts = sorted({p for p in (eps, *roots) if p < s})
+        oracle = quad(lambda t: _g_eps_oracle(g, t, eps), 0.0, s, points=pts or None,
+                      limit=400, epsabs=1e-14, epsrel=1e-13)[0]
+        for x in (s, -s):
+            assert nl.G_eps(spec, x, eps) == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4])
+def test_fused_g_eps_oracle(name, eps):
+    spec, g = FUSED_CASES[name]
+    s = np.array(FUSED_S)
+    oracle = np.array([_g_eps_oracle(g, t, eps) for t in FUSED_S])
+    assert np.allclose(nl.g_eps(spec, s, eps), oracle, rtol=1e-10, atol=1e-10)
+    assert np.allclose(nl.g_eps(spec, -s, eps), -oracle, rtol=1e-10, atol=1e-10)
+
+
+def test_fused_kernel_sign_interval_paths():
+    # the small-root case is the only one whose ramp crosses a root of g
+    small_root = FUSED_CASES["log_power_small_root"][0]
+    assert nl._positive_roots(small_root)[0] == pytest.approx(0.04997, abs=1e-5)
+    assert nl._cutoff_table(small_root, 0.1)[2]
+    assert not nl._cutoff_table(small_root, 0.01)[2]
+    assert nl._positive_roots(FUSED_CASES["log_power_no_root"][0]) == ()
+    two = nl._positive_roots(FUSED_CASES["log_power_two_roots"][0])
+    assert two == pytest.approx((1.027, 9.487), abs=1e-3)
+

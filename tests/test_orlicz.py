@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,3 +157,13 @@ def test_nfunction_validation():
         ox.log_matched_power_tail(1.0, 2.0)
     with pytest.raises(ValueError):
         ox.NFunction("custom")
+
+
+def test_complementary_gap_bound_is_checked_without_assert(monkeypatch):
+    # a growth constant of 1 allows no gap at all; the check must raise
+    # ValueError (an assert would vanish under python -O)
+    A = ox.log_matched(1.0)
+    report = dataclasses.replace(ox.check_delta2_nabla2(A), c_delta=1.0)
+    monkeypatch.setattr(ox, "check_delta2_nabla2", lambda A: report)
+    with pytest.raises(ValueError, match="exceeds the sampled bound"):
+        ox.complementary_gap(A, math.exp(-4))
