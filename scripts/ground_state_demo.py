@@ -21,10 +21,10 @@ t0 = time.time()
 res = mz.continuation(cfg)
 elapsed = time.time() - t0
 
-print(f"{'eps':>8} {'energy':>14} {'lambda':>10} {'iters':>7} {'pohozaev':>10}")
+print(f"{'eps':>8} {'energy':>14} {'lambda':>10} {'iters':>7} {'pohozaev':>10} status")
 for s in res.stages:
     print(f"{s.eps:8.0e} {s.energy:14.6f} {s.lam:10.6f} {s.iterations:7d} "
-          f"{s.bundle.pohozaev_rel:10.2e}")
+          f"{s.bundle.pohozaev_rel:10.2e} {s.status}")
 lim = res.limit
 print(f"{'limit':>8} {lim.energy:14.6f} {lim.lam:10.6f} {lim.iterations:7d} "
       f"{lim.bundle.pohozaev_rel:10.2e}")

@@ -240,11 +240,8 @@ def _pool_size(jobs: int, steps: int) -> int:
 
 
 def _sweep_point(packed):
-    cfg_values, digest, rho = packed
-    cfg = RunConfig(values=cfg_values, digest=digest)
-    solve_cfg = build_solve_config(cfg)
-    pts = mz.energy_map(solve_cfg, [rho])
-    return pts[0]
+    solve_cfg, rho = packed
+    return mz.energy_map(solve_cfg, [rho])[0]
 
 
 def cmd_sweep_rho(args) -> int:
@@ -255,10 +252,11 @@ def cmd_sweep_rho(args) -> int:
         print("need 0 < rho_min < rho_max", file=sys.stderr)
         return EXIT_USAGE
     cfg = load_config(args.config)
+    solve_cfg = build_solve_config(cfg)
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     rhos = np.geomspace(args.rho_min, args.rho_max, args.steps)
-    packed = [(cfg.values, cfg.digest, float(r)) for r in rhos]
+    packed = [(solve_cfg, float(r)) for r in rhos]
     workers = _pool_size(args.jobs, args.steps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

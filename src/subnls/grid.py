@@ -116,7 +116,11 @@ def kinetic(u: RadialField) -> float:
 
     Equals -<Lap u, u>_w exactly by construction.
     """
-    g, vals = u.grid, u.values
+    return kinetic_values(u.grid, u.values)
+
+
+def kinetic_values(g: RadialGrid, vals: np.ndarray) -> float:
+    """kinetic() on a bare array of nodal values."""
     d = np.empty(g.n)
     d[:-1] = vals[1:] - vals[:-1]
     d[-1] = -vals[-1]  # Dirichlet ghost

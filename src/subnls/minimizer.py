@@ -5,14 +5,20 @@
 over the L2 disc {mass(u) <= rho^2}, and the continuation eps -> 0 that
 recovers the unregularized ground state.
 
-The optimizer is projected gradient descent with a Barzilai-Borwein step
-proposal and Armijo backtracking along the projection arc.  Minimizing over
-the disc rather than the sphere is deliberate: the disc is weakly closed, a
-minimizer with positive multiplier is automatically pushed onto the sphere,
-and runs where the flow collapses into the interior are exactly the
-nonexistence evidence the diagnostics consume.  Non-convergence is data
-(converged=False), not an exception; only a step that cannot decrease the
-energy at the smallest step size raises.
+The optimizer is projected descent along the Sobolev gradient P g, with
+P = (sigma I - Lap)^-1 and g the L2 gradient (the backward-Euler step of the
+normalized gradient flow), a Barzilai-Borwein step proposal and Armijo
+backtracking along the projection arc, both measured in the metric of P.
+Against the plain L2 gradient, whose condition number grows like h^-2, this
+keeps the iteration count of a stage flat as the grid is refined, and a
+stage ends on its KKT test.  Minimizing over the disc rather than the sphere
+is deliberate: the disc is weakly closed, a minimizer with positive
+multiplier is automatically pushed onto the sphere, and runs where the flow
+collapses into the interior are exactly the nonexistence evidence the
+diagnostics consume.  How a stage ended is data (SolverResult.status, with
+converged=False only for an exhausted iteration budget), not an exception;
+only a step that cannot decrease the energy at the smallest step size
+raises.
 """
 
 from __future__ import annotations
@@ -25,16 +31,27 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import (RadialField, RadialGrid, kinetic, laplacian_values,
-                   mass, wnorm)
+from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
+                   laplacian_values, mass, wnorm)
 
 log = logging.getLogger("subnls.minimizer")
 
 DEFAULT_EPS_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+# shift sigma of the preconditioner P = (sigma I - Lap)^-1, and the cap on a
+# proposed step.  Steps are O(1) in the metric of P, but near the zero field
+# the BB step approaches (sigma + l1)/l1 with l1 ~ (pi/r_max)^2 the lowest
+# Dirichlet eigenvalue, about 1e3 at r_max = 100
+SOBOLEV_SHIFT = 1.0
+STEP_MAX = 1e4
 
 
 class StepFailure(RuntimeError):
-    """Backtracking exhausted without an energy decrease."""
+    """Backtracking exhausted without an energy decrease.  continuation()
+    attaches the stages it completed before the failure as ``stages``."""
+
+    def __init__(self, message, stages=()):
+        super().__init__(message)
+        self.stages = list(stages)
 
 
 class ContinuationAborted(RuntimeError):
@@ -90,6 +107,7 @@ class SolverResult:
     iterations: int
     converged: bool
     on_sphere: bool
+    status: str
     bundle: object = None
 
     def to_json_dict(self) -> dict:
@@ -103,6 +121,7 @@ class SolverResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "on_sphere": self.on_sphere,
+            "status": self.status,
             "pohozaev_residual": getattr(self.bundle, "pohozaev_rel", None),
             "nehari_residual": getattr(self.bundle, "nehari_rel", None),
         }
@@ -127,8 +146,8 @@ class ContinuationResult:
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
     dens = nl.G_eps(spec, u.values, eps)
-    # accumulated in extended precision: near a stage's end the Armijo test
-    # compares energies closer than the rounding of a double-precision sum
+    # accumulated in extended precision: over a stage's last steps the Armijo
+    # test compares energies closer than the rounding of a double sum
     return 0.5 * kinetic(u) - float(np.sum(u.grid.w * dens, dtype=np.longdouble))
 
 
@@ -225,17 +244,53 @@ def _rearranged(vals):
     return np.sort(vals)[::-1]
 
 
+def _sobolev_preconditioner(grid: RadialGrid):
+    """x -> P x with P = (sigma I - Lap_h)^-1, sigma = SOBOLEV_SHIFT,
+    self-adjoint in the w-inner product.
+
+    P x solves (sigma W + K) d = W x, where W = diag(w) and K is the matrix
+    of kinetic(); the system is symmetric positive-definite tridiagonal and
+    is factored once, here.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    c = grid.area / grid.h
+    a = grid.face_coef
+    diag = SOBOLEV_SHIFT * grid.w + c * np.concatenate([a[:1], a[1:] + a[:-1]])
+    d_fac, e_fac, info = dpttrf(diag, -c * a[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Sobolev factorization failed (info={info})")
+    w = grid.w
+
+    def apply(x):
+        return dpttrs(d_fac, e_fac, w * x)[0]
+
+    return apply
+
+
 def solve_ground_state(config: SolveConfig, eps: float,
                        u0: Optional[RadialField] = None,
                        grid: Optional[RadialGrid] = None,
                        rng=None) -> SolverResult:
-    """Projected BB gradient descent for E_eps over the disc of radius rho.
+    """Sobolev-preconditioned projected BB descent for E_eps over the disc of
+    radius rho.
 
-    Stops when the KKT residual  grad + lambda_hat * u  (lambda_hat the
-    Nehari quotient on the sphere, 0 inside) drops below tol_grad relative
-    to the natural operator scale.  Optional decreasing rearrangement of the
-    profile is applied every rearrange_every iterations and kept only when
-    it does not increase the energy.
+    The step is -P g with P = (sigma I - Lap)^-1 and g the L2 gradient; on
+    the sphere, when -P g points out of the disc, P g is replaced by its
+    P-tangent part P g - (<u, P g>/<u, P u>) P u and the step is rescaled
+    back radially, so that the fixed points are exactly the KKT points.  Step
+    lengths (the Armijo decrease and the BB proposal) are measured in the
+    metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
+
+    Stops (status "converged") when the KKT residual  g + lambda_hat * u
+    (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
+    tol_grad relative to the natural operator scale.  The other exits are
+    "collapsed" (the iterate has sunk to the zero field), "stalled" (steps
+    at rounding level), "backtrack_exhausted" (no decrease visible above
+    rounding) and "max_iter"; all but the last report converged=True.
+    Optional decreasing rearrangement of the profile is applied every
+    rearrange_every iterations and kept only when it does not increase the
+    energy.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
@@ -243,6 +298,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     if u0 is None:
         u0 = initial_guess(spec, grid, rho, eps, rng=rng)
     w = grid.w
+    precond = _sobolev_preconditioner(grid)
 
     def wdot(a, b):
         return float(np.dot(w, a * b))
@@ -262,8 +318,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     g, lap, rhs = _grad_parts(grid, u, spec, eps)
     tau = config.step_init
     it = 0
-    converged = False
-    collapsed = False
+    status = "max_iter"
     lam_hat = 0.0
     for it in range(1, config.max_iter + 1):
         on_boundary = m_u >= rho * rho * (1.0 - 1e-12)
@@ -272,47 +327,50 @@ def solve_ground_state(config: SolveConfig, eps: float,
         scale = max(1.0, wnorm(grid, lap) + wnorm(grid, rhs)
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         if wnorm(grid, res) <= config.tol_grad * scale:
-            converged = True
+            status = "converged"
             break
         if m_u <= 1e-10 * rho * rho and E >= -1e-12 * (1.0 + rho * rho):
             # the flow has contracted into the zero stationary point; finish
             # here instead of grinding out the remaining geometric decay
-            converged = True
-            collapsed = True
+            status = "collapsed"
             break
 
+        d = precond(g)
+        if on_boundary:
+            ud = wdot(u, d)
+            if ud < 0.0:
+                # -P g points out of the disc: move along the sphere instead
+                pu = precond(u)
+                d = d - (ud / wdot(u, pu)) * pu
         accepted = False
         t = tau
         for _ in range(60):
-            v, m_v, _ = project(u - t * g)
+            v, m_v, _ = project(u - t * d)
             E_v = energy_of(v)
             dv = v - u
             dd = wdot(dv, dv)
-            if E_v <= E - config.armijo * dd / max(t, 1e-300):
+            ss = SOBOLEV_SHIFT * dd + kinetic_values(grid, dv)  # <dv, P^-1 dv>
+            if E_v <= E - config.armijo * ss / max(t, 1e-300):
                 accepted = True
                 break
             if math.sqrt(dd) <= 1e-16 * (1.0 + math.sqrt(m_u)) and math.isfinite(E_v):
                 # step has collapsed to rounding level: treat as stationary
-                accepted = True
-                E_v, converged = E, True
-                v, m_v = u, m_u
+                status = "stalled"
                 break
             t *= config.backtrack
+        if status == "stalled":
+            break
         if not accepted:
             # written so that a NaN trial energy fails too
             if not E_v <= E + 1e-12 * (1.0 + abs(E)):
                 raise StepFailure(f"no decrease at step {t:g} (iteration {it}, "
                                   f"trial energy {E_v:g})")
-            v, m_v, E_v = u, m_u, E
-            converged = True
-        if converged and v is u:
+            status = "backtrack_exhausted"
             break
 
         g_v, lap_v, rhs_v = _grad_parts(grid, v, spec, eps)
-        s = v - u
-        y = g_v - g
-        sy = wdot(s, y)
-        tau = min(max(wdot(s, s) / sy, 1e-12), 1e2) if sy > 0 else min(t * 2.0, 1e2)
+        sy = wdot(dv, g_v - g)
+        tau = min(max(ss / sy, 1e-12), STEP_MAX) if sy > 0 else min(t * 2.0, STEP_MAX)
         u, m_u, E, g, lap, rhs = v, m_v, E_v, g_v, lap_v, rhs_v
 
         if config.rearrange_every and it % config.rearrange_every == 0:
@@ -322,6 +380,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 u, m_u, E = r_vals, r_m, E_r
                 g, lap, rhs = _grad_parts(grid, u, spec, eps)
 
+    converged = status != "max_iter"
     field_u = RadialField(grid, u)
     lam = extract_lambda(field_u, spec, eps) if m_u > 0 else 0.0
     on_sphere = abs(m_u - rho * rho) <= config.tol_mass * rho * rho
@@ -330,12 +389,11 @@ def solve_ground_state(config: SolveConfig, eps: float,
     result = SolverResult(
         u=field_u, lam=lam, energy=E, eps=eps, rho=rho, mass=m_u,
         kinetic=kinetic(field_u), iterations=it, converged=converged,
-        on_sphere=on_sphere,
+        on_sphere=on_sphere, status=status,
         bundle=residual_bundle(field_u, lam, eps, spec),
     )
-    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d converged=%s on_sphere=%s%s",
-             eps, E, lam, it, converged, on_sphere,
-             " (collapsed to zero)" if collapsed else "")
+    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d status=%s on_sphere=%s",
+             eps, E, lam, it, status, on_sphere)
     return result
 
 
@@ -355,7 +413,11 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     u0 = None
     total = 0
     for eps in config.eps_schedule:
-        result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng)
+        try:
+            result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng)
+        except StepFailure as exc:
+            exc.stages = stages
+            raise
         total += result.iterations
         if not result.converged:
             raise ContinuationAborted(f"stage eps={eps:g} did not converge", stages)
@@ -373,7 +435,7 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     limit = SolverResult(
         u=u, lam=lam, energy=energy_eps(u, config.spec, 0.0), eps=0.0,
         rho=config.rho, mass=m, kinetic=kinetic(u),
-        iterations=total, converged=stages[-1].converged,
+        iterations=total, converged=stages[-1].converged, status=stages[-1].status,
         on_sphere=abs(m - config.rho**2) <= config.tol_mass * config.rho**2,
         bundle=residual_bundle(u, lam, 0.0, config.spec),
     )
@@ -413,7 +475,7 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
                                          eps=0.0, converged=res.limit.converged))
         except (ContinuationAborted, StepFailure) as exc:
             log.warning("rho=%g failed: %s", rho, exc)
-            last = exc.stages[-1].energy if getattr(exc, "stages", None) else math.nan
+            last = exc.stages[-1].energy if exc.stages else math.nan
             points.append(EnergyMapPoint(rho=float(rho), c_value=last,
                                          eps=0.0, converged=False))
     return points

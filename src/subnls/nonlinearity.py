@@ -351,11 +351,22 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     decreases pointwise as eps grows.
     """
     _check_eps(eps)
-    if _is_odd(spec):
-        return G_plus_value(spec, s) - G_eps(spec, s, eps)
     arr, scalar = _as_array(s)
-    out = np.asarray([_Gme_custom(spec, float(x), eps) for x in np.atleast_1d(arr)])
-    return _shaped(out, arr, scalar)
+    if not _is_odd(spec):
+        out = np.asarray([_Gme_custom(spec, float(x), eps) for x in np.atleast_1d(arr)])
+        return _shaped(out, arr, scalar)
+    # read off the sign interval of |s|, so that no large G+ cancels: where
+    # g < 0, G_minus = gp_j - G and int_0^m t g_minus = im_j - (P - P_j);
+    # where g > 0 both are constant.  Beyond eps, G_minus^eps = G_minus - K.
+    mag = np.abs(np.atleast_1d(arr))
+    st = _sign_structure(spec)
+    _, K, _ = _cutoff_table(spec, eps)
+    j = np.searchsorted(st.roots, mag, side="right")
+    neg = st.neg[j]
+    G, P = _FAMILIES[spec.family].prims(spec, mag)
+    Gm = st.gp_prefix[j] - np.where(neg, G, st.G_left[j])
+    ramp = (st.im_prefix[j] - np.where(neg, P - st.P_left[j], 0.0)) / eps
+    return _shaped(np.where(mag < eps, ramp, Gm - K), arr, scalar)
 
 
 def _Gme_custom(spec, x, eps):

@@ -211,3 +211,26 @@ def test_sweep_pool_size_clamped(monkeypatch):
     assert cli._pool_size(10**6, 8) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
     assert cli._pool_size(10**6, 4) == 4
+
+
+def test_solve_records_stage_status(tmp_path):
+    cfg = write_config(tmp_path, QUICK)
+    assert cli.main(["solve", "--config", cfg]) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert payload["status"] == "converged"
+
+
+def test_sweep_builds_the_solve_config_once(tmp_path, monkeypatch):
+    real = cli.build_solve_config
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "build_solve_config", counting)
+    cfg = write_config(tmp_path, QUICK)
+    rc = cli.main(["sweep-rho", "--config", cfg, "18", str(18 * 2.0), "3",
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == cli.EXIT_OK
+    assert len(calls) == 1

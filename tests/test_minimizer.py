@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,3 +363,94 @@ def test_multistart_keeps_starts_after_a_step_failure(log_spec3, monkeypatch):
     monkeypatch.setattr(mz, "continuation", second_fails)
     cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=100)
     assert mz.multistart(cfg, starts=4) == [1, 3, 4]
+
+
+def kkt_residual(res, spec, eps):
+    """Relative KKT residual |g_eps + lam u| / scale, computed outside the
+    solver from the returned field and multiplier."""
+    grid = res.u.grid
+    gfield = mz.grad_energy_eps(res.u, spec, eps)
+    lap = gr.laplacian_radial(res.u).values
+    scale = max(1.0, gr.wnorm(grid, lap)
+                + gr.wnorm(grid, np.atleast_1d(nl.g_eps(spec, res.u.values, eps)))
+                + res.lam * math.sqrt(res.mass))
+    return gr.wnorm(grid, gfield.values + res.lam * res.u.values) / scale
+
+
+@pytest.mark.parametrize("n", [700, 800, 900, 1000, 1100])
+def test_single_stage_stops_on_the_kkt_test(log_spec3, n):
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=n)
+    res = mz.solve_ground_state(cfg, 0.1)
+    assert res.status == "converged" and res.converged
+    assert res.on_sphere and res.lam > 0
+    assert kkt_residual(res, log_spec3, 0.1) <= cfg.tol_grad
+
+
+def test_stage_iterations_flat_in_n(log_spec3):
+    # the preconditioned step sees no h^-2 stiffness: a 4x finer grid may
+    # not double the work of any stage
+    counts = {}
+    for n in (500, 2000):
+        cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=n,
+                             eps_schedule=(1e-1, 1e-2, 1e-3))
+        counts[n] = [s.iterations for s in mz.continuation(cfg).stages]
+    assert all(b <= 2 * a for a, b in zip(counts[500], counts[2000])), counts
+
+
+def test_every_trial_field_stays_in_the_disc(log_spec3, monkeypatch):
+    real = mz.energy_eps
+    masses = []
+
+    def spy(u, spec, eps):
+        masses.append(gr.mass(u))
+        return real(u, spec, eps)
+
+    monkeypatch.setattr(mz, "energy_eps", spy)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=600,
+                         eps_schedule=(1e-1, 1e-2), rearrange_every=10)
+    res = mz.continuation(cfg)
+    assert all(s.status == "converged" for s in res.stages)
+    assert len(masses) > res.total_iterations
+    assert max(masses) <= cfg.rho**2 * (1 + 1e-12)
+
+
+def test_stage_status_of_each_exit(log_spec3, monkeypatch):
+    cfg = mz.SolveConfig(spec=log_spec3, rho=8.0, r_max=12.0, n=300, max_iter=40000)
+    collapsed = mz.solve_ground_state(cfg, 0.1)
+    assert collapsed.status == "collapsed" and collapsed.converged
+    capped = mz.solve_ground_state(replace(cfg, max_iter=3), 0.1)
+    assert capped.status == "max_iter" and not capped.converged
+    assert capped.to_json_dict()["status"] == "max_iter"
+    # an energy with its minimum at the start never passes Armijo: from a
+    # small step the trials reach rounding level (a stall), from a huge one
+    # backtracking runs out first, within the rounding allowance of E
+    grid = collapsed.u.grid
+    u0 = mz.initial_guess(log_spec3, grid, cfg.rho, 0.1)
+    monkeypatch.setattr(mz, "energy_eps",
+                        lambda u, spec, eps: gr.wnorm(grid, u.values - u0.values) ** 2)
+    stalled = mz.solve_ground_state(cfg, 0.1, u0=u0)
+    assert stalled.status == "stalled" and stalled.iterations == 1
+    exhausted = mz.solve_ground_state(replace(cfg, step_init=1e6), 0.1, u0=u0)
+    assert exhausted.status == "backtrack_exhausted" and exhausted.iterations == 1
+    assert exhausted.converged
+
+
+def test_step_failure_keeps_completed_stages(log_spec3, monkeypatch):
+    real = mz.solve_ground_state
+    done = []
+
+    def second_stage_fails(config, eps, **kwargs):
+        if done:
+            raise mz.StepFailure("no decrease")
+        done.append(real(config, eps, **kwargs))
+        return done[-1]
+
+    monkeypatch.setattr(mz, "solve_ground_state", second_stage_fails)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
+                         eps_schedule=(1e-1, 1e-2))
+    with pytest.raises(mz.StepFailure) as exc:
+        mz.continuation(cfg)
+    assert exc.value.stages == done
+    done.clear()
+    (point,) = mz.energy_map(cfg, [20.0])
+    assert point.c_value == done[0].energy and not point.converged

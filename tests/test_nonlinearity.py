@@ -326,3 +326,14 @@ def test_fused_kernel_sign_interval_paths():
     two = nl._positive_roots(FUSED_CASES["log_power_two_roots"][0])
     assert two == pytest.approx((1.027, 9.487), abs=1e-3)
 
+
+
+def test_gme_constant_beyond_last_root():
+    # g > 0 beyond the root 0.04997, so G_minus^eps stops growing there; a
+    # value formed as G+ - (G+ - G-^eps) drifts with the size of G+ instead
+    spec = nl.log_power(1.0, 2400.0, 4.0, dim=3)
+    s = np.concatenate([np.geomspace(0.06, 15.8, 200), -np.geomspace(0.06, 15.8, 7)])
+    for eps in (1e-1, 1e-2, 1e-4):
+        vals = np.atleast_1d(nl.G_minus_eps(spec, s, eps))
+        assert vals[0] > 0.0
+        assert np.ptp(vals) <= 1e-13 * vals[0]
