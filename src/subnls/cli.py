@@ -278,8 +278,9 @@ def cmd_sweep_rho(args) -> int:
                os.path.join(out_dir, "energy_map_properties.json"))
     all_ok = all(c.passed for c in checks)
     for c in checks:
+        reason = f": {c.details['reason']}" if "reason" in c.details else ""
         print(f"{c.check_name}: {'pass' if c.passed else 'FAIL'} "
-              f"(margin={c.margin:.3g}, tol={c.tolerance:.3g})")
+              f"(margin={c.margin:.3g}, tol={c.tolerance:.3g}){reason}")
     failed = [p for p in points if not p.converged]
     if failed:
         print(f"{len(failed)} point(s) did not converge", file=sys.stderr)

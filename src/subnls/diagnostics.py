@@ -210,8 +210,9 @@ def energy_map_properties(points: Sequence, tol_rel: float = 1e-2) -> list:
                 triples += 1
                 sub_viol.append(float(c[k] - (c[i] + c[j])))
     m = _worst(sub_viol)
+    reason = {} if triples else {"reason": "no in-grid triple rho_k^2 = rho_i^2 + rho_j^2"}
     checks.append(PropertyCheck("subadditivity", bool(triples and m <= tol), m, tol,
-                                {"triples": triples}))
+                                {"triples": triples, **reason}))
 
     scale_viol = []
     pairs = 0

@@ -43,6 +43,10 @@ DEFAULT_EPS_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 # Dirichlet eigenvalue, about 1e3 at r_max = 100
 SOBOLEV_SHIFT = 1.0
 STEP_MAX = 1e4
+# first step proposal, backtracking factor and Armijo constant
+STEP_INIT = 1e-3
+BACKTRACK = 0.5
+ARMIJO = 1e-4
 
 
 class StepFailure(RuntimeError):
@@ -72,9 +76,6 @@ class SolveConfig:
     tol_grad: float = 1e-8
     tol_mass: float = 1e-9
     max_iter: int = 20000
-    step_init: float = 1e-3
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     seed: int = 0
     rearrange_every: int = 0
     multistarts: int = 1
@@ -316,7 +317,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     u, m_u, _ = project(u0.values.copy())
     E = energy_of(u)
     g, lap, rhs = _grad_parts(grid, u, spec, eps)
-    tau = config.step_init
+    tau = STEP_INIT
     it = 0
     status = "max_iter"
     lam_hat = 0.0
@@ -350,14 +351,14 @@ def solve_ground_state(config: SolveConfig, eps: float,
             dv = v - u
             dd = wdot(dv, dv)
             ss = SOBOLEV_SHIFT * dd + kinetic_values(grid, dv)  # <dv, P^-1 dv>
-            if E_v <= E - config.armijo * ss / max(t, 1e-300):
+            if E_v <= E - ARMIJO * ss / max(t, 1e-300):
                 accepted = True
                 break
             if math.sqrt(dd) <= 1e-16 * (1.0 + math.sqrt(m_u)) and math.isfinite(E_v):
                 # step has collapsed to rounding level: treat as stationary
                 status = "stalled"
                 break
-            t *= config.backtrack
+            t *= BACKTRACK
         if status == "stalled":
             break
         if not accepted:
@@ -380,21 +381,25 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 u, m_u, E = r_vals, r_m, E_r
                 g, lap, rhs = _grad_parts(grid, u, spec, eps)
 
-    converged = status != "max_iter"
-    field_u = RadialField(grid, u)
-    lam = extract_lambda(field_u, spec, eps) if m_u > 0 else 0.0
-    on_sphere = abs(m_u - rho * rho) <= config.tol_mass * rho * rho
+    result = _result(config, RadialField(grid, u), eps, E, m_u, it, status)
+    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d status=%s on_sphere=%s",
+             eps, E, result.lam, it, status, result.on_sphere)
+    return result
+
+
+def _result(config, u, eps, energy, m, iterations, status) -> SolverResult:
+    """Record of field u (mass m, energy E_eps) with its multiplier, sphere
+    test, kinetic term and identity residuals, all measured at eps."""
     from .diagnostics import residual_bundle
 
-    result = SolverResult(
-        u=field_u, lam=lam, energy=E, eps=eps, rho=rho, mass=m_u,
-        kinetic=kinetic(field_u), iterations=it, converged=converged,
-        on_sphere=on_sphere, status=status,
-        bundle=residual_bundle(field_u, lam, eps, spec),
+    spec, rho = config.spec, config.rho
+    lam = extract_lambda(u, spec, eps) if m > 0 else 0.0
+    return SolverResult(
+        u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=kinetic(u),
+        iterations=iterations, converged=status != "max_iter",
+        on_sphere=abs(m - rho * rho) <= config.tol_mass * rho * rho, status=status,
+        bundle=residual_bundle(u, lam, eps, spec),
     )
-    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d status=%s on_sphere=%s",
-             eps, E, lam, it, status, on_sphere)
-    return result
 
 
 def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
@@ -428,17 +433,8 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
         for a, b in zip(stages, stages[1:])
     )
     u = stages[-1].u
-    m = mass(u)
-    lam = extract_lambda(u, config.spec, 0.0) if m > 0 else 0.0
-    from .diagnostics import residual_bundle
-
-    limit = SolverResult(
-        u=u, lam=lam, energy=energy_eps(u, config.spec, 0.0), eps=0.0,
-        rho=config.rho, mass=m, kinetic=kinetic(u),
-        iterations=total, converged=stages[-1].converged, status=stages[-1].status,
-        on_sphere=abs(m - config.rho**2) <= config.tol_mass * config.rho**2,
-        bundle=residual_bundle(u, lam, 0.0, config.spec),
-    )
+    limit = _result(config, u, 0.0, energy_eps(u, config.spec, 0.0), mass(u), total,
+                    stages[-1].status)
     return ContinuationResult(stages=stages, limit=limit,
                               eps_monotone=eps_monotone, total_iterations=total)
 

@@ -8,9 +8,11 @@ G_plus collects the increasing part of the primitive,
     G_plus(s) = int_s^0 max(-g, 0)     for s < 0,
 
 so G_plus, G_minus >= 0 while g_minus satisfies s*g_minus(s) >= 0 (it is
-negative on the negative half line).  For the built-in families everything
-is evaluated from antiderivatives split at the sign-change points of g,
-located once per spec and cached; no quadrature appears in the hot path.
+negative on the negative half line).  Every family, custom included, is
+evaluated from the antiderivatives G and P = int t g split at the
+sign-change points of g, located once per spec and cached.  The built-in
+families have them in closed form, so no quadrature appears in their hot
+path; the custom family (odd g only) builds them by quadrature.
 """
 
 from __future__ import annotations
@@ -56,30 +58,9 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
             raise ValueError("dim must be an integer >= 2")
-        if self.family == "log":
-            if not self.alpha > 0:
-                raise ValueError("log family needs alpha > 0")
-        elif self.family == "log_power":
-            if not self.alpha > 0:
-                raise ValueError("log_power needs alpha > 0")
-            if self.dim >= 3:
-                two_star = 2.0 * self.dim / (self.dim - 2.0)
-                if not (2.0 < self.p_exp <= two_star):
-                    raise ValueError(f"log_power needs 2 < p <= {two_star} for dim={self.dim}")
-            elif not self.p_exp > 2.0:
-                raise ValueError("log_power needs p > 2")
-        elif self.family == "power_sublinear":
-            if not (0.0 < self.omega < 1.0):
-                raise ValueError("power_sublinear needs 0 < omega < 1")
-        elif self.family == "saturation":
-            pass
-        elif self.family == "custom":
-            if self.g_func is None:
-                raise ValueError("custom family needs g")
-            if abs(float(self.g_func(0.0))) > 1e-14:
-                raise ValueError("g(0) must vanish")
-        else:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        _FAMILIES[self.family].check(self)
 
     @property
     def mass_critical_exp(self) -> float:
@@ -103,14 +84,20 @@ def power_sublinear(omega: float, *, dim: int) -> NonlinearitySpec:
 
 
 def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> NonlinearitySpec:
+    """A general g (with its primitive G, if known).  g must be odd, like
+    every built-in, and is checked on samples: it then shares the built-ins'
+    half-line kernels and sign structure.  A non-odd g would need each half
+    line treated on its own (the mirror t -> -g(-t)), a second code path
+    that no caller needs."""
     return NonlinearitySpec("custom", dim, g_func=g, G_func=G)
 
 
 # ---------------------------------------------------------------------------
-# half-line kernels (arguments are |s| arrays); built-in g are odd, so the
+# half-line kernels (arguments are |s| arrays); every g is odd, so the
 # negative axis follows by symmetry.  Each family supplies g, the pair
-# (G, P) with P(s) = int_0^s t g(t) dt, and the positive roots of g; each
-# call takes one log (or power) per node.
+# (G, P) with P(s) = int_0^s t g(t) dt, the positive roots of g, its
+# parameter check and its growth coefficient eta; each built-in call takes
+# one log (or power) per node.
 
 
 def _log_g(spec, s):
@@ -163,27 +150,99 @@ def _log_roots(spec):
     return (r1, r2)
 
 
+def _power_eta(spec):
+    # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
+    # and mu = 0 in every other built-in family
+    pc = spec.mass_critical_exp
+    if spec.mu <= 0 or spec.p_exp < pc:
+        return EtaEstimate(0.0, sampled=False)
+    return EtaEstimate(spec.mu / spec.p_exp if spec.p_exp == pc else math.inf, sampled=False)
+
+
+def _check_log(spec):
+    if not spec.alpha > 0:
+        raise ValueError(f"{spec.family} family needs alpha > 0")
+
+
+def _check_log_power(spec):
+    _check_log(spec)
+    top = 2.0 * spec.dim / (spec.dim - 2.0) if spec.dim >= 3 else math.inf
+    if not 2.0 < spec.p_exp <= top:
+        raise ValueError(f"log_power needs 2 < p <= {top} for dim={spec.dim}")
+
+
+def _check_sublinear(spec):
+    if not 0.0 < spec.omega < 1.0:
+        raise ValueError("power_sublinear needs 0 < omega < 1")
+
+
 def _sublinear_prims(spec, s):
     w = spec.omega
     sw1 = -(s ** (w + 1.0))
     return sw1 / (w + 1.0), sw1 * s / (w + 2.0)
 
 
+def _custom_g(spec, s):
+    return np.vectorize(spec.g_func, otypes=[float])(s)
+
+
+def _custom_prims(spec, s):
+    # one quadrature per gap between the sorted nodes, accumulated outward
+    nodes, inv = np.unique(s, return_inverse=True)
+    gaps = list(zip(np.concatenate([[0.0], nodes[:-1]]), nodes))
+    g = spec.g_func
+    P = np.cumsum([_quad(lambda t: t * g(t), a, b) for a, b in gaps])
+    if spec.G_func is None:
+        G = np.cumsum([_quad(g, a, b) for a, b in gaps])
+    else:
+        G = np.vectorize(spec.G_func, otypes=[float])(nodes)
+    return G[inv].reshape(s.shape), P[inv].reshape(s.shape)
+
+
+def _custom_roots(spec):
+    # sign changes between samples on [1e-12, 1e8], refined; like the other
+    # custom-family verdicts this is sampled, not certified
+    from scipy.optimize import brentq
+
+    t = np.logspace(-12, 8, 2001)
+    pos = _custom_g(spec, t) > 0.0
+    return tuple(brentq(spec.g_func, t[i], t[i + 1], rtol=8.9e-16)
+                 for i in np.flatnonzero(pos[:-1] != pos[1:]))
+
+
+def _check_custom(spec):
+    if spec.g_func is None:
+        raise ValueError("custom family needs g")
+    t = np.concatenate([[0.0], np.logspace(-8, 4, 13)])
+    g = _custom_g(spec, t)
+    if not np.all(np.abs(g + _custom_g(spec, -t)) <= 1e-14 + 1e-12 * np.abs(g)):
+        raise ValueError("custom family needs an odd g: g(-s) = -g(s), so g(0) = 0")
+
+
+def _sampled_eta(spec):
+    s = 10.0 ** np.arange(6, 9)
+    ratio = G_plus_value(spec, s) / s**spec.mass_critical_exp
+    return EtaEstimate(float(np.max(ratio)), sampled=True)
+
+
 class _Family(NamedTuple):
     g: Callable      # (spec, |s|) -> g
     prims: Callable  # (spec, |s|) -> (G, P)
     roots: Callable  # spec -> positive roots of g, ascending
+    check: Callable  # spec -> None; raises ValueError on bad parameters
+    eta: Callable    # spec -> EtaEstimate
 
 
 _FAMILIES = {
-    "log": _Family(_log_g, _log_prims, _log_roots),
-    "log_power": _Family(_log_g, _log_prims, _log_roots),
+    "log": _Family(_log_g, _log_prims, _log_roots, _check_log, _power_eta),
+    "log_power": _Family(_log_g, _log_prims, _log_roots, _check_log_power, _power_eta),
     "saturation": _Family(lambda spec, s: s**3 / (1.0 + s * s),
                           lambda spec, s: (0.5 * (s * s - np.log1p(s * s)),
                                            s**3 / 3.0 - s + np.arctan(s)),
-                          lambda spec: ()),
+                          lambda spec: (), lambda spec: None, _power_eta),
     "power_sublinear": _Family(lambda spec, s: -(s**spec.omega), _sublinear_prims,
-                               lambda spec: ()),
+                               lambda spec: (), _check_sublinear, _power_eta),
+    "custom": _Family(_custom_g, _custom_prims, _custom_roots, _check_custom, _sampled_eta),
 }
 
 
@@ -244,10 +303,6 @@ def _cutoff_table(spec: NonlinearitySpec, eps: float):
     return c, float(K), bool(st.roots.size and st.roots[0] < eps)
 
 
-def _is_odd(spec) -> bool:
-    return spec.family != "custom"
-
-
 def _as_array(s):
     arr = np.asarray(s, dtype=float)
     return arr, arr.ndim == 0
@@ -260,27 +315,15 @@ def _shaped(out, arr, scalar):
 def g_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
-    if _is_odd(spec):
-        out = np.sign(flat) * _FAMILIES[spec.family].g(spec, np.abs(flat))
-    else:
-        out = np.asarray([float(spec.g_func(x)) for x in flat])
+    out = np.sign(flat) * _FAMILIES[spec.family].g(spec, np.abs(flat))
     return _shaped(out, arr, scalar)
 
 
 def G_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
     flat = np.atleast_1d(arr)
-    if _is_odd(spec):
-        out = _FAMILIES[spec.family].prims(spec, np.abs(flat))[0]
-    else:
-        out = np.asarray([_signed_G_custom(spec, float(x)) for x in flat])
+    out = _FAMILIES[spec.family].prims(spec, np.abs(flat))[0]
     return _shaped(out, arr, scalar)
-
-
-def _signed_G_custom(spec, x):
-    if spec.G_func is not None:
-        return float(spec.G_func(x))
-    return _quad(spec.g_func, 0.0, x)
 
 
 def g_plus_value(spec: NonlinearitySpec, s):
@@ -294,22 +337,12 @@ def g_plus_value(spec: NonlinearitySpec, s):
 
 def G_plus_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
-    flat = np.atleast_1d(arr)
-    if _is_odd(spec):
-        mag = np.abs(flat)
-        st = _sign_structure(spec)
-        j = np.searchsorted(st.roots, mag, side="right")
-        G = _FAMILIES[spec.family].prims(spec, mag)[0]
-        out = np.where(st.neg[j], st.gp_prefix[j], st.gp_prefix[j] - st.G_left[j] + G)
-    else:
-        out = np.asarray([_Gp_custom(spec, float(x)) for x in flat])
+    mag = np.abs(np.atleast_1d(arr))
+    st = _sign_structure(spec)
+    j = np.searchsorted(st.roots, mag, side="right")
+    G = _FAMILIES[spec.family].prims(spec, mag)[0]
+    out = np.where(st.neg[j], st.gp_prefix[j], st.gp_prefix[j] - st.G_left[j] + G)
     return _shaped(out, arr, scalar)
-
-
-def _Gp_custom(spec, x):
-    if x >= 0:
-        return _quad(lambda t: max(float(spec.g_func(t)), 0.0), 0.0, x)
-    return _quad(lambda t: max(-float(spec.g_func(t)), 0.0), x, 0.0)
 
 
 @dataclass
@@ -352,9 +385,6 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     """
     _check_eps(eps)
     arr, scalar = _as_array(s)
-    if not _is_odd(spec):
-        out = np.asarray([_Gme_custom(spec, float(x), eps) for x in np.atleast_1d(arr)])
-        return _shaped(out, arr, scalar)
     # read off the sign interval of |s|, so that no large G+ cancels: where
     # g < 0, G_minus = gp_j - G and int_0^m t g_minus = im_j - (P - P_j);
     # where g > 0 both are constant.  Beyond eps, G_minus^eps = G_minus - K.
@@ -367,18 +397,6 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     Gm = st.gp_prefix[j] - np.where(neg, G, st.G_left[j])
     ramp = (st.im_prefix[j] - np.where(neg, P - st.P_left[j], 0.0)) / eps
     return _shaped(np.where(mag < eps, ramp, Gm - K), arr, scalar)
-
-
-def _Gme_custom(spec, x, eps):
-    def gm(t):
-        gv = float(spec.g_func(t))
-        gp = gv if t * gv > 0 else 0.0
-        return gp - gv
-
-    def integrand(t):
-        return min(abs(t) / eps, 1.0) * gm(t)
-
-    return _quad(integrand, 0.0, x)
 
 
 def g_eps(spec: NonlinearitySpec, s, eps: float):
@@ -394,13 +412,11 @@ def g_eps(spec: NonlinearitySpec, s, eps: float):
 
 
 def G_eps(spec: NonlinearitySpec, s, eps: float):
-    """Regularized primitive G_plus - G_minus^eps (eps=0 gives G); one fused
-    pass over |s| for the built-in families."""
+    """Regularized primitive G_plus - G_minus^eps (eps=0 gives G) in one
+    fused pass over |s|."""
     if eps == 0.0:
         return G_value(spec, s)
     _check_eps(eps)
-    if not _is_odd(spec):
-        return G_plus_value(spec, s) - G_minus_eps(spec, s, eps)
     arr, scalar = _as_array(s)
     mag = np.abs(np.atleast_1d(arr))
     st = _sign_structure(spec)
@@ -472,18 +488,9 @@ class EtaEstimate:
 
 
 def eta_coefficient(spec: NonlinearitySpec) -> EtaEstimate:
-    """limsup at infinity of G_plus(s)/|s|^(2+4/N); exact for built-ins."""
-    pc = spec.mass_critical_exp
-    if spec.family in ("log", "saturation", "power_sublinear"):
-        return EtaEstimate(0.0, sampled=False)
-    if spec.family == "log_power":
-        if spec.mu <= 0 or spec.p_exp < pc:
-            return EtaEstimate(0.0, sampled=False)
-        if spec.p_exp == pc:
-            return EtaEstimate(spec.mu / spec.p_exp, sampled=False)
-        return EtaEstimate(math.inf, sampled=False)
-    samples = [float(G_plus_value(spec, 10.0**k)) / 10.0 ** (k * pc) for k in range(2, 9)]
-    return EtaEstimate(float(max(samples[-3:])), sampled=True)
+    """limsup at infinity of G_plus(s)/|s|^(2+4/N); exact for built-ins,
+    sampled at |s| = 1e6, 1e7, 1e8 for the custom family."""
+    return _FAMILIES[spec.family].eta(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +536,8 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     big = np.logspace(1, 8, 40)
 
     g_small = np.abs(np.atleast_1d(g_value(spec, small)))
-    if abs(g_value(spec, 0.0)) != 0.0:
-        g0 = FAILS
-    elif g_small[0] <= 1e-5 or g_small[0] <= 0.02 * g_small[-1]:
+    # g(0) = 0 holds for every spec: g_value is odd, and custom g is checked
+    if g_small[0] <= 1e-5 or g_small[0] <= 0.02 * g_small[-1]:
         g0 = HOLDS
     elif g_small[0] >= 0.5 * g_small[-1] and g_small[0] > 1e-5:
         g0 = FAILS

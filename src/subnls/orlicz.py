@@ -66,15 +66,8 @@ class NFunction:
         arr = np.abs(np.asarray(s, dtype=float))
         scalar = arr.ndim == 0
         x = np.atleast_1d(arr)
-        if self.family == "log_matched":
-            inner = -self.alpha * _xlog(x)
-            outer = 3 * self.alpha * x**2 + 4 * self.alpha * KNOT * x - self.alpha * KNOT**2
-            out = np.where(x < KNOT, inner, outer)
-        elif self.family == "log_matched_power_tail":
-            a, p = self.alpha, self.p_exp
-            inner = -a * _xlog(x)
-            outer = 10 * a / p * math.exp(3 * p - 6) * x**p + 2 * a * (3 - 5 / p) * KNOT**2
-            out = np.where(x < KNOT, inner, outer)
+        if self.family in _TAILS:
+            out = np.where(x < KNOT, _CORE[0](self, x), _TAILS[self.family][0](self, x))
         elif self.family == "pure_q":
             out = x**self.q_exp / self.q_exp
         else:
@@ -86,15 +79,8 @@ class NFunction:
         scalar = arr.ndim == 0
         x = np.atleast_1d(arr)
         mag = np.abs(x)
-        if self.family == "log_matched":
-            inner = -2 * self.alpha * mag * (_safe_log2(mag) + 1.0)
-            outer = 6 * self.alpha * mag + 4 * self.alpha * KNOT
-            out = np.where(mag < KNOT, inner, outer)
-        elif self.family == "log_matched_power_tail":
-            a, p = self.alpha, self.p_exp
-            inner = -2 * a * mag * (_safe_log2(mag) + 1.0)
-            outer = 10 * a * math.exp(3 * p - 6) * mag ** (p - 1)
-            out = np.where(mag < KNOT, inner, outer)
+        if self.family in _TAILS:
+            out = np.where(mag < KNOT, _CORE[1](self, mag), _TAILS[self.family][1](self, mag))
         elif self.family == "pure_q":
             out = mag ** (self.q_exp - 1.0)
         else:
@@ -115,6 +101,22 @@ def _safe_log2(x):
     nz = x > 1e-150
     out[nz] = np.log(x[nz] ** 2)
     return out
+
+
+# the two-piece families on |s|: the log core -alpha s^2 ln s^2 below KNOT and
+# each family's tail beyond it, as (A, a) pairs; A, a and knot_mismatch all
+# read these formulas
+_CORE = (lambda F, x: -F.alpha * _xlog(x),
+         lambda F, x: -2 * F.alpha * x * (_safe_log2(x) + 1.0))
+_TAILS = {
+    "log_matched": (
+        lambda F, x: 3 * F.alpha * x**2 + 4 * F.alpha * KNOT * x - F.alpha * KNOT**2,
+        lambda F, x: 6 * F.alpha * x + 4 * F.alpha * KNOT),
+    "log_matched_power_tail": (
+        lambda F, x: (10 * F.alpha / F.p_exp * math.exp(3 * F.p_exp - 6) * x**F.p_exp
+                      + 2 * F.alpha * (3 - 5 / F.p_exp) * KNOT**2),
+        lambda F, x: 10 * F.alpha * math.exp(3 * F.p_exp - 6) * x ** (F.p_exp - 1)),
+}
 
 
 def log_matched(alpha: float = 1.0) -> NFunction:
@@ -205,16 +207,8 @@ def complementary_gap(A: NFunction, s: float) -> float:
 
 def knot_mismatch(A: NFunction) -> tuple:
     """(value jump, derivative jump) of the two branch formulas at |s| = e^-3."""
-    al = A.alpha
-    inner_val = -al * KNOT**2 * math.log(KNOT**2)
-    inner_der = -2 * al * KNOT * (math.log(KNOT**2) + 1.0)
-    if A.family == "log_matched":
-        outer_val = 3 * al * KNOT**2 + 4 * al * KNOT * KNOT - al * KNOT**2
-        outer_der = 6 * al * KNOT + 4 * al * KNOT
-    elif A.family == "log_matched_power_tail":
-        p = A.p_exp
-        outer_val = 10 * al / p * math.exp(3 * p - 6) * KNOT**p + 2 * al * (3 - 5 / p) * KNOT**2
-        outer_der = 10 * al * math.exp(3 * p - 6) * KNOT ** (p - 1)
-    else:
+    if A.family not in _TAILS:
         raise ValueError("knot check applies to the two-piece families")
-    return outer_val - inner_val, outer_der - inner_der
+    k = np.array([KNOT])
+    return tuple(float(tail(A, k)[0] - core(A, k)[0])
+                 for core, tail in zip(_CORE, _TAILS[A.family]))

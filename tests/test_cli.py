@@ -1,7 +1,11 @@
 import json
 import math
+from pathlib import Path
+
+import numpy as np
 
 from subnls import cli
+from subnls import diagnostics as dg
 from subnls import minimizer as mz
 
 QUICK = """
@@ -143,6 +147,31 @@ def test_sweep_outputs(tmp_path):
     assert cs[0] > cs[1] > cs[2]
     props = json.loads((tmp_path / "sweep" / "energy_map_properties.json").read_text())
     assert all(row["pass"] for row in props)
+
+
+def test_sweep_prints_why_a_check_found_nothing(tmp_path, capsys):
+    # no radius of 18, 23.2, 30 is a hypot of two others, nor near 30/sqrt(2)
+    cfg = write_config(tmp_path, QUICK)
+    rc = cli.main(["sweep-rho", "--config", cfg, "18", "30", "3",
+                   "--out", str(tmp_path / "sweep")])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_NOCONV
+    assert "subadditivity: FAIL (margin=-inf" in out
+    assert "no in-grid triple" in out and "no grid point near rho_max/sqrt(2)" in out
+
+
+def test_readme_sweep_example_is_sqrt2_spaced():
+    # the radii of the README's sweep must give every property check points
+    # to compare; Gausson energies stand in for a solve
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (line,) = [ln for ln in readme.splitlines() if ln.startswith("subnls sweep-rho")]
+    rho_min, rho_max, steps = line.split()[4:7]
+    rhos = np.geomspace(float(rho_min), float(rho_max), int(steps))
+    pts = [mz.EnergyMapPoint(rho=r, c_value=r * r * (2 - math.log(r * r) / 2
+                                                     + 0.75 * math.log(math.pi)),
+                             eps=0.0, converged=True) for r in rhos]
+    checks = dg.energy_map_properties(pts)
+    assert all(c.passed for c in checks), [(c.check_name, c.details) for c in checks]
 
 
 def test_check_pass_and_fail(tmp_path):

@@ -164,6 +164,17 @@ def test_energy_map_properties_constructed_violation():
     assert sub.margin == pytest.approx(1.0 + tol, rel=1e-12)
 
 
+def test_energy_map_properties_without_triples_says_why():
+    # 203.65 rounds 18 * 2**3.5, so no radius equals a hypot of two others to 1e-9
+    rhos = list(np.geomspace(18.0, 203.65, 8))
+    cs = [r * r * (2.0 - math.log(r * r) / 2 + 0.75 * math.log(math.pi)) for r in rhos]
+    checks = {c.check_name: c for c in dg.energy_map_properties(_pts(rhos, cs))}
+    sub = checks.pop("subadditivity")
+    assert not sub.passed and sub.margin == -math.inf
+    assert sub.details["triples"] == 0 and "no in-grid triple" in sub.details["reason"]
+    assert all(c.passed and "reason" not in c.details for c in checks.values())
+
+
 def test_energy_map_properties_needs_points():
     with pytest.raises(ValueError):
         dg.energy_map_properties(_pts([1.0, 2.0], [-1.0, -2.0]))

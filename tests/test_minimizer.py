@@ -430,7 +430,8 @@ def test_stage_status_of_each_exit(log_spec3, monkeypatch):
                         lambda u, spec, eps: gr.wnorm(grid, u.values - u0.values) ** 2)
     stalled = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert stalled.status == "stalled" and stalled.iterations == 1
-    exhausted = mz.solve_ground_state(replace(cfg, step_init=1e6), 0.1, u0=u0)
+    monkeypatch.setattr(mz, "STEP_INIT", 1e6)
+    exhausted = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert exhausted.status == "backtrack_exhausted" and exhausted.iterations == 1
     assert exhausted.converged
 

@@ -261,6 +261,13 @@ def test_spec_validation():
         nl.custom(lambda s: s + 1.0, dim=3)  # g(0) != 0
 
 
+def test_custom_needs_an_odd_g():
+    with pytest.raises(ValueError, match="odd"):
+        nl.custom(lambda s: s * abs(s) ** 0.5 + 0.1 * s * s, dim=3)  # g(0) = 0, not odd
+    spec = nl.custom(lambda s: s * abs(s) ** 0.5, dim=3)
+    assert nl.g_value(spec, -4.0) == -8.0 and nl.eta_coefficient(spec).sampled
+
+
 MU_STAR = nl.mu_threshold(1.0, 4.0)
 
 
@@ -283,6 +290,14 @@ FUSED_CASES = {
                              lambda t: _xlog(t) + 2400.0 * t**3),
     "saturation": (nl.saturation(dim=3), lambda t: t**3 / (1.0 + t * t)),
     "power_sublinear": (nl.power_sublinear(0.5, dim=3), lambda t: -math.sqrt(t)),
+    # the two-root case again, through quadrature and the sampled root scan
+    "custom_two_roots": (nl.custom(lambda s: s * math.log(s * s) - 0.05 * s**3 if s else 0.0,
+                                   dim=3),
+                         lambda t: _xlog(t) - 0.05 * t**3),
+    # no root, and g'(0) unbounded
+    "custom_sqrt": (nl.custom(lambda s: -math.copysign(math.sqrt(abs(s)), s) * (1 + s * s),
+                              dim=3),
+                    lambda t: -math.sqrt(t) * (1.0 + t * t)),
 }
 FUSED_S = [1e-5, 2e-4, 0.02, 0.04, 0.07, 0.3, 1.0, 1.5, 4.0, 9.0, 12.0]
 

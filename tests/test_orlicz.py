@@ -108,6 +108,16 @@ def test_c1_gluing_at_knot(family):
     assert abs(dder) <= 1e-10
 
 
+@pytest.mark.parametrize("A", [ox.log_matched(1.3), ox.log_matched_power_tail(0.8, 3.5)])
+def test_knot_mismatch_reads_the_branches_in_use(A):
+    # A and a take the tail at |s| = KNOT and the core just below it, so the
+    # jumps reported are those of the formulas A and a evaluate
+    below = np.nextafter(ox.KNOT, 0.0)
+    dval, dder = ox.knot_mismatch(A)
+    assert dval == pytest.approx(A.A(ox.KNOT) - A.A(below), abs=1e-15)
+    assert dder == pytest.approx(A.a(ox.KNOT) - A.a(below), abs=1e-14)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False).filter(lambda c: abs(c) > 1e-8),
        st.integers(min_value=0, max_value=2**31 - 1))
