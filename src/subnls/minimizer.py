@@ -29,6 +29,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+# bound at import, not in the preconditioner: sweep-rho workers are forked
+# from this process and inherit the loaded module instead of importing it
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import nonlinearity as nl
 from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
@@ -253,8 +256,6 @@ def _sobolev_preconditioner(grid: RadialGrid):
     of kinetic(); the system is symmetric positive-definite tridiagonal and
     is factored once, here.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
     c = grid.area / grid.h
     a = grid.face_coef
     diag = SOBOLEV_SHIFT * grid.w + c * np.concatenate([a[:1], a[1:] + a[:-1]])

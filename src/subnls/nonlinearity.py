@@ -127,9 +127,34 @@ def _log_prims(spec, s):
     return G, P
 
 
-def _log_roots(spec):
-    from scipy.optimize import brentq
+def _bisect(f, lo, hi, maxiter=2200):
+    """Root of f in [lo, hi] by bisection, in plain Python so that the solve
+    path never imports scipy.optimize.  It stops on an exact zero or when
+    the bracket is two adjacent doubles, and returns the end with the
+    smaller |f|; 2200 halvings shrink any finite bracket to adjacent doubles,
+    so reaching the cap raises RuntimeError."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise ValueError(f"f({lo}) and f({hi}) must have opposite signs")
+    for _ in range(maxiter):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo if abs(flo) <= abs(fhi) else hi
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    raise RuntimeError(f"bisection did not converge in {maxiter} steps")
 
+
+def _log_roots(spec):
     a, mu, p = spec.alpha, spec.mu, spec.p_exp
     if mu == 0.0:
         return (1.0,)
@@ -138,15 +163,15 @@ def _log_roots(spec):
         return a * math.log(t * t) + mu * t ** (p - 2.0)
 
     if mu > 0.0:
-        return (brentq(h, 1e-18, 1.0, rtol=8.9e-16),)
+        return (_bisect(h, 1e-18, 1.0),)
     t_star = (2.0 * a / (-mu * (p - 2.0))) ** (1.0 / (p - 2.0))
     if h(t_star) <= 0.0:
         return ()
     hi = t_star
     while h(hi) > 0.0:
         hi *= 2.0
-    r2 = brentq(h, t_star, hi, rtol=8.9e-16)
-    r1 = brentq(h, 1e-18 * min(1.0, t_star), t_star, rtol=8.9e-16)
+    r2 = _bisect(h, t_star, hi)
+    r1 = _bisect(h, 1e-18 * min(1.0, t_star), t_star)
     return (r1, r2)
 
 
@@ -202,11 +227,9 @@ def _custom_prims(spec, s):
 def _custom_roots(spec):
     # sign changes between samples on [1e-12, 1e8], refined; like the other
     # custom-family verdicts this is sampled, not certified
-    from scipy.optimize import brentq
-
     t = np.logspace(-12, 8, 2001)
     pos = _custom_g(spec, t) > 0.0
-    return tuple(brentq(spec.g_func, t[i], t[i + 1], rtol=8.9e-16)
+    return tuple(_bisect(spec.g_func, t[i], t[i + 1])
                  for i in np.flatnonzero(pos[:-1] != pos[1:]))
 
 

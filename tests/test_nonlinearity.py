@@ -352,3 +352,53 @@ def test_gme_constant_beyond_last_root():
         vals = np.atleast_1d(nl.G_minus_eps(spec, s, eps))
         assert vals[0] > 0.0
         assert np.ptp(vals) <= 1e-13 * vals[0]
+
+
+def _h_log_power(a, mu, p):
+    # g(t) / t for t > 0, written exactly as _log_roots evaluates it
+    return lambda t: a * math.log(t * t) + mu * t ** (p - 2.0)
+
+
+@pytest.mark.parametrize("a,mu,p,count", [
+    (0.5, 2400.0, 2.5, 1),
+    (1.0, 2400.0, 4.0, 1),
+    (1.0, 0.7, 3.0, 1),
+    (2.0, 1e-3, 3.0, 1),
+    (1.0, -0.2, 4.0, 2),
+    (1.0, -0.05, 3.0, 2),
+    (0.3, -1e-4, 2.5, 2),
+])
+def test_log_power_roots_to_the_last_double(a, mu, p, count):
+    # each root is an exact zero of h or the sign of h flips between it and
+    # a neighbouring double: the bracket cannot be made any tighter
+    h = _h_log_power(a, mu, p)
+    roots = nl._positive_roots(nl.log_power(a, mu, p, dim=3))
+    assert len(roots) == count
+    for r in roots:
+        hr = h(r)
+        below, above = h(np.nextafter(r, 0.0)), h(np.nextafter(r, np.inf))
+        assert hr == 0.0 or (hr < 0.0) != (below < 0.0) or (hr < 0.0) != (above < 0.0), (r, hr)
+
+
+@pytest.mark.parametrize("a,mu,p", [(0.5, 2400.0, 2.5), (1.0, 0.7, 3.0),
+                                    (1.0, -0.2, 4.0), (1.0, -0.05, 3.0)])
+def test_custom_roots_match_built_in(a, mu, p):
+    h = _h_log_power(a, mu, p)
+    spec = nl.custom(lambda s: s * h(abs(s)) if s != 0.0 else 0.0, dim=3)
+    built_in = nl._positive_roots(nl.log_power(a, mu, p, dim=3))
+    roots = nl._positive_roots(spec)
+    assert len(roots) == len(built_in) in (1, 2)
+    for r, ref in zip(roots, built_in):
+        assert abs(r - ref) <= np.spacing(ref)
+
+
+def test_bisect_endpoints_signs_and_cap():
+    assert nl._bisect(lambda t: t - 2.0, 2.0, 5.0) == 2.0
+    assert nl._bisect(lambda t: t - 5.0, 2.0, 5.0) == 5.0
+    with pytest.raises(ValueError, match="opposite signs"):
+        nl._bisect(lambda t: t * t + 1.0, -1.0, 1.0)
+    r = nl._bisect(lambda t: t * t - 2.0, 0.0, 2.0)
+    assert r == math.sqrt(2.0) or abs(r - math.sqrt(2.0)) == np.spacing(math.sqrt(2.0))
+    # the root 1/3 is not a double, so 10 halvings cannot end the search
+    with pytest.raises(RuntimeError, match="10 steps"):
+        nl._bisect(lambda t: 3.0 * t - 1.0, 0.0, 1.0, maxiter=10)
