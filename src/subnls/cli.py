@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import diagnostics as dg
 from . import minimizer as mz
 from . import nonlinearity as nl
 from . import orlicz
-from .grid import gn_constant, save_field
+from .grid import RadialGrid, _gn_quotient, gn_constant, save_field
 
 log = logging.getLogger("subnls.cli")
 
@@ -43,32 +43,32 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> (type, default); REQUIRED means no default
-REQUIRED = object()
+def _floats(text):
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
+
+# the [grid] keys r_max and n and every [solver] key are the fields of
+# SolveConfig: name, default and a parser picked by the annotation (a field of
+# another type needs its parser here)
+_PARSERS = {"float": float, "int": int, "Sequence[float]": _floats}
+
+
+def _solve_config_keys(section):
+    return {f.name: (_PARSERS[f.type], f.default) for f in fields(mz.SolveConfig)
+            if f.name != "spec" and (f.name in ("r_max", "n")) == (section == "grid")}
+
+
+# section -> key -> (parser, default); MISSING means required
 _SCHEMA = {
     "nonlinearity": {
-        "family": (str, REQUIRED),
+        "family": (str, MISSING),
         "alpha": (float, 1.0),
         "mu": (float, 0.0),
         "p": (float, 0.0),
         "omega": (float, 0.0),
     },
-    "grid": {
-        "dim": (int, REQUIRED),
-        "r_max": (float, 20.0),
-        "n": (int, 2000),
-    },
-    "solver": {
-        "rho": (float, REQUIRED),
-        "eps_schedule": ("floats", list(mz.DEFAULT_EPS_SCHEDULE)),
-        "tol_grad": (float, 1e-8),
-        "tol_mass": (float, 1e-9),
-        "max_iter": (int, 20000),
-        "seed": (int, 0),
-        "rearrange_every": (int, 0),
-        "multistarts": (int, 1),
-    },
+    "grid": {"dim": (int, MISSING), **_solve_config_keys("grid")},
+    "solver": _solve_config_keys("solver"),
     "orlicz": {
         "family": (str, ""),
         "alpha": (float, 1.0),
@@ -106,21 +106,17 @@ def load_config(path) -> RunConfig:
         for key, text in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            typ = _SCHEMA[section][key][0]
             try:
-                if typ == "floats":
-                    values[section][key] = [float(tok) for tok in text.split(",") if tok.strip()]
-                else:
-                    values[section][key] = typ(text)
+                values[section][key] = _SCHEMA[section][key][0](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {text!r}") from exc
     for section, keys in _SCHEMA.items():
         values.setdefault(section, {})
         for key, (_, default) in keys.items():
             if key not in values[section]:
-                if default is REQUIRED and section in ("nonlinearity", "grid", "solver"):
+                if default is MISSING:
                     raise ConfigError(f"missing required key {section}.{key}")
-                values[section][key] = default if default is not REQUIRED else None
+                values[section][key] = default
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
     return RunConfig(values=values, digest=digest)
 
@@ -147,12 +143,7 @@ def build_solve_config(cfg: RunConfig) -> mz.SolveConfig:
     spec = build_spec(cfg)
     g, s = cfg.values["grid"], cfg.values["solver"]
     try:
-        return mz.SolveConfig(
-            spec=spec, rho=s["rho"], r_max=g["r_max"], n=g["n"],
-            eps_schedule=tuple(s["eps_schedule"]), tol_grad=s["tol_grad"],
-            tol_mass=s["tol_mass"], max_iter=s["max_iter"], seed=s["seed"],
-            rearrange_every=s["rearrange_every"], multistarts=s["multistarts"],
-        )
+        return mz.SolveConfig(spec=spec, r_max=g["r_max"], n=g["n"], **s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -162,12 +153,15 @@ def build_nfunction(cfg: RunConfig):
     family = sec["family"]
     if not family:
         return None
-    if family == "log_matched":
-        return orlicz.log_matched(sec["alpha"])
-    if family == "log_matched_power_tail":
-        return orlicz.log_matched_power_tail(sec["alpha"], sec["p"])
-    if family == "pure_q":
-        return orlicz.pure_q(sec["q"])
+    try:
+        if family == "log_matched":
+            return orlicz.log_matched(sec["alpha"])
+        if family == "log_matched_power_tail":
+            return orlicz.log_matched_power_tail(sec["alpha"], sec["p"])
+        if family == "pure_q":
+            return orlicz.pure_q(sec["q"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown N-function family {family!r}")
 
 
@@ -343,18 +337,13 @@ def cmd_gn(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    from .grid import RadialField, RadialGrid, kinetic, mass
-
     rng = np.random.default_rng(0)
     grid = RadialGrid(dim, 12.0, 300)
     theta = dim * (0.5 - 1.0 / p)
     worst = 0.0
     for _ in range(1000):
         vals = rng.normal(size=grid.n) * np.exp(-grid.r / rng.uniform(0.5, 4.0))
-        u = RadialField(grid, vals)
-        lp = float(np.dot(grid.w, np.abs(vals) ** p)) ** (1 / p)
-        quot = lp / (kinetic(u) ** (theta / 2) * mass(u) ** ((1 - theta) / 2))
-        worst = max(worst, quot - est.value)
+        worst = max(worst, _gn_quotient(grid, vals, p, theta) - est.value)
     print(f"C_{{{dim},{p:g}}} ~= {est.value:.8g} "
           f"(+/- {est.rel_uncertainty:.0%}, estimate from {est.iterations} ascent steps)")
     print(f"validation: worst quotient excess over estimate on 1000 random fields: "
@@ -364,16 +353,17 @@ def cmd_gn(args) -> int:
 
 def cmd_threshold(args) -> int:
     try:
-        mu_star = nl.mu_threshold(args.alpha, args.p)
+        lines = [f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = "
+                 f"{nl.mu_threshold(args.alpha, args.p):.15g}"]
+        if args.mu is not None:
+            if args.mu < 0:
+                lines.append(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
+            verdict = dg.nonexistence_verdict(args.alpha, args.mu, args.p, args.dim or 3)
+            lines.append(f"verdict = {verdict}")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = {mu_star:.15g}")
-    if args.mu is not None:
-        if args.mu < 0:
-            print(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
-        dim = args.dim or 3
-        print(f"verdict = {dg.nonexistence_verdict(args.alpha, args.mu, args.p, dim)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

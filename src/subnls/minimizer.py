@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import nonlinearity as nl
 from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
-                   laplacian_values, mass, wnorm)
+                   laplacian_values, mass, sphere_area, wnorm)
 
 log = logging.getLogger("subnls.minimizer")
 
@@ -167,12 +167,27 @@ def _grad_parts(grid, vals, spec, eps):
     return -lap - rhs, lap, rhs
 
 
+def _project(w, vals, rho):
+    """Radial projection of nodal values onto {mass <= rho^2} under quadrature
+    weights w: identity inside, rescale outside.  Returns (values, mass)."""
+    m = float(np.dot(w, vals * vals))
+    if m <= rho * rho:
+        return vals, m
+    return vals * (rho / math.sqrt(m)), rho * rho
+
+
 def project_disc(u: RadialField, rho: float) -> RadialField:
     """Radial projection onto {mass <= rho^2}: identity inside, rescale outside."""
+    return RadialField(u.grid, _project(u.grid.w, u.values, rho)[0])
+
+
+def _on_sphere(grid, vals, rho) -> RadialField:
+    """The field vals rescaled to mass rho^2; the zero field stays zero."""
+    u = RadialField(grid, vals)
     m = mass(u)
-    if m <= rho * rho:
+    if m <= 0.0:
         return u
-    return RadialField(u.grid, u.values * (rho / math.sqrt(m)))
+    return RadialField(grid, vals * (rho / math.sqrt(m)))
 
 
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
@@ -192,7 +207,6 @@ def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
     preserves the amplitude and scales the kinetic term like rho^(2-4/N).
     """
     dim = grid.dim
-    from .grid import sphere_area
 
     def profile(r):
         out = np.full_like(r, float(level))
@@ -206,12 +220,7 @@ def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
     fq = profile(rq) ** 2 * rq ** (dim - 1)
     mass0 = sphere_area(dim) * np.trapezoid(fq, rq)
     sigma = (mass0 / rho**2) ** (1.0 / dim)
-    vals = profile(grid.r * sigma)
-    u = RadialField(grid, vals)
-    m = mass(u)
-    if m <= 0.0:
-        return u
-    return RadialField(grid, vals * (rho / math.sqrt(m)))
+    return _on_sphere(grid, profile(grid.r * sigma), rho)
 
 
 def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
@@ -222,17 +231,12 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
-    candidates = []
     widths = [0.7, 1.0, 1.5]
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
     amp = rho * math.pi ** (-grid.dim / 4.0)
-    for wdt in widths:
-        vals = amp * np.exp(-(grid.r / wdt) ** 2 / 2.0)
-        u = RadialField(grid, vals)
-        m = mass(u)
-        if m > 0:
-            candidates.append(RadialField(grid, vals * (rho / math.sqrt(m))))
+    candidates = [_on_sphere(grid, amp * np.exp(-(grid.r / wdt) ** 2 / 2.0), rho)
+                  for wdt in widths]
     level = nl.find_positive_level(spec)
     if level is None:
         log.warning("no level with positive primitive: falling back to a "
@@ -242,10 +246,6 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
             candidates.append(dilated_witness(spec, grid, rho, lv))
     best = min(candidates, key=lambda u: energy_eps(u, spec, eps))
     return best
-
-
-def _rearranged(vals):
-    return np.sort(vals)[::-1]
 
 
 def _sobolev_preconditioner(grid: RadialGrid):
@@ -308,14 +308,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     def energy_of(vals):
         return energy_eps(RadialField(grid, vals), spec, eps)
 
-    def project(vals):
-        m = wdot(vals, vals)
-        if m <= rho * rho:
-            return vals, m, False
-        sc = rho / math.sqrt(m)
-        return vals * sc, rho * rho, True
-
-    u, m_u, _ = project(u0.values.copy())
+    u, m_u = _project(w, u0.values.copy(), rho)
     E = energy_of(u)
     g, lap, rhs = _grad_parts(grid, u, spec, eps)
     tau = STEP_INIT
@@ -347,7 +340,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
         accepted = False
         t = tau
         for _ in range(60):
-            v, m_v, _ = project(u - t * d)
+            v, m_v = _project(w, u - t * d, rho)
             E_v = energy_of(v)
             dv = v - u
             dd = wdot(dv, dv)
@@ -376,7 +369,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
         u, m_u, E, g, lap, rhs = v, m_v, E_v, g_v, lap_v, rhs_v
 
         if config.rearrange_every and it % config.rearrange_every == 0:
-            r_vals, r_m, _ = project(_rearranged(u))
+            r_vals, r_m = _project(w, np.sort(u)[::-1], rho)
             E_r = energy_of(r_vals)
             if E_r <= E:
                 u, m_u, E = r_vals, r_m, E_r
@@ -443,7 +436,8 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
 def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
     """Independent continuations from jittered seeds; all limits are
     recorded (distinct equal-energy profiles are kept, not adjudicated).
-    A start that fails is logged and skipped, so the list may be empty."""
+    A start that fails, or whose continuation stops on a stage's iteration
+    cap, is logged and skipped, so the list may be empty."""
     k = starts if starts is not None else config.multistarts
     out = []
     grid = config.make_grid()
@@ -451,10 +445,7 @@ def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
         rng = np.random.default_rng(config.seed + j) if j > 0 else None
         try:
             out.append(continuation(config, grid=grid, rng=rng).limit)
-        except ContinuationAborted as exc:
-            if exc.stages:
-                out.append(exc.stages[-1])
-        except StepFailure as exc:
+        except (ContinuationAborted, StepFailure) as exc:
             log.warning("start %d failed: %s", j, exc)
     return out
 

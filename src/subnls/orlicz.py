@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import RadialField
+from .nonlinearity import _bisect
 
 KNOT = math.exp(-3.0)
 
@@ -140,35 +141,17 @@ def modular(field: RadialField, A: NFunction, kappa: float = 1.0) -> float:
 
 
 def luxemburg_norm(field: RadialField, A: NFunction) -> float:
-    """inf{kappa > 0 : int A(u/kappa) <= 1}, by bracketing + Brent on the
-    strictly decreasing modular; 0 for the zero field."""
+    """inf{kappa > 0 : int A(u/kappa) <= 1}, by bisection of ln kappa on
+    [ln 1e-12, ln 1e12], where the modular is strictly decreasing; 0 for the
+    zero field."""
     if not np.any(field.values):
         return 0.0
-    from scipy.optimize import brentq
-
-    lo, hi = 1e-12, 1e12
     with np.errstate(over="ignore"):
-        m_hi = modular(field, A, hi)
-        if m_hi > 1.0:
+        if modular(field, A, 1e12) > 1.0:
             raise OrliczError("modular stays above 1 on the whole bracket")
-        kappa = 1.0
-        m = modular(field, A, kappa)
-        if m == 1.0:
-            return kappa
-        if m > 1.0:
-            lo = kappa
-            while modular(field, A, min(kappa * 4.0, hi)) > 1.0:
-                kappa = min(kappa * 4.0, hi)
-                lo = kappa
-            hi_b = min(kappa * 4.0, hi)
-        else:
-            hi_b = kappa
-            while modular(field, A, max(kappa / 4.0, lo)) < 1.0:
-                kappa = max(kappa / 4.0, lo)
-                hi_b = kappa
-            lo = max(kappa / 4.0, lo)
-        return float(brentq(lambda k: modular(field, A, k) - 1.0, lo, hi_b,
-                            rtol=1e-12, maxiter=200))
+        log_kappa = _bisect(lambda x: modular(field, A, math.exp(x)) - 1.0,
+                            math.log(1e-12), math.log(1e12))
+    return math.exp(log_kappa)
 
 
 @dataclass

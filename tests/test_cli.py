@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from subnls import cli
 from subnls import diagnostics as dg
@@ -215,6 +217,13 @@ def test_threshold_command(capsys):
     assert f"{-2 * math.exp(-2):.6f}"[:8] in out
     assert "no_nontrivial" in out
     assert cli.main(["threshold", "--alpha", "1", "--p", "1.5"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+    # p = 7 lies above 2N/(N-2) = 6 for the default dimension 3: one line, no traceback
+    rc = cli.main(["threshold", "--alpha", "1", "--p", "7", "--mu", "-0.5"])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
 def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
@@ -263,3 +272,62 @@ def test_sweep_builds_the_solve_config_once(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "sweep")])
     assert rc == cli.EXIT_OK
     assert len(calls) == 1
+
+
+ABORTED = """
+[nonlinearity]
+family = log
+
+[grid]
+dim = 3
+r_max = 12.0
+n = 300
+
+[solver]
+rho = 20.0
+eps_schedule = 1e-1, 1e-2, 1e-3
+max_iter = 40
+
+[output]
+directory = {out}
+"""
+
+
+def test_solve_aborted_continuation_exits_two(tmp_path, capsys):
+    # stage 1e-2 stops on max_iter: the completed eps = 0.1 stage is not a
+    # limit, so the only start yields no result
+    rc = cli.main(["solve", "--config", write_config(tmp_path, ABORTED)])
+    assert rc == cli.EXIT_NOCONV
+    assert "no stage produced a result" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("orlicz_section", ["family = pure_q\nq = 0.5\n",
+                                            "family = log_matched_power_tail\nalpha = 1.0\n"])
+def test_check_bad_orlicz_parameters_are_config_errors(tmp_path, capsys, orlicz_section):
+    cfg = tmp_path / "orl.ini"
+    cfg.write_text("[nonlinearity]\nfamily = log\n[grid]\ndim = 3\n[solver]\nrho = 1.0\n"
+                   f"[orlicz]\n{orlicz_section}[output]\ndirectory = {tmp_path/'o'}\n")
+    assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def _doc_table(section):
+    """key -> default cell of the table under '## [section]' in docs/config.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    body = text.split(f"## [{section}]", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in body.splitlines() if line.startswith("| `")]
+    return {cells[0].strip().strip("`"): cells[2].strip() for cells in rows}
+
+
+@pytest.mark.parametrize("section", ["grid", "solver"])
+def test_config_doc_lists_the_schema(section):
+    schema = cli._SCHEMA[section]
+    documented = _doc_table(section)
+    assert list(documented) == list(schema)
+    for key, (parse, default) in schema.items():
+        if default is MISSING:
+            assert documented[key] == "*required*", key
+        else:
+            assert parse(documented[key]) == default, key

@@ -1,6 +1,7 @@
 """What the solve path imports, measured in a fresh interpreter: the solve
 path loads numpy and scipy.linalg.lapack only, and the LAPACK module is bound
-when subnls.minimizer is imported, so forked sweep workers inherit it."""
+when subnls.minimizer is imported, so forked sweep workers inherit it.  A
+Luxemburg norm loads no scipy.optimize either."""
 
 import json
 import os
@@ -23,6 +24,11 @@ for spec in specs:
     mz.continuation(mz.SolveConfig(spec, rho=20.0, r_max=14.0, n=200,
                                    eps_schedule=(1e-1, 1e-2)))
 code = cli.main(["solve", "--config", "configs/quick.ini", "--out", sys.argv[1]])
+import numpy as np
+from subnls import grid, orlicz
+g = grid.RadialGrid(3, 8.0, 120)
+orlicz.luxemburg_norm(grid.from_function(g, lambda r: 1e-6 * np.exp(-r * r)),
+                      orlicz.log_matched(1.0))
 forbidden = ("scipy.optimize", "scipy.integrate", "scipy.sparse",
              "scipy.special", "scipy.spatial")
 print(json.dumps({"lapack_at_import": lapack_at_import, "code": code,

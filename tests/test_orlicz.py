@@ -26,6 +26,13 @@ def test_luxemburg_quadratic(bump8):
     assert ox.luxemburg_norm(bump8, ox.pure_q(2.0)) == pytest.approx(2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_luxemburg_small_norm_precision(bump8, c):
+    # int (c u)^2 = 8 c^2, so the pure_q(2) modular equals 1 at kappa = 2c
+    norm = ox.luxemburg_norm(gr.RadialField(bump8.grid, c * bump8.values), ox.pure_q(2.0))
+    assert norm == pytest.approx(2.0 * c, rel=1e-14, abs=0.0)
+
+
 def test_luxemburg_zero(small_grid):
     assert ox.luxemburg_norm(gr.zeros(small_grid), ox.pure_q(1.5)) == 0.0
 
@@ -129,6 +136,18 @@ def test_luxemburg_homogeneity(c, seed):
     n1 = ox.luxemburg_norm(gr.RadialField(g, c * u.values), A)
     n0 = ox.luxemburg_norm(u, A)
     assert n1 == pytest.approx(abs(c) * n0, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_luxemburg_homogeneity_small_scale(seed):
+    # the property test above at c = 2e-8, without pytest.approx's absolute
+    # floor of 1e-12, which alone would pass any norm of that size
+    g = gr.RadialGrid(3, 8.0, 120)
+    rng = np.random.default_rng(seed)
+    u = gr.RadialField(g, rng.normal(size=g.n) * np.exp(-g.r))
+    A = ox.log_matched(1.0)
+    n1 = ox.luxemburg_norm(gr.RadialField(g, 2e-8 * u.values), A)
+    assert n1 == pytest.approx(2e-8 * ox.luxemburg_norm(u, A), rel=1e-8, abs=0.0)
 
 
 @settings(max_examples=25, deadline=None)
