@@ -5,20 +5,28 @@
 over the L2 disc {mass(u) <= rho^2}, and the continuation eps -> 0 that
 recovers the unregularized ground state.
 
-The optimizer is projected descent along the Sobolev gradient P g, with
-P = (sigma I - Lap)^-1 and g the L2 gradient (the backward-Euler step of the
-normalized gradient flow), a Barzilai-Borwein step proposal and Armijo
-backtracking along the projection arc, both measured in the metric of P.
-Against the plain L2 gradient, whose condition number grows like h^-2, this
-keeps the iteration count of a stage flat as the grid is refined, and a
-stage ends on its KKT test.  Minimizing over the disc rather than the sphere
-is deliberate: the disc is weakly closed, a minimizer with positive
-multiplier is automatically pushed onto the sphere, and runs where the flow
-collapses into the interior are exactly the nonexistence evidence the
-diagnostics consume.  How a stage ended is data (SolverResult.status, with
-converged=False only for an exhausted iteration budget), not an exception;
-only a step that cannot decrease the energy at the smallest step size
-raises.
+Each stage runs in two phases.  The globalization is projected descent
+along the Sobolev gradient P g, with P = (sigma I - Lap)^-1 and g the L2
+gradient (the backward-Euler step of the normalized gradient flow), a
+Barzilai-Borwein step proposal and Armijo backtracking along the projection
+arc, both measured in the metric of P.  Against the plain L2 gradient, whose
+condition number grows like h^-2, this keeps the iteration count of a stage
+flat as the grid is refined.  Once the iterate is on the sphere with a
+positive multiplier and a small KKT residual, Newton steps on the KKT system
+F(u, lambda) = 0 (the symmetric tridiagonal Hessian K + lambda W -
+W diag(g_eps'(u)) bordered by W u, one LAPACK gtsv solve per step) finish
+the stage in a few iterations instead of the descent's linear tail; a step
+that does not halve the residual, or raises the energy, is rejected and the
+descent carries on.  A stage ends on its KKT test.
+
+Minimizing over the disc rather than the sphere is deliberate: the disc is
+weakly closed, a minimizer with positive multiplier is automatically pushed
+onto the sphere, and runs where the flow collapses into the interior are
+exactly the nonexistence evidence the diagnostics consume; off the sphere
+no Newton step is taken.  How a stage ended is data (SolverResult.status,
+with converged=False only for an exhausted iteration budget), not an
+exception; only a step that cannot decrease the energy at the smallest step
+size raises.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 # bound at import, not in the preconditioner: sweep-rho workers are forked
 # from this process and inherit the loaded module instead of importing it
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import nonlinearity as nl
 from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
@@ -50,6 +58,9 @@ STEP_MAX = 1e4
 STEP_INIT = 1e-3
 BACKTRACK = 0.5
 ARMIJO = 1e-4
+# relative KKT residual below which a stage on the sphere switches from the
+# descent to Newton steps on the KKT system
+NEWTON_SWITCH = 1e-3
 
 
 class StepFailure(RuntimeError):
@@ -109,6 +120,8 @@ class SolverResult:
     mass: float
     kinetic: float
     iterations: int
+    newton_steps: int
+    kkt_residual: float
     converged: bool
     on_sphere: bool
     status: str
@@ -123,6 +136,8 @@ class SolverResult:
             "mass": self.mass,
             "kinetic": self.kinetic,
             "iterations": self.iterations,
+            "newton_steps": self.newton_steps,
+            "kkt_residual": self.kkt_residual,
             "converged": self.converged,
             "on_sphere": self.on_sphere,
             "status": self.status,
@@ -167,6 +182,15 @@ def _grad_parts(grid, vals, spec, eps):
     return -lap - rhs, lap, rhs
 
 
+def _to_sphere(w, vals, rho):
+    """vals rescaled to mass rho^2 under quadrature weights w; the zero field
+    stays zero.  Returns (values, mass)."""
+    m = float(np.dot(w, vals * vals))
+    if m <= 0.0:
+        return vals, m
+    return vals * (rho / math.sqrt(m)), rho * rho
+
+
 def _project(w, vals, rho):
     """Radial projection of nodal values onto {mass <= rho^2} under quadrature
     weights w: identity inside, rescale outside.  Returns (values, mass)."""
@@ -183,11 +207,7 @@ def project_disc(u: RadialField, rho: float) -> RadialField:
 
 def _on_sphere(grid, vals, rho) -> RadialField:
     """The field vals rescaled to mass rho^2; the zero field stays zero."""
-    u = RadialField(grid, vals)
-    m = mass(u)
-    if m <= 0.0:
-        return u
-    return RadialField(grid, vals * (rho / math.sqrt(m)))
+    return RadialField(grid, _to_sphere(grid.w, vals, rho)[0])
 
 
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
@@ -248,7 +268,15 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     return best
 
 
-def _sobolev_preconditioner(grid: RadialGrid):
+def _kinetic_bands(grid: RadialGrid):
+    """(diagonal, off-diagonal) of the symmetric tridiagonal matrix K of
+    kinetic(), kinetic(u) = u^T K u; K u = -W Lap u with W = diag(w)."""
+    c = grid.area / grid.h
+    a = grid.face_coef
+    return c * np.concatenate([a[:1], a[1:] + a[:-1]]), -c * a[:-1]
+
+
+def _sobolev_preconditioner(grid: RadialGrid, bands):
     """x -> P x with P = (sigma I - Lap_h)^-1, sigma = SOBOLEV_SHIFT,
     self-adjoint in the w-inner product.
 
@@ -256,10 +284,8 @@ def _sobolev_preconditioner(grid: RadialGrid):
     of kinetic(); the system is symmetric positive-definite tridiagonal and
     is factored once, here.
     """
-    c = grid.area / grid.h
-    a = grid.face_coef
-    diag = SOBOLEV_SHIFT * grid.w + c * np.concatenate([a[:1], a[1:] + a[:-1]])
-    d_fac, e_fac, info = dpttrf(diag, -c * a[:-1])
+    k_diag, k_off = bands
+    d_fac, e_fac, info = dpttrf(SOBOLEV_SHIFT * grid.w + k_diag, k_off)
     if info != 0:
         raise np.linalg.LinAlgError(f"Sobolev factorization failed (info={info})")
     w = grid.w
@@ -270,19 +296,53 @@ def _sobolev_preconditioner(grid: RadialGrid):
     return apply
 
 
+def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, spec, eps):
+    """One Newton step on F(u, lam) = (K u + lam W u - W g_eps(u),
+    (u^T W u - rho^2)/2) = 0 from (u, lam), with F_1 = W res.
+
+    The Jacobian is the tridiagonal A = K + lam W - W diag(g_eps'(u)),
+    indefinite on the ground state, bordered by W u: one LAPACK gtsv solve
+    of A [x1, x2] = [F_1, W u] eliminates the border.  Returns the new
+    values rescaled onto the sphere and their mass, or None when A is
+    singular or the step is not finite.
+    """
+    w = grid.w
+    k_diag, k_off = bands
+    wu = w * u
+    diag = k_diag + w * (lam - nl.g_eps_prime(spec, u, eps))
+    x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
+    if info != 0:
+        return None
+    x1, x2 = x[:, 0], x[:, 1]
+    d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / float(np.dot(wu, x2))
+    v = u - x1 - d_lam * x2
+    if not np.all(np.isfinite(v)):
+        return None
+    return _to_sphere(w, v, rho)
+
+
 def solve_ground_state(config: SolveConfig, eps: float,
                        u0: Optional[RadialField] = None,
                        grid: Optional[RadialGrid] = None,
                        rng=None) -> SolverResult:
-    """Sobolev-preconditioned projected BB descent for E_eps over the disc of
-    radius rho.
+    """Minimize E_eps over the disc of radius rho in two phases: a
+    Sobolev-preconditioned projected BB descent that globalizes, then Newton
+    steps on the KKT system that finish the stage.
 
-    The step is -P g with P = (sigma I - Lap)^-1 and g the L2 gradient; on
-    the sphere, when -P g points out of the disc, P g is replaced by its
-    P-tangent part P g - (<u, P g>/<u, P u>) P u and the step is rescaled
-    back radially, so that the fixed points are exactly the KKT points.  Step
-    lengths (the Armijo decrease and the BB proposal) are measured in the
-    metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
+    Descent: the step is -P g with P = (sigma I - Lap)^-1 and g the L2
+    gradient; on the sphere, when -P g points out of the disc, P g is
+    replaced by its P-tangent part P g - (<u, P g>/<u, P u>) P u and the
+    step is rescaled back radially, so that the fixed points are exactly
+    the KKT points.  Step lengths (the Armijo decrease and the BB proposal)
+    are measured in the metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
+
+    Newton finish: once the iterate is on the sphere with lambda_hat > 0 and
+    its relative KKT residual is at most NEWTON_SWITCH, each iteration tries
+    one Newton step (_newton_kkt_step).  The step is accepted when it at
+    least halves the residual without raising E_eps beyond rounding;
+    otherwise the iterate stays, and the descent resumes until the residual
+    has fallen by another decade.  A Newton step is one iteration with one
+    energy and one gradient evaluation, so max_iter bounds the work.
 
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
@@ -300,7 +360,8 @@ def solve_ground_state(config: SolveConfig, eps: float,
     if u0 is None:
         u0 = initial_guess(spec, grid, rho, eps, rng=rng)
     w = grid.w
-    precond = _sobolev_preconditioner(grid)
+    bands = _kinetic_bands(grid)
+    precond = _sobolev_preconditioner(grid, bands)
 
     def wdot(a, b):
         return float(np.dot(w, a * b))
@@ -308,20 +369,26 @@ def solve_ground_state(config: SolveConfig, eps: float,
     def energy_of(vals):
         return energy_eps(RadialField(grid, vals), spec, eps)
 
-    u, m_u = _project(w, u0.values.copy(), rho)
-    E = energy_of(u)
-    g, lap, rhs = _grad_parts(grid, u, spec, eps)
-    tau = STEP_INIT
-    it = 0
-    status = "max_iter"
-    lam_hat = 0.0
-    for it in range(1, config.max_iter + 1):
+    def kkt(u, m_u, g, lap, rhs):
+        # (relative KKT residual, its vector, lambda_hat, on the boundary)
         on_boundary = m_u >= rho * rho * (1.0 - 1e-12)
         lam_hat = max(0.0, -wdot(g, u) / m_u) if (on_boundary and m_u > 0) else 0.0
         res = g + lam_hat * u
         scale = max(1.0, wnorm(grid, lap) + wnorm(grid, rhs)
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
-        if wnorm(grid, res) <= config.tol_grad * scale:
+        return wnorm(grid, res) / scale, res, lam_hat, on_boundary
+
+    u, m_u = _project(w, u0.values.copy(), rho)
+    E = energy_of(u)
+    g, lap, rhs = _grad_parts(grid, u, spec, eps)
+    rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
+    tau = STEP_INIT
+    newton_gate = NEWTON_SWITCH
+    newton_steps = 0
+    it = 0
+    status = "max_iter"
+    for it in range(1, config.max_iter + 1):
+        if rel <= config.tol_grad:
             status = "converged"
             break
         if m_u <= 1e-10 * rho * rho and E >= -1e-12 * (1.0 + rho * rho):
@@ -329,6 +396,24 @@ def solve_ground_state(config: SolveConfig, eps: float,
             # here instead of grinding out the remaining geometric decay
             status = "collapsed"
             break
+
+        if on_boundary and lam_hat > 0.0 and rel <= newton_gate:
+            step = _newton_kkt_step(grid, bands, u, m_u, res, lam_hat, rho, spec, eps)
+            if step is not None:
+                v, m_v = step
+                E_v = energy_of(v)
+                if E_v <= E + 1e-12 * (1.0 + abs(E)):
+                    g_v, lap_v, rhs_v = _grad_parts(grid, v, spec, eps)
+                    kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
+                    if kkt_v[0] <= 0.5 * rel:
+                        u, m_u, E, g, lap, rhs = v, m_v, E_v, g_v, lap_v, rhs_v
+                        rel, res, lam_hat, on_boundary = kkt_v
+                        newton_steps += 1
+                        continue
+            # rejected: the descent carries on until the residual has fallen
+            # by another decade
+            newton_gate = 0.1 * rel
+            continue
 
         d = precond(g)
         if on_boundary:
@@ -374,23 +459,29 @@ def solve_ground_state(config: SolveConfig, eps: float,
             if E_r <= E:
                 u, m_u, E = r_vals, r_m, E_r
                 g, lap, rhs = _grad_parts(grid, u, spec, eps)
+        rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
 
-    result = _result(config, RadialField(grid, u), eps, E, m_u, it, status)
-    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d status=%s on_sphere=%s",
-             eps, E, result.lam, it, status, result.on_sphere)
+    result = _result(config, RadialField(grid, u), eps, E, m_u, it, status,
+                     newton_steps, rel)
+    log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d newton=%d kkt=%.2g status=%s "
+             "on_sphere=%s", eps, E, result.lam, it, newton_steps, rel, status,
+             result.on_sphere)
     return result
 
 
-def _result(config, u, eps, energy, m, iterations, status) -> SolverResult:
+def _result(config, u, eps, energy, m, iterations, status, newton_steps,
+            kkt_residual) -> SolverResult:
     """Record of field u (mass m, energy E_eps) with its multiplier, sphere
-    test, kinetic term and identity residuals, all measured at eps."""
+    test, kinetic term and identity residuals, all measured at eps, and the
+    solver's Newton step count and final relative KKT residual."""
     from .diagnostics import residual_bundle
 
     spec, rho = config.spec, config.rho
     lam = extract_lambda(u, spec, eps) if m > 0 else 0.0
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=kinetic(u),
-        iterations=iterations, converged=status != "max_iter",
+        iterations=iterations, newton_steps=newton_steps, kkt_residual=kkt_residual,
+        converged=status != "max_iter",
         on_sphere=abs(m - rho * rho) <= config.tol_mass * rho * rho, status=status,
         bundle=residual_bundle(u, lam, eps, spec),
     )
@@ -428,7 +519,8 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     )
     u = stages[-1].u
     limit = _result(config, u, 0.0, energy_eps(u, config.spec, 0.0), mass(u), total,
-                    stages[-1].status)
+                    stages[-1].status, sum(s.newton_steps for s in stages),
+                    stages[-1].kkt_residual)
     return ContinuationResult(stages=stages, limit=limit,
                               eps_monotone=eps_monotone, total_iterations=total)
 

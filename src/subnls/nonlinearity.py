@@ -94,10 +94,10 @@ def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> Nonlineari
 
 # ---------------------------------------------------------------------------
 # half-line kernels (arguments are |s| arrays); every g is odd, so the
-# negative axis follows by symmetry.  Each family supplies g, the pair
-# (G, P) with P(s) = int_0^s t g(t) dt, the positive roots of g, its
-# parameter check and its growth coefficient eta; each built-in call takes
-# one log (or power) per node.
+# negative axis follows by symmetry.  Each family supplies g, its
+# derivative dg, the pair (G, P) with P(s) = int_0^s t g(t) dt, the positive
+# roots of g, its parameter check and its growth coefficient eta; each
+# built-in call takes one log (or power) per node.
 
 
 def _log_g(spec, s):
@@ -106,6 +106,14 @@ def _log_g(spec, s):
     if spec.mu != 0.0:
         g += spec.mu * s2 ** (0.5 * spec.p_exp - 1.0) * s
     return g
+
+
+def _log_dg(spec, s):
+    s2 = s * s
+    dg = spec.alpha * (np.log(np.maximum(s2, _TINY**2)) + 2.0)
+    if spec.mu != 0.0:
+        dg += spec.mu * (spec.p_exp - 1.0) * s2 ** (0.5 * spec.p_exp - 1.0)
+    return dg
 
 
 def _log_prims(spec, s):
@@ -201,6 +209,13 @@ def _check_sublinear(spec):
         raise ValueError("power_sublinear needs 0 < omega < 1")
 
 
+def _sublinear_dg(spec, s):
+    # floored like the log: the derivative is unbounded at 0, where the ramp
+    # multiplies it by |s|/eps = 0
+    w = spec.omega
+    return -w * np.maximum(s, _TINY) ** (w - 1.0)
+
+
 def _sublinear_prims(spec, s):
     w = spec.omega
     sw1 = -(s ** (w + 1.0))
@@ -209,6 +224,12 @@ def _sublinear_prims(spec, s):
 
 def _custom_g(spec, s):
     return np.vectorize(spec.g_func, otypes=[float])(s)
+
+
+def _custom_dg(spec, s):
+    # sampled, not exact: a central difference of g with a step relative to s
+    d = 6e-6 * np.maximum(s, _TINY)
+    return (_custom_g(spec, s + d) - _custom_g(spec, s - d)) / (2.0 * d)
 
 
 def _custom_prims(spec, s):
@@ -250,6 +271,7 @@ def _sampled_eta(spec):
 
 class _Family(NamedTuple):
     g: Callable      # (spec, |s|) -> g
+    dg: Callable     # (spec, |s|) -> g'
     prims: Callable  # (spec, |s|) -> (G, P)
     roots: Callable  # spec -> positive roots of g, ascending
     check: Callable  # spec -> None; raises ValueError on bad parameters
@@ -257,15 +279,19 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "log": _Family(_log_g, _log_prims, _log_roots, _check_log, _power_eta),
-    "log_power": _Family(_log_g, _log_prims, _log_roots, _check_log_power, _power_eta),
+    "log": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log, _power_eta),
+    "log_power": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log_power,
+                         _power_eta),
     "saturation": _Family(lambda spec, s: s**3 / (1.0 + s * s),
+                          lambda spec, s: s * s * (3.0 + s * s) / (1.0 + s * s) ** 2,
                           lambda spec, s: (0.5 * (s * s - np.log1p(s * s)),
                                            s**3 / 3.0 - s + np.arctan(s)),
                           lambda spec: (), lambda spec: None, _power_eta),
-    "power_sublinear": _Family(lambda spec, s: -(s**spec.omega), _sublinear_prims,
-                               lambda spec: (), _check_sublinear, _power_eta),
-    "custom": _Family(_custom_g, _custom_prims, _custom_roots, _check_custom, _sampled_eta),
+    "power_sublinear": _Family(lambda spec, s: -(s**spec.omega), _sublinear_dg,
+                               _sublinear_prims, lambda spec: (), _check_sublinear,
+                               _power_eta),
+    "custom": _Family(_custom_g, _custom_dg, _custom_prims, _custom_roots, _check_custom,
+                      _sampled_eta),
 }
 
 
@@ -431,6 +457,22 @@ def g_eps(spec: NonlinearitySpec, s, eps: float):
     flat = np.atleast_1d(arr)
     g = np.atleast_1d(g_value(spec, flat))
     out = np.where(flat * g > 0.0, g, np.minimum(np.abs(flat) / eps, 1.0) * g)
+    return _shaped(out, arr, scalar)
+
+
+def g_eps_prime(spec: NonlinearitySpec, s, eps: float):
+    """Derivative of g_eps in s (eps=0 gives g'), even in s: where g <= 0 and
+    |s| < eps it is g/eps + (|s|/eps) g', elsewhere g'.  Exact for the
+    built-in families, a sampled central difference for the custom one."""
+    arr, scalar = _as_array(s)
+    mag = np.abs(np.atleast_1d(arr))
+    fam = _FAMILIES[spec.family]
+    out = fam.dg(spec, mag)
+    if eps != 0.0:
+        _check_eps(eps)
+        # the same branch as g_eps: the ramp acts wherever s g(s) <= 0
+        g = fam.g(spec, mag)
+        out = np.where((g <= 0.0) & (mag < eps), (g + mag * out) / eps, out)
     return _shaped(out, arr, scalar)
 
 

@@ -140,17 +140,26 @@ def modular(field: RadialField, A: NFunction, kappa: float = 1.0) -> float:
     return float(np.dot(field.grid.w, A.A(field.values / kappa)))
 
 
+# kappa range searched by luxemburg_norm
+NORM_BRACKET = (1e-12, 1e12)
+
+
 def luxemburg_norm(field: RadialField, A: NFunction) -> float:
     """inf{kappa > 0 : int A(u/kappa) <= 1}, by bisection of ln kappa on
-    [ln 1e-12, ln 1e12], where the modular is strictly decreasing; 0 for the
-    zero field."""
+    NORM_BRACKET, where the modular is strictly decreasing; 0 for the zero
+    field.  A norm outside the bracket raises OrliczError."""
     if not np.any(field.values):
         return 0.0
+    lo, hi = NORM_BRACKET
     with np.errstate(over="ignore"):
-        if modular(field, A, 1e12) > 1.0:
-            raise OrliczError("modular stays above 1 on the whole bracket")
+        if modular(field, A, hi) > 1.0:
+            raise OrliczError(f"modular stays above 1 on the whole bracket "
+                              f"[{lo:g}, {hi:g}]: the norm exceeds {hi:g}")
+        if modular(field, A, lo) < 1.0:
+            raise OrliczError(f"modular stays below 1 on the whole bracket "
+                              f"[{lo:g}, {hi:g}]: the norm is below {lo:g}")
         log_kappa = _bisect(lambda x: modular(field, A, math.exp(x)) - 1.0,
-                            math.log(1e-12), math.log(1e12))
+                            math.log(lo), math.log(hi))
     return math.exp(log_kappa)
 
 

@@ -455,3 +455,38 @@ def test_step_failure_keeps_completed_stages(log_spec3, monkeypatch):
     done.clear()
     (point,) = mz.energy_map(cfg, [20.0])
     assert point.c_value == done[0].energy and not point.converged
+
+
+def test_newton_cuts_continuation_iterations(log_spec3):
+    # each stage ends in Newton steps on the KKT system; the descent alone
+    # takes 269 iterations over this schedule
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
+    res = mz.continuation(cfg)
+    for s in res.stages:
+        assert s.status == "converged" and s.on_sphere
+        assert s.newton_steps >= 1 and s.kkt_residual <= cfg.tol_grad
+        assert s.to_json_dict()["newton_steps"] == s.newton_steps
+        assert s.to_json_dict()["kkt_residual"] == s.kkt_residual
+    assert res.total_iterations <= 80
+    assert res.limit.newton_steps == sum(s.newton_steps for s in res.stages)
+
+
+def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
+    # a wrong-signed g_eps' gives steps that the residual test must reject;
+    # the descent then finishes every stage at the same energies
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
+    good = mz.continuation(cfg).stages
+    real_prime, real_step = nl.g_eps_prime, mz._newton_kkt_step
+    trials = []
+
+    def counted(*args):
+        trials.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(nl, "g_eps_prime", lambda spec, s, eps: -real_prime(spec, s, eps))
+    monkeypatch.setattr(mz, "_newton_kkt_step", counted)
+    bad = mz.continuation(cfg).stages
+    assert all(s.status == "converged" for s in bad)
+    assert len(trials) > sum(s.newton_steps for s in bad)
+    for a, b in zip(good, bad):
+        assert b.energy == pytest.approx(a.energy, rel=1e-9, abs=0.0)

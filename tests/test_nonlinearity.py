@@ -402,3 +402,32 @@ def test_bisect_endpoints_signs_and_cap():
     # the root 1/3 is not a double, so 10 halvings cannot end the search
     with pytest.raises(RuntimeError, match="10 steps"):
         nl._bisect(lambda t: 3.0 * t - 1.0, 0.0, 1.0, maxiter=10)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4])
+def test_g_eps_prime_central_difference(name, eps):
+    # on both sides of eps and of every root of g, where g_eps' jumps
+    spec, _ = FUSED_CASES[name]
+    kinks = (eps, *nl._positive_roots(spec))
+    s = np.array(sorted(FUSED_S + [k * f for k in kinks for f in (0.97, 1.03)]))
+    d = 1e-6 * s
+    fd = (nl.g_eps(spec, s + d, eps) - nl.g_eps(spec, s - d, eps)) / (2.0 * d)
+    assert np.allclose(nl.g_eps_prime(spec, s, eps), fd, rtol=1e-6, atol=1e-8)
+    # even in s, and a scalar in gives a scalar out
+    assert np.array_equal(nl.g_eps_prime(spec, -s, eps), nl.g_eps_prime(spec, s, eps))
+    assert isinstance(nl.g_eps_prime(spec, 0.5, eps), float)
+
+
+def test_g_eps_prime_closed_forms():
+    # the unregularized g' of each family, and the ramp at s = 0
+    t = np.array([0.2, 1.0, 3.0])
+    lp = nl.log_power(1.5, 0.7, 3.0, dim=3)
+    assert np.allclose(nl.g_eps_prime(lp, t, 0.0),
+                       1.5 * (np.log(t * t) + 2.0) + 0.7 * 2.0 * t, rtol=1e-14)
+    assert np.allclose(nl.g_eps_prime(nl.saturation(dim=3), t, 0.0),
+                       (3 * t**2 + t**4) / (1 + t * t) ** 2, rtol=1e-14)
+    assert np.allclose(nl.g_eps_prime(nl.power_sublinear(0.5, dim=3), t, 0.0),
+                       -0.5 / np.sqrt(t), rtol=1e-14)
+    for spec, _ in FUSED_CASES.values():
+        assert nl.g_eps_prime(spec, 0.0, 1e-2) == 0.0

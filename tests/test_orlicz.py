@@ -37,6 +37,13 @@ def test_luxemburg_zero(small_grid):
     assert ox.luxemburg_norm(gr.zeros(small_grid), ox.pure_q(1.5)) == 0.0
 
 
+@pytest.mark.parametrize("amp,side", [(1e-14, "below"), (1e14, "above")])
+def test_luxemburg_norm_outside_the_bracket(small_grid, amp, side):
+    field = gr.from_function(small_grid, lambda r: amp * np.exp(-r))
+    with pytest.raises(ox.OrliczError, match=f"stays {side} 1 on the whole bracket"):
+        ox.luxemburg_norm(field, ox.pure_q(2.0))
+
+
 def test_luxemburg_pure_power_closed_form(bump8):
     q = 1.5
     norm = ox.luxemburg_norm(bump8, ox.pure_q(q))
