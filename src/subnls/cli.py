@@ -1,6 +1,5 @@
 """Command-line entry point: strict INI config parsing, subcommand dispatch
-(solve, sweep-rho, check, gn, threshold), parallel sweeps, and artifact
-output.
+(solve, sweep-rho, check, gn, threshold), and artifact output.
 
 Exit codes are stable for scripting: 0 converged/pass, 1 usage/IO/schema,
 2 solver non-convergence or no ground state found, 3 assumption failure.
@@ -19,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -223,21 +221,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _pool_size(jobs: int, steps: int) -> int:
-    """Sweep worker count: --jobs, capped by the number of points and by the
-    CPUs this process may run on; at least 1."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, steps, cpus))
-
-
-def _sweep_point(packed):
-    solve_cfg, rho = packed
-    return mz.energy_map(solve_cfg, [rho])[0]
-
-
 def cmd_sweep_rho(args) -> int:
     if args.steps < 3:
         print("steps must be >= 3", file=sys.stderr)
@@ -249,15 +232,7 @@ def cmd_sweep_rho(args) -> int:
     solve_cfg = build_solve_config(cfg)
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    rhos = np.geomspace(args.rho_min, args.rho_max, args.steps)
-    packed = [(solve_cfg, float(r)) for r in rhos]
-    workers = _pool_size(args.jobs, args.steps)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, packed))
-    else:
-        points = [_sweep_point(p) for p in packed]
-    points.sort(key=lambda p: p.rho)
+    points = mz.energy_map(solve_cfg, np.geomspace(args.rho_min, args.rho_max, args.steps))
     csv_path = os.path.join(out_dir, "energy_map.csv")
     lines = ["rho,c_value,eps,converged"]
     for p in points:
@@ -385,7 +360,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("rho_min", type=float)
     p_sweep.add_argument("rho_max", type=float)
     p_sweep.add_argument("steps", type=int)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="ignored: the radii are solved in order in one "
+                              "process, each warm-started from the one before")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep_rho)
 

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-# bound at import, not in the preconditioner: sweep-rho workers are forked
-# from this process and inherit the loaded module instead of importing it
+# bound at import, not in the preconditioner: every solve needs LAPACK, so a
+# missing or broken one fails the import instead of a run, and its import
+# cost (about 0.3 s) is start-up, not part of the first solve
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import nonlinearity as nl
@@ -488,7 +489,7 @@ def _result(config, u, eps, energy, m, iterations, status, newton_steps,
 
 
 def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
-                 rng=None) -> ContinuationResult:
+                 rng=None, warm=None) -> ContinuationResult:
     """Warm-started solves along the eps schedule plus the eps=0 limit object.
 
     The limit reports the unregularized energy and the multiplier recomputed
@@ -496,13 +497,24 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     measured against the true nonlinearity.  Minima must be nondecreasing as
     eps decreases (the regularized energies increase pointwise); the flag
     records whether the computed stages respect that ordering.
+
+    warm is the stages of a neighbouring continuation on the same grid and
+    schedule (energy_map passes the previous radius).  Stage j >= 1 then
+    starts from whichever has the lower E_eps at eps_j: this run's stage j-1
+    field, or warm[j]'s field rescaled to mass rho^2, the latter only when
+    warm[j] converged on the sphere.  Stage 0 always starts from
+    initial_guess, and warm=None is the plain continuation.
     """
     if grid is None:
         grid = config.make_grid()
     stages = []
     u0 = None
     total = 0
-    for eps in config.eps_schedule:
+    for j, eps in enumerate(config.eps_schedule):
+        if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
+            seed = _on_sphere(grid, warm[j].u.values, config.rho)
+            if energy_eps(seed, config.spec, eps) < energy_eps(u0, config.spec, eps):
+                u0 = seed
         try:
             result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng)
         except StepFailure as exc:
@@ -543,19 +555,28 @@ def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
 
 
 def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
-    """Ground-state-energy samples c(rho) along a list of radii; per-point
-    failures are flagged and the sweep continues."""
+    """Ground-state-energy samples c(rho) along a list of radii, solved in
+    order in this process, each point's continuation warm-started from the
+    stages of the point before it (see continuation).  A point that fails is
+    flagged with the energy and eps of its last completed stage (nan when
+    none completed), seeds nothing, and the sweep continues."""
     points = []
     grid = config.make_grid()
+    warm = None
     for rho in rho_list:
         cfg = replace(config, rho=float(rho))
         try:
-            res = continuation(cfg, grid=grid)
-            points.append(EnergyMapPoint(rho=float(rho), c_value=res.limit.energy,
-                                         eps=0.0, converged=res.limit.converged))
+            res = continuation(cfg, grid=grid, warm=warm)
         except (ContinuationAborted, StepFailure) as exc:
             log.warning("rho=%g failed: %s", rho, exc)
-            last = exc.stages[-1].energy if exc.stages else math.nan
-            points.append(EnergyMapPoint(rho=float(rho), c_value=last,
-                                         eps=0.0, converged=False))
+            last = exc.stages[-1] if exc.stages else None
+            points.append(EnergyMapPoint(rho=float(rho),
+                                         c_value=last.energy if last else math.nan,
+                                         eps=last.eps if last else math.nan,
+                                         converged=False))
+            warm = None
+            continue
+        points.append(EnergyMapPoint(rho=float(rho), c_value=res.limit.energy,
+                                     eps=0.0, converged=res.limit.converged))
+        warm = res.stages
     return points

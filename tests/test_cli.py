@@ -236,21 +236,6 @@ def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
     assert "no stage produced a result" in capsys.readouterr().err
 
 
-def test_sweep_pool_size_clamped(monkeypatch):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._pool_size(10**6, 8) == 2
-    assert cli._pool_size(4, 8) == 2
-    assert cli._pool_size(2, 1) == 1
-    assert cli._pool_size(1, 8) == 1
-    assert cli._pool_size(0, 8) == 1
-    assert cli._pool_size(-5, 8) == 1
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._pool_size(10**6, 8) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
-    assert cli._pool_size(10**6, 4) == 4
-
-
 def test_solve_records_stage_status(tmp_path):
     cfg = write_config(tmp_path, QUICK)
     assert cli.main(["solve", "--config", cfg]) == cli.EXIT_OK

@@ -1,7 +1,9 @@
 """What the solve path imports, measured in a fresh interpreter: the solve
 path loads numpy and scipy.linalg.lapack only, Newton finish included, and
-the LAPACK module is bound when subnls.minimizer is imported, so forked sweep
-workers inherit it.  A Luxemburg norm loads no scipy.optimize either."""
+the LAPACK module is bound when subnls.minimizer is imported, so a broken
+LAPACK fails the import rather than a run.  A sweep runs in this process, so
+even a huge --jobs starts no worker.  A Luxemburg norm loads no
+scipy.optimize either."""
 
 import json
 import os
@@ -28,14 +30,18 @@ for spec in specs:
 code = cli.main(["solve", "--config", "configs/quick.ini", "--out", sys.argv[1]])
 with open(sys.argv[1] + "/result.json") as fh:
     newton.append(json.load(fh)["newton_steps"])
+sweep_code = cli.main(["sweep-rho", "--config", "configs/quick.ini", "18", "36", "3",
+                       "--jobs", "1000000", "--out", sys.argv[1] + "/sweep"])
 import numpy as np
 from subnls import grid, orlicz
 g = grid.RadialGrid(3, 8.0, 120)
 orlicz.luxemburg_norm(grid.from_function(g, lambda r: 1e-6 * np.exp(-r * r)),
                       orlicz.log_matched(1.0))
 forbidden = ("scipy.optimize", "scipy.integrate", "scipy.sparse",
-             "scipy.special", "scipy.spatial")
+             "scipy.special", "scipy.spatial", "concurrent.futures.process",
+             "multiprocessing")
 print(json.dumps({"lapack_at_import": lapack_at_import, "code": code,
+                  "sweep_code": sweep_code,
                   "newton_everywhere": all(k > 0 for k in newton),
                   "loaded": [m for m in forbidden if m in sys.modules]}))
 """
@@ -48,5 +54,5 @@ def test_solve_path_imports_no_scipy_optimize(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"lapack_at_import": True, "code": 0, "newton_everywhere": True,
-                      "loaded": []}
+    assert report == {"lapack_at_import": True, "code": 0, "sweep_code": 0,
+                      "newton_everywhere": True, "loaded": []}

@@ -320,6 +320,76 @@ def test_energy_map_per_point_failure_continues(log_spec3):
     assert not any(p.converged for p in pts)
 
 
+def sweep_config(**kwargs):
+    # the settings of the benchmark's sweep_cli workload (perfbench/sweep.ini)
+    return mz.SolveConfig(spec=nl.logarithmic(1.0, dim=3), rho=20.0, r_max=16.0, n=400,
+                          eps_schedule=(1e-1, 1e-2, 1e-3), tol_grad=1e-8, **kwargs)
+
+
+def test_energy_map_warm_start_saves_iterations(monkeypatch):
+    # each point seeded from the one before reaches the standalone c(rho)
+    # in fewer solver iterations than the points solved cold
+    cfg = sweep_config()
+    rhos = [18.0 * 2 ** (k / 2.0) for k in range(4)]
+    real = mz.solve_ground_state
+    iterations = []
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(mz, "solve_ground_state", counting)
+    pts = mz.energy_map(cfg, rhos)
+    warm = sum(iterations)
+    iterations.clear()
+    alone = [mz.continuation(replace(cfg, rho=r)).limit.energy for r in rhos]
+    assert warm < sum(iterations)
+    for p, c in zip(pts, alone):
+        assert p.converged and p.eps == 0.0
+        assert p.c_value == pytest.approx(c, rel=1e-9, abs=0.0)
+
+
+def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
+    # rho = 18 aborts on max_iter in its last stage after two completed
+    # ones, and rho = 10 (below the negativity threshold 17.44) collapses off
+    # the sphere; the point after each is bit-identical to its standalone run
+    cfg = sweep_config()
+    real_solve, real_continuation = mz.solve_ground_state, mz.continuation
+    runs = {}
+
+    def capped(config, eps, **kwargs):
+        if config.rho == 18.0 and eps == config.eps_schedule[-1]:
+            config = replace(config, max_iter=1)
+        return real_solve(config, eps, **kwargs)
+
+    def recording(config, **kwargs):
+        runs[config.rho] = real_continuation(config, **kwargs)
+        return runs[config.rho]
+
+    monkeypatch.setattr(mz, "solve_ground_state", capped)
+    monkeypatch.setattr(mz, "continuation", recording)
+    pts = mz.energy_map(cfg, [18.0, 25.0, 10.0, 20.0])
+    assert [p.converged for p in pts] == [False, True, True, True]
+    assert pts[0].eps == cfg.eps_schedule[1]
+    assert all(s.status == "collapsed" and not s.on_sphere for s in runs[10.0].stages)
+
+    def fingerprint(res):
+        return [(s.iterations, s.energy, s.lam, s.u.values.tobytes()) for s in res.stages]
+
+    alone = {rho: real_continuation(replace(cfg, rho=rho)) for rho in (25.0, 20.0)}
+    for rho, res in alone.items():
+        assert fingerprint(res) == fingerprint(runs[rho])
+        assert res.limit.energy == runs[rho].limit.energy
+    # the stages of rho = 25 do seed rho = 20, but not once marked collapsed
+    # or off the sphere
+    cfg20, seeds = replace(cfg, rho=20.0), runs[25.0].stages
+    assert fingerprint(real_continuation(cfg20, warm=seeds)) != fingerprint(alone[20.0])
+    for mark in ({"status": "collapsed"}, {"on_sphere": False}):
+        marked = [replace(s, **mark) for s in seeds]
+        assert fingerprint(real_continuation(cfg20, warm=marked)) == fingerprint(alone[20.0])
+
+
 def test_disc_feasibility_every_iteration(log_spec3):
     # drive the same projected update the solver uses and check the iterate
     # never leaves the disc
@@ -455,6 +525,7 @@ def test_step_failure_keeps_completed_stages(log_spec3, monkeypatch):
     done.clear()
     (point,) = mz.energy_map(cfg, [20.0])
     assert point.c_value == done[0].energy and not point.converged
+    assert point.eps == done[0].eps
 
 
 def test_newton_cuts_continuation_iterations(log_spec3):
