@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lapack import dstebz
+
 
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^{dim-1}."""
@@ -144,19 +146,22 @@ def lowest_dirichlet_eigenvalue(grid: RadialGrid, k: int = 1) -> np.ndarray:
     """Smallest k eigenvalues of -Lap with Dirichlet condition at r_max.
 
     Similarity-transformed to a symmetric tridiagonal problem with
-    D = diag(r^{N-1}).
+    D = diag(r^{N-1}), whose eigenvalues 1..k LAPACK stebz finds by
+    bisection (what scipy.linalg.eigh_tridiagonal runs for select="i").
     """
-    from scipy.linalg import eigh_tridiagonal
-
     g = grid
+    if not 1 <= k <= g.n:
+        raise ValueError(f"need 1 <= k <= n = {g.n}, got k = {k}")
     a = g.face_coef
     diag = np.empty(g.n)
     diag[0] = a[0]
     diag[1:] = a[1:] + a[:-1]
     diag = diag / (g._rpow * g.h**2)
     off = -a[:-1] / (np.sqrt(g._rpow[:-1] * g._rpow[1:]) * g.h**2)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return vals
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz failed (info={info})")
+    return w[:m]
 
 
 @dataclass

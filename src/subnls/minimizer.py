@@ -37,12 +37,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-# bound at import, not in the preconditioner: every solve needs LAPACK, so a
-# missing or broken one fails the import instead of a run, and its import
-# cost (about 0.3 s) is start-up, not part of the first solve
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import nonlinearity as nl
+# bound at import, not in the preconditioner: every solve needs LAPACK, so a
+# missing or broken one fails the import instead of a run.  _lapack loads
+# scipy's Fortran wrapper file alone (3-10 ms); only its fallback, all of
+# scipy.linalg.lapack, costs about 0.3 s of start-up
+from ._lapack import dgtsv, dpttrf, dpttrs
 from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
                    laplacian_values, mass, sphere_area, wnorm)
 

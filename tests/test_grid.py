@@ -98,6 +98,35 @@ def test_lowest_dirichlet_eigenvalue_bessel():
     assert ev == pytest.approx(exact, rel=1e-3)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [300, 1200])
+@pytest.mark.parametrize("k", [1, 3])
+def test_lowest_dirichlet_eigenvalue_is_eigh_tridiagonal(dim, n, k):
+    # the direct stebz call answers what scipy.linalg.eigh_tridiagonal did,
+    # bit for bit, on the same similarity-transformed matrix
+    from scipy.linalg import eigh_tridiagonal
+
+    g = gr.RadialGrid(dim, 15.0, n)
+    a = g.face_coef
+    diag = np.empty(g.n)
+    diag[0] = a[0]
+    diag[1:] = a[1:] + a[:-1]
+    diag = diag / (g._rpow * g.h**2)
+    off = -a[:-1] / (np.sqrt(g._rpow[:-1] * g._rpow[1:]) * g.h**2)
+    expected = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                eigvals_only=True)
+    got = gr.lowest_dirichlet_eigenvalue(g, k)
+    assert got.shape == (k,)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_lowest_dirichlet_eigenvalue_rejects_bad_k():
+    g = gr.RadialGrid(3, 5.0, 10)
+    for k in (0, 11):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            gr.lowest_dirichlet_eigenvalue(g, k)
+
+
 def test_integrate_matches_mass_and_zero(grid3, gauss3):
     assert gr.integrate(gauss3, lambda s: s**2) == pytest.approx(gr.mass(gauss3), rel=1e-14)
     assert gr.integrate(gauss3, lambda s: 0.0 * s) == 0.0
