@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the answers of a fixed set of continuations.
+
+    PYTHONPATH=src python3 scripts/stage_fingerprint.py [--verbose]
+
+Every built-in family runs on a small grid: the log family in N = 2, 3 and
+4, log_power with mu > 0, with mu < 0 (two roots of g), with a root of g
+below the first eps (the cutoff ramp spans two sign intervals), and below
+the nonexistence threshold (a collapse run), saturation and
+power_sublinear, with rearrange_every 0 and 25.  Each configuration runs
+three starts (the plain seed and two jittered ones, as multistart draws
+them) and a 3-point energy_map.  The digest covers, for every stage and
+every limit, its to_json_dict() record without the solver's work counters,
+its residual bundle and the bytes of its field; a start that raises
+contributes the exception's type, message and completed stages; and every
+energy_map point.  Two trees that print the same digest give bit-identical
+answers on all of these.  --verbose also prints one line per record.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import logging
+import sys
+
+import numpy as np
+
+from subnls import minimizer as mz
+from subnls import nonlinearity as nl
+
+# work counters, not answers: a change may count the same work differently
+COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
+SCHEDULE = (1e-1, 1e-2, 1e-3)
+STARTS = 3
+
+# (name, spec, rho, r_max, n, rearrange_every, max_iter)
+CONFIGS = [
+    ("log N=2", nl.logarithmic(1.0, dim=2), 12.0, 16.0, 200, 0, 20000),
+    ("log N=3", nl.logarithmic(1.0, dim=3), 20.0, 16.0, 200, 25, 20000),
+    ("log N=4", nl.logarithmic(1.0, dim=4), 30.0, 16.0, 200, 0, 20000),
+    ("log_power mu>0 N=3", nl.log_power(1.0, 0.7, 3.0, dim=3), 20.0, 16.0, 200, 25, 20000),
+    ("log_power mu<0 N=2", nl.log_power(1.0, -0.05, 4.0, dim=2), 12.0, 16.0, 200, 0, 20000),
+    ("log_power mu<0 N=3", nl.log_power(1.0, -0.05, 4.0, dim=3), 20.0, 16.0, 200, 25, 20000),
+    ("log_power small root N=4", nl.log_power(1.0, 2400.0, 4.0, dim=4), 2.0, 8.0, 200, 0,
+     20000),
+    ("log_power collapse N=3", nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),
+     10.0, 16.0, 120, 0, 60000),
+    ("saturation N=3", nl.saturation(dim=3), 20.0, 16.0, 200, 25, 20000),
+    ("power_sublinear N=2", nl.power_sublinear(0.5, dim=2), 3.0, 12.0, 120, 0, 60000),
+]
+
+
+def record(res) -> dict:
+    out = {k: v for k, v in res.to_json_dict().items() if k not in COUNTERS}
+    out["bundle"] = dataclasses.asdict(res.bundle)
+    out["u"] = hashlib.sha256(res.u.values.tobytes()).hexdigest()
+    return out
+
+
+def starts(config):
+    # the seeds multistart draws: none for start 0, then config.seed + j
+    for j in range(STARTS):
+        yield np.random.default_rng(config.seed + j) if j else None
+
+
+def runs(config):
+    """(label, payload) for every start and every energy_map point."""
+    grid = config.make_grid()
+    for j, rng in enumerate(starts(config)):
+        try:
+            res = mz.continuation(config, grid=grid, rng=rng)
+        except (mz.ContinuationAborted, mz.StepFailure) as exc:
+            yield f"start {j}", {"raised": type(exc).__name__, "message": str(exc),
+                                 "stages": [record(s) for s in exc.stages]}
+            continue
+        yield f"start {j}", {"stages": [record(s) for s in res.stages],
+                             "limit": record(res.limit), "eps_monotone": res.eps_monotone,
+                             "total_iterations": res.total_iterations}
+    rhos = [config.rho * f for f in (1.0, 1.1, 1.2)]
+    yield "energy_map", [dataclasses.asdict(p) for p in mz.energy_map(config, rhos)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--verbose", action="store_true")
+    args = parser.parse_args(argv)
+    logging.disable(logging.WARNING)
+    digest = hashlib.sha256()
+    for name, spec, rho, r_max, n, rearrange, max_iter in CONFIGS:
+        config = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n, eps_schedule=SCHEDULE,
+                                rearrange_every=rearrange, max_iter=max_iter)
+        for label, payload in runs(config):
+            line = json.dumps([name, label, payload], sort_keys=True)
+            digest.update(line.encode())
+            if args.verbose:
+                print(line)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,13 +38,37 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _FLOOR)
 
 
+class IdentityParts(NamedTuple):
+    """The integrals the Pohozaev and Nehari identities are built from."""
+    kinetic: float   # int |grad u|^2
+    mass: float      # int u^2
+    density: float   # int G_eps(u)
+    pairing: float   # int g_eps(u) u
+
+
+def identity_parts(u: RadialField, density: np.ndarray, g: np.ndarray) -> IdentityParts:
+    """Parts of u from its nodal G_eps(u) and g_eps(u); the solver passes its
+    own last evaluations, residual_bundle fresh ones."""
+    w = u.grid.w
+    return IdentityParts(kinetic(u), mass(u), float(np.dot(w, density)),
+                         float(np.dot(w, g * u.values)))
+
+
+def _parts(u, eps, spec):
+    return identity_parts(u, nl.G_eps(spec, u.values, eps), nl.g_eps(spec, u.values, eps))
+
+
+def _pohozaev_sides(dim, lam, p: IdentityParts) -> tuple:
+    return (dim - 2.0) * p.kinetic + dim * lam * p.mass, 2.0 * dim * p.density
+
+
+def _nehari_sides(lam, p: IdentityParts) -> tuple:
+    return p.kinetic + lam * p.mass, p.pairing
+
+
 def pohozaev_parts(u: RadialField, lam: float, eps: float,
                    spec: nl.NonlinearitySpec) -> tuple:
-    dim = u.grid.dim
-    lhs = (dim - 2.0) * kinetic(u) + dim * lam * mass(u)
-    dens = nl.G_eps(spec, u.values, eps)
-    rhs = 2.0 * dim * float(np.dot(u.grid.w, dens))
-    return lhs, rhs
+    return _pohozaev_sides(u.grid.dim, lam, _parts(u, eps, spec))
 
 
 def pohozaev_residual(result, spec: nl.NonlinearitySpec) -> float:
@@ -56,9 +80,7 @@ def pohozaev_residual(result, spec: nl.NonlinearitySpec) -> float:
 
 def nehari_parts(u: RadialField, lam: float, eps: float,
                  spec: nl.NonlinearitySpec) -> tuple:
-    lhs = kinetic(u) + lam * mass(u)
-    rhs = float(np.dot(u.grid.w, nl.g_eps(spec, u.values, eps) * u.values))
-    return lhs, rhs
+    return _nehari_sides(lam, _parts(u, eps, spec))
 
 
 def nehari_residual(result, spec: nl.NonlinearitySpec) -> float:
@@ -88,12 +110,14 @@ def boundary_leak(u: RadialField) -> float:
 
 def residual_bundle(u: RadialField, lam: float, eps: float,
                     spec: nl.NonlinearitySpec) -> ResidualBundle:
-    lhs_p, rhs_p = pohozaev_parts(u, lam, eps, spec)
-    lhs_n, rhs_n = nehari_parts(u, lam, eps, spec)
+    return bundle_from_parts(u, lam, _parts(u, eps, spec))
+
+
+def bundle_from_parts(u: RadialField, lam: float, parts: IdentityParts) -> ResidualBundle:
     sign_ok, monotone_ok = shape_check(u)
     return ResidualBundle(
-        pohozaev_rel=_rel(lhs_p, rhs_p),
-        nehari_rel=_rel(lhs_n, rhs_n),
+        pohozaev_rel=_rel(*_pohozaev_sides(u.grid.dim, lam, parts)),
+        nehari_rel=_rel(*_nehari_sides(lam, parts)),
         sign_ok=sign_ok,
         monotone_ok=monotone_ok,
         boundary_leak=boundary_leak(u),

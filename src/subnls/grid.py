@@ -44,7 +44,12 @@ class RadialGrid:
     r: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
     face_coef: np.ndarray = field(init=False, repr=False)
+    area: float = field(init=False, repr=False)
     _rpow: np.ndarray = field(init=False, repr=False)
+    # built once for kinetic_values and laplacian_values: area / h and
+    # r^(N-1) h^2
+    _area_h: float = field(init=False, repr=False)
+    _lap_scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
@@ -64,11 +69,10 @@ class RadialGrid:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "face_coef", face_coef)
+        object.__setattr__(self, "area", area)
         object.__setattr__(self, "_rpow", rpow)
-
-    @property
-    def area(self) -> float:
-        return sphere_area(self.dim)
+        object.__setattr__(self, "_area_h", area / h)
+        object.__setattr__(self, "_lap_scale", rpow * h**2)
 
 
 @dataclass
@@ -126,7 +130,7 @@ def kinetic_values(g: RadialGrid, vals: np.ndarray) -> float:
     d = np.empty(g.n)
     d[:-1] = vals[1:] - vals[:-1]
     d[-1] = -vals[-1]  # Dirichlet ghost
-    return float(g.area / g.h * np.dot(g.face_coef, d**2))
+    return float(g._area_h * np.dot(g.face_coef, d**2))
 
 
 def laplacian_values(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
@@ -134,7 +138,7 @@ def laplacian_values(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     div = np.empty(grid.n)
     div[0] = flux[0]
     div[1:] = flux[1:] - flux[:-1]
-    return div / (grid._rpow * grid.h**2)
+    return div / grid._lap_scale
 
 
 def laplacian_radial(u: RadialField) -> RadialField:
@@ -156,7 +160,7 @@ def lowest_dirichlet_eigenvalue(grid: RadialGrid, k: int = 1) -> np.ndarray:
     diag = np.empty(g.n)
     diag[0] = a[0]
     diag[1:] = a[1:] + a[:-1]
-    diag = diag / (g._rpow * g.h**2)
+    diag = diag / g._lap_scale
     off = -a[:-1] / (np.sqrt(g._rpow[:-1] * g._rpow[1:]) * g.h**2)
     m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
     if info != 0:

@@ -31,10 +31,11 @@ size raises.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +128,12 @@ class SolverResult:
     converged: bool
     on_sphere: bool
     status: str
+    # the stage's evaluations of E_eps and of the gradient, its rejected
+    # Armijo trials and its preconditioner solves (a limit: sums over stages)
+    energy_evals: int
+    grad_evals: int
+    backtracks: int
+    precond_solves: int
     bundle: object = None
 
     def to_json_dict(self) -> dict:
@@ -140,6 +147,10 @@ class SolverResult:
             "iterations": self.iterations,
             "newton_steps": self.newton_steps,
             "kkt_residual": self.kkt_residual,
+            "energy_evals": self.energy_evals,
+            "grad_evals": self.grad_evals,
+            "backtracks": self.backtracks,
+            "precond_solves": self.precond_solves,
             "converged": self.converged,
             "on_sphere": self.on_sphere,
             "status": self.status,
@@ -166,22 +177,47 @@ class ContinuationResult:
 
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
-    dens = nl.G_eps(spec, u.values, eps)
+    return _energy(u.grid, u.values, nl.G_eps(spec, u.values, eps))
+
+
+def _energy(grid, vals, dens):
     # accumulated in extended precision: over a stage's last steps the Armijo
     # test compares energies closer than the rounding of a double sum
-    return 0.5 * kinetic(u) - float(np.sum(u.grid.w * dens, dtype=np.longdouble))
+    return 0.5 * kinetic_values(grid, vals) - float(np.sum(grid.w * dens, dtype=np.longdouble))
 
 
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
     """L2-gradient field -Lap u - g_eps(u); consistent with energy_eps at
     machine level thanks to exact summation by parts."""
-    return RadialField(u.grid, _grad_parts(u.grid, u.values, spec, eps)[0])
+    return RadialField(u.grid, _grad_parts(u.grid, u.values, nl.bind_eps(spec, eps).g)[0])
 
 
-def _grad_parts(grid, vals, spec, eps):
+def _grad_parts(grid, vals, g_eps_of):
     lap = laplacian_values(grid, vals)
-    rhs = nl.g_eps(spec, vals, eps)
+    rhs = g_eps_of(vals)
     return -lap - rhs, lap, rhs
+
+
+class _Stage(NamedTuple):
+    energy: Callable  # vals -> (E_eps(vals), its nodal density G_eps(vals))
+    g: Callable       # vals -> g_eps(vals)
+    dg: Callable      # vals -> g_eps'(vals)
+
+
+def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
+    """Everything one eps-stage evaluates on bare nodal arrays, bound once
+    (nl.bind_eps): the solver's trial energies, gradients and Newton
+    Jacobians, and the records of the stage and of the eps = 0 limit.  A
+    trial field that is not finite raises ValueError, as RadialField does."""
+    kern = nl.bind_eps(spec, eps)
+
+    def energy(vals):
+        if not np.isfinite(vals).all():
+            raise ValueError("field values must be finite")
+        dens = kern.G(vals)
+        return _energy(grid, vals, dens), dens
+
+    return _Stage(energy, kern.g, kern.dg)
 
 
 def _to_sphere(w, vals, rho):
@@ -221,6 +257,22 @@ def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> flo
     return (pairing - kinetic(u)) / m
 
 
+def _plateau(r, level, base_radius, taper):
+    out = np.full_like(r, float(level))
+    ramp = (r >= base_radius) & (r < base_radius + taper)
+    out[ramp] = level * 0.5 * (1.0 + np.cos(math.pi * (r[ramp] - base_radius) / taper))
+    out[r >= base_radius + taper] = 0.0
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _plateau_mass(dim, level, base_radius, taper):
+    # continuum mass of the base profile via fine 1-D quadrature
+    rq = np.linspace(0.0, base_radius + taper, 4001)
+    fq = _plateau(rq, level, base_radius, taper) ** 2 * rq ** (dim - 1)
+    return sphere_area(dim) * np.trapezoid(fq, rq)
+
+
 def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
     """Mass-rho dilation of a fixed mollified plateau at the given level.
 
@@ -228,21 +280,9 @@ def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
     given width; dilation u(sigma r) with sigma = (mass0/rho^2)^(1/N)
     preserves the amplitude and scales the kinetic term like rho^(2-4/N).
     """
-    dim = grid.dim
-
-    def profile(r):
-        out = np.full_like(r, float(level))
-        ramp = (r >= base_radius) & (r < base_radius + taper)
-        out[ramp] = level * 0.5 * (1.0 + np.cos(math.pi * (r[ramp] - base_radius) / taper))
-        out[r >= base_radius + taper] = 0.0
-        return out
-
-    # continuum mass of the base profile via fine 1-D quadrature
-    rq = np.linspace(0.0, base_radius + taper, 4001)
-    fq = profile(rq) ** 2 * rq ** (dim - 1)
-    mass0 = sphere_area(dim) * np.trapezoid(fq, rq)
-    sigma = (mass0 / rho**2) ** (1.0 / dim)
-    return _on_sphere(grid, profile(grid.r * sigma), rho)
+    mass0 = _plateau_mass(grid.dim, level, base_radius, taper)
+    sigma = (mass0 / rho**2) ** (1.0 / grid.dim)
+    return _on_sphere(grid, _plateau(grid.r * sigma, level, base_radius, taper), rho)
 
 
 def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
@@ -273,7 +313,7 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
 def _kinetic_bands(grid: RadialGrid):
     """(diagonal, off-diagonal) of the symmetric tridiagonal matrix K of
     kinetic(), kinetic(u) = u^T K u; K u = -W Lap u with W = diag(w)."""
-    c = grid.area / grid.h
+    c = grid._area_h
     a = grid.face_coef
     return c * np.concatenate([a[:1], a[1:] + a[:-1]]), -c * a[:-1]
 
@@ -298,7 +338,7 @@ def _sobolev_preconditioner(grid: RadialGrid, bands):
     return apply
 
 
-def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, spec, eps):
+def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, g_eps_prime_of):
     """One Newton step on F(u, lam) = (K u + lam W u - W g_eps(u),
     (u^T W u - rho^2)/2) = 0 from (u, lam), with F_1 = W res.
 
@@ -311,7 +351,7 @@ def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, spec, eps):
     w = grid.w
     k_diag, k_off = bands
     wu = w * u
-    diag = k_diag + w * (lam - nl.g_eps_prime(spec, u, eps))
+    diag = k_diag + w * (lam - g_eps_prime_of(u))
     x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
     if info != 0:
         return None
@@ -321,6 +361,10 @@ def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, spec, eps):
     if not np.all(np.isfinite(v)):
         return None
     return _to_sphere(w, v, rho)
+
+
+# what a stage counts besides iterations and Newton steps (SolverResult)
+_EVAL_COUNTS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 
 
 def solve_ground_state(config: SolveConfig, eps: float,
@@ -355,6 +399,11 @@ def solve_ground_state(config: SolveConfig, eps: float,
     Optional decreasing rearrangement of the profile is applied every
     rearrange_every iterations and kept only when it does not increase the
     energy.
+
+    The stage's kernels are bound once (_bind_stage), and every trial,
+    gradient and Newton Jacobian is evaluated on bare nodal arrays through
+    them.  The stage record reuses the last iterate's energy, density and
+    g_eps (see _result), and counts the evaluations made.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
@@ -363,13 +412,24 @@ def solve_ground_state(config: SolveConfig, eps: float,
         u0 = initial_guess(spec, grid, rho, eps, rng=rng)
     w = grid.w
     bands = _kinetic_bands(grid)
-    precond = _sobolev_preconditioner(grid, bands)
+    stage = _bind_stage(grid, spec, eps)
+    solve_precond = _sobolev_preconditioner(grid, bands)
+    counts = dict.fromkeys(_EVAL_COUNTS, 0)
 
     def wdot(a, b):
         return float(np.dot(w, a * b))
 
     def energy_of(vals):
-        return energy_eps(RadialField(grid, vals), spec, eps)
+        counts["energy_evals"] += 1
+        return stage.energy(vals)
+
+    def grad_of(vals):
+        counts["grad_evals"] += 1
+        return _grad_parts(grid, vals, stage.g)
+
+    def precond(x):
+        counts["precond_solves"] += 1
+        return solve_precond(x)
 
     def kkt(u, m_u, g, lap, rhs):
         # (relative KKT residual, its vector, lambda_hat, on the boundary)
@@ -381,8 +441,8 @@ def solve_ground_state(config: SolveConfig, eps: float,
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary
 
     u, m_u = _project(w, u0.values.copy(), rho)
-    E = energy_of(u)
-    g, lap, rhs = _grad_parts(grid, u, spec, eps)
+    E, dens = energy_of(u)
+    g, lap, rhs = grad_of(u)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
     tau = STEP_INIT
     newton_gate = NEWTON_SWITCH
@@ -400,15 +460,15 @@ def solve_ground_state(config: SolveConfig, eps: float,
             break
 
         if on_boundary and lam_hat > 0.0 and rel <= newton_gate:
-            step = _newton_kkt_step(grid, bands, u, m_u, res, lam_hat, rho, spec, eps)
+            step = _newton_kkt_step(grid, bands, u, m_u, res, lam_hat, rho, stage.dg)
             if step is not None:
                 v, m_v = step
-                E_v = energy_of(v)
+                E_v, dens_v = energy_of(v)
                 if E_v <= E + 1e-12 * (1.0 + abs(E)):
-                    g_v, lap_v, rhs_v = _grad_parts(grid, v, spec, eps)
+                    g_v, lap_v, rhs_v = grad_of(v)
                     kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
                     if kkt_v[0] <= 0.5 * rel:
-                        u, m_u, E, g, lap, rhs = v, m_v, E_v, g_v, lap_v, rhs_v
+                        u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
                         rel, res, lam_hat, on_boundary = kkt_v
                         newton_steps += 1
                         continue
@@ -428,7 +488,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
         t = tau
         for _ in range(60):
             v, m_v = _project(w, u - t * d, rho)
-            E_v = energy_of(v)
+            E_v, dens_v = energy_of(v)
             dv = v - u
             dd = wdot(dv, dv)
             ss = SOBOLEV_SHIFT * dd + kinetic_values(grid, dv)  # <dv, P^-1 dv>
@@ -439,6 +499,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 # step has collapsed to rounding level: treat as stationary
                 status = "stalled"
                 break
+            counts["backtracks"] += 1
             t *= BACKTRACK
         if status == "stalled":
             break
@@ -450,42 +511,46 @@ def solve_ground_state(config: SolveConfig, eps: float,
             status = "backtrack_exhausted"
             break
 
-        g_v, lap_v, rhs_v = _grad_parts(grid, v, spec, eps)
+        g_v, lap_v, rhs_v = grad_of(v)
         sy = wdot(dv, g_v - g)
         tau = min(max(ss / sy, 1e-12), STEP_MAX) if sy > 0 else min(t * 2.0, STEP_MAX)
-        u, m_u, E, g, lap, rhs = v, m_v, E_v, g_v, lap_v, rhs_v
+        u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
 
         if config.rearrange_every and it % config.rearrange_every == 0:
             r_vals, r_m = _project(w, np.sort(u)[::-1], rho)
-            E_r = energy_of(r_vals)
+            E_r, dens_r = energy_of(r_vals)
             if E_r <= E:
-                u, m_u, E = r_vals, r_m, E_r
-                g, lap, rhs = _grad_parts(grid, u, spec, eps)
+                u, m_u, E, dens = r_vals, r_m, E_r, dens_r
+                g, lap, rhs = grad_of(u)
         rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
 
-    result = _result(config, RadialField(grid, u), eps, E, m_u, it, status,
-                     newton_steps, rel)
+    result = _result(config, RadialField(grid, u), eps, E, dens, rhs, m_u, status,
+                     iterations=it, newton_steps=newton_steps, kkt_residual=rel, **counts)
     log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d newton=%d kkt=%.2g status=%s "
              "on_sphere=%s", eps, E, result.lam, it, newton_steps, rel, status,
              result.on_sphere)
     return result
 
 
-def _result(config, u, eps, energy, m, iterations, status, newton_steps,
-            kkt_residual) -> SolverResult:
-    """Record of field u (mass m, energy E_eps) with its multiplier, sphere
-    test, kinetic term and identity residuals, all measured at eps, and the
-    solver's Newton step count and final relative KKT residual."""
-    from .diagnostics import residual_bundle
+def _result(config, u, eps, energy, dens, g, m, status, **solver) -> SolverResult:
+    """Record of field u at eps from the evaluations the caller already made
+    there: its energy E_eps(u), nodal density G_eps(u) and g_eps(u), and the
+    mass m it tracked.  The multiplier (the Nehari quotient), the Nehari
+    pairing and the Pohozaev integral reuse them, and the kinetic term and
+    mass are computed once (diagnostics.identity_parts).  solver holds the
+    iteration, Newton-step and evaluation counts and the final relative KKT
+    residual."""
+    from .diagnostics import bundle_from_parts, identity_parts
 
-    spec, rho = config.spec, config.rho
-    lam = extract_lambda(u, spec, eps) if m > 0 else 0.0
+    rho = config.rho
+    parts = identity_parts(u, dens, g)
+    # extract_lambda's quotient
+    lam = (parts.pairing - parts.kinetic) / parts.mass if m > 0 else 0.0
     return SolverResult(
-        u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=kinetic(u),
-        iterations=iterations, newton_steps=newton_steps, kkt_residual=kkt_residual,
+        u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
         converged=status != "max_iter",
         on_sphere=abs(m - rho * rho) <= config.tol_mass * rho * rho, status=status,
-        bundle=residual_bundle(u, lam, eps, spec),
+        bundle=bundle_from_parts(u, lam, parts), **solver,
     )
 
 
@@ -531,9 +596,12 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
         for a, b in zip(stages, stages[1:])
     )
     u = stages[-1].u
-    limit = _result(config, u, 0.0, energy_eps(u, config.spec, 0.0), mass(u), total,
-                    stages[-1].status, sum(s.newton_steps for s in stages),
-                    stages[-1].kkt_residual)
+    at_zero = _bind_stage(grid, config.spec, 0.0)
+    energy, dens = at_zero.energy(u.values)
+    limit = _result(config, u, 0.0, energy, dens, at_zero.g(u.values), mass(u),
+                    stages[-1].status, kkt_residual=stages[-1].kkt_residual,
+                    **{k: sum(getattr(s, k) for s in stages)
+                       for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
     return ContinuationResult(stages=stages, limit=limit,
                               eps_monotone=eps_monotone, total_iterations=total)
 

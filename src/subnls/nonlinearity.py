@@ -12,7 +12,9 @@ negative on the negative half line).  Every family, custom included, is
 evaluated from the antiderivatives G and P = int t g split at the
 sign-change points of g, located once per spec and cached.  The built-in
 families have them in closed form, so no quadrature appears in their hot
-path; the custom family (odd g only) builds them by quadrature.
+path; the custom family (odd g only) builds them by quadrature.  bind_eps
+binds one (spec, eps) once and returns G_eps, g_eps and g_eps' as functions
+of a float array; the public functions of the same names wrap it.
 """
 
 from __future__ import annotations
@@ -362,17 +364,11 @@ def _shaped(out, arr, scalar):
 
 
 def g_value(spec: NonlinearitySpec, s):
-    arr, scalar = _as_array(s)
-    flat = np.atleast_1d(arr)
-    out = np.sign(flat) * _FAMILIES[spec.family].g(spec, np.abs(flat))
-    return _shaped(out, arr, scalar)
+    return _apply(bind_eps(spec, 0.0).g, s)
 
 
 def G_value(spec: NonlinearitySpec, s):
-    arr, scalar = _as_array(s)
-    flat = np.atleast_1d(arr)
-    out = _FAMILIES[spec.family].prims(spec, np.abs(flat))[0]
-    return _shaped(out, arr, scalar)
+    return _apply(bind_eps(spec, 0.0).G, s)
 
 
 def g_plus_value(spec: NonlinearitySpec, s):
@@ -448,52 +444,79 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     return _shaped(np.where(mag < eps, ramp, Gm - K), arr, scalar)
 
 
+class EpsKernels(NamedTuple):
+    """G_eps, g_eps and g_eps' of one (spec, eps) as functions of a float
+    array of any shape (eps = 0 gives G, g and g')."""
+    G: Callable
+    g: Callable
+    dg: Callable
+
+
+@functools.lru_cache(maxsize=256)
+def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
+    """The regularized kernels of one (spec, eps), bound once: the family's
+    half-line kernels and, for eps > 0, its sign structure and cutoff table
+    (G_eps is one fused pass over |s|, see _cutoff_table).  A solver stage
+    calls them on bare arrays; G_eps, g_eps and g_eps_prime wrap them for
+    scalars and arrays of any shape."""
+    fam = _FAMILIES[spec.family]
+    if eps == 0.0:
+        return EpsKernels(G=lambda s: fam.prims(spec, np.abs(s))[0],
+                          g=lambda s: np.sign(s) * fam.g(spec, np.abs(s)),
+                          dg=lambda s: fam.dg(spec, np.abs(s)))
+    _check_eps(eps)
+    eps = float(eps)
+    st = _sign_structure(spec)
+    c, K, split = _cutoff_table(spec, eps)
+    neg0 = bool(st.neg[0])
+
+    def G(s):
+        mag = np.abs(s)
+        Gm, P = fam.prims(spec, mag)
+        if split:
+            # a root of g lies below eps, so the ramp spans several sign intervals
+            j = np.searchsorted(st.roots, mag, side="right")
+            low = c[j] + np.where(st.neg[j], P / eps, Gm)
+        else:
+            low = P / eps if neg0 else Gm  # c_0 = 0
+        return np.where(mag < eps, low, Gm + K)
+
+    def g(s):
+        mag = np.abs(s)
+        gs = np.sign(s) * fam.g(spec, mag)
+        return np.where(s * gs > 0.0, gs, np.minimum(mag / eps, 1.0) * gs)
+
+    def dg(s):
+        mag = np.abs(s)
+        out = fam.dg(spec, mag)
+        # the same branch as g: the ramp acts wherever s g(s) <= 0
+        gm = fam.g(spec, mag)
+        return np.where((gm <= 0.0) & (mag < eps), (gm + mag * out) / eps, out)
+
+    return EpsKernels(G, g, dg)
+
+
+def _apply(kernel, s):
+    arr, scalar = _as_array(s)
+    return _shaped(kernel(np.atleast_1d(arr)), arr, scalar)
+
+
 def g_eps(spec: NonlinearitySpec, s, eps: float):
     """Regularized right-hand side g_plus - phi_eps * g_minus (eps=0 gives g)."""
-    if eps == 0.0:
-        return g_value(spec, s)
-    _check_eps(eps)
-    arr, scalar = _as_array(s)
-    flat = np.atleast_1d(arr)
-    g = np.atleast_1d(g_value(spec, flat))
-    out = np.where(flat * g > 0.0, g, np.minimum(np.abs(flat) / eps, 1.0) * g)
-    return _shaped(out, arr, scalar)
+    return _apply(bind_eps(spec, eps).g, s)
 
 
 def g_eps_prime(spec: NonlinearitySpec, s, eps: float):
     """Derivative of g_eps in s (eps=0 gives g'), even in s: where g <= 0 and
     |s| < eps it is g/eps + (|s|/eps) g', elsewhere g'.  Exact for the
     built-in families, a sampled central difference for the custom one."""
-    arr, scalar = _as_array(s)
-    mag = np.abs(np.atleast_1d(arr))
-    fam = _FAMILIES[spec.family]
-    out = fam.dg(spec, mag)
-    if eps != 0.0:
-        _check_eps(eps)
-        # the same branch as g_eps: the ramp acts wherever s g(s) <= 0
-        g = fam.g(spec, mag)
-        out = np.where((g <= 0.0) & (mag < eps), (g + mag * out) / eps, out)
-    return _shaped(out, arr, scalar)
+    return _apply(bind_eps(spec, eps).dg, s)
 
 
 def G_eps(spec: NonlinearitySpec, s, eps: float):
     """Regularized primitive G_plus - G_minus^eps (eps=0 gives G) in one
     fused pass over |s|."""
-    if eps == 0.0:
-        return G_value(spec, s)
-    _check_eps(eps)
-    arr, scalar = _as_array(s)
-    mag = np.abs(np.atleast_1d(arr))
-    st = _sign_structure(spec)
-    c, K, split = _cutoff_table(spec, eps)
-    G, P = _FAMILIES[spec.family].prims(spec, mag)
-    if split:
-        # a root of g lies below eps, so the ramp spans several sign intervals
-        j = np.searchsorted(st.roots, mag, side="right")
-        low = c[j] + np.where(st.neg[j], P / eps, G)
-    else:
-        low = P / eps if st.neg[0] else G  # c_0 = 0
-    return _shaped(np.where(mag < eps, low, G + K), arr, scalar)
+    return _apply(bind_eps(spec, eps).G, s)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +604,10 @@ class AssumptionReport:
         return FAILS in self.verdicts().values()
 
 
+@functools.lru_cache(maxsize=128)
 def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
-    """Smallest sampled |s| where the primitive G is safely positive."""
+    """Smallest sampled |s| where the primitive G is safely positive; cached
+    per spec, since every solver start seeds from it."""
     s = np.logspace(-6, 6, 3000)
     G = np.atleast_1d(G_value(spec, s))
     ok = G > 1e-14 * (1.0 + s**2)

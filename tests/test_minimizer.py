@@ -403,16 +403,32 @@ def test_disc_feasibility_every_iteration(log_spec3):
         assert float(np.dot(g.w, u * u)) <= rho**2 * (1 + 1e-12)
 
 
+def patch_stage(monkeypatch, **wrappers):
+    """Inject faults where every stage evaluates: each keyword names a field
+    of the stage that mz._bind_stage binds (energy, g, dg) and maps it to
+    wrapper(real function, grid) -> replacement."""
+    real = mz._bind_stage
+
+    def bound(grid, spec, eps):
+        stage = real(grid, spec, eps)
+        return stage._replace(**{name: wrap(getattr(stage, name), grid)
+                                 for name, wrap in wrappers.items()})
+
+    monkeypatch.setattr(mz, "_bind_stage", bound)
+
+
 def test_nan_trial_energy_raises_step_failure(small_grid, log_spec3, monkeypatch):
     # NaN compares false both ways, so it must not pass for "no increase"
-    real = mz.energy_eps
     calls = []
 
-    def poisoned(u, spec, eps):
-        calls.append(eps)
-        return real(u, spec, eps) if len(calls) == 1 else math.nan
+    def poisoned(energy, grid):
+        def first_real_then_nan(vals):
+            calls.append(vals)
+            E, dens = energy(vals)
+            return (E if len(calls) == 1 else math.nan), dens
+        return first_real_then_nan
 
-    monkeypatch.setattr(mz, "energy_eps", poisoned)
+    patch_stage(monkeypatch, energy=poisoned)
     cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=300)
     u0 = random_bump(small_grid, np.random.default_rng(7))
     with pytest.raises(mz.StepFailure, match="nan"):
@@ -468,14 +484,15 @@ def test_stage_iterations_flat_in_n(log_spec3):
 
 
 def test_every_trial_field_stays_in_the_disc(log_spec3, monkeypatch):
-    real = mz.energy_eps
     masses = []
 
-    def spy(u, spec, eps):
-        masses.append(gr.mass(u))
-        return real(u, spec, eps)
+    def spy(energy, grid):
+        def recorded(vals):
+            masses.append(gr.mass(gr.RadialField(grid, vals)))
+            return energy(vals)
+        return recorded
 
-    monkeypatch.setattr(mz, "energy_eps", spy)
+    patch_stage(monkeypatch, energy=spy)
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=600,
                          eps_schedule=(1e-1, 1e-2), rearrange_every=10)
     res = mz.continuation(cfg)
@@ -496,8 +513,8 @@ def test_stage_status_of_each_exit(log_spec3, monkeypatch):
     # backtracking runs out first, within the rounding allowance of E
     grid = collapsed.u.grid
     u0 = mz.initial_guess(log_spec3, grid, cfg.rho, 0.1)
-    monkeypatch.setattr(mz, "energy_eps",
-                        lambda u, spec, eps: gr.wnorm(grid, u.values - u0.values) ** 2)
+    patch_stage(monkeypatch, energy=lambda energy, grid: lambda vals: (
+        gr.wnorm(grid, vals - u0.values) ** 2, energy(vals)[1]))
     stalled = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert stalled.status == "stalled" and stalled.iterations == 1
     monkeypatch.setattr(mz, "STEP_INIT", 1e6)
@@ -547,17 +564,57 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
     # the descent then finishes every stage at the same energies
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
     good = mz.continuation(cfg).stages
-    real_prime, real_step = nl.g_eps_prime, mz._newton_kkt_step
-    trials = []
+    real_step = mz._newton_kkt_step
+    trials, flipped = [], []
 
     def counted(*args):
         trials.append(1)
         return real_step(*args)
 
-    monkeypatch.setattr(nl, "g_eps_prime", lambda spec, s, eps: -real_prime(spec, s, eps))
+    def wrong_sign(dg, grid):
+        def negated(vals):
+            flipped.append(1)
+            return -dg(vals)
+        return negated
+
+    patch_stage(monkeypatch, dg=wrong_sign)
     monkeypatch.setattr(mz, "_newton_kkt_step", counted)
     bad = mz.continuation(cfg).stages
     assert all(s.status == "converged" for s in bad)
     assert len(trials) > sum(s.newton_steps for s in bad)
+    # every Newton step saw the injected derivative
+    assert len(flipped) == len(trials)
     for a, b in zip(good, bad):
         assert b.energy == pytest.approx(a.energy, rel=1e-9, abs=0.0)
+
+
+COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
+
+
+@pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
+                         ids=["newton_finish", "collapse"])
+def test_solver_counters_are_deterministic_and_consistent(mu, rho):
+    # no rearrangement, so each iteration but the last makes one accepted
+    # step: a Newton step (one energy, one gradient) or a descent step (one
+    # energy per Armijo trial, one gradient, one or two preconditioner solves)
+    spec = nl.log_power(1.0, mu, 4.0, dim=3)
+    cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
+                         eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
+    first, again = mz.continuation(cfg), mz.continuation(cfg)
+    for s in first.stages:
+        assert s.status in ("converged", "collapsed")
+        assert all(type(getattr(s, k)) is int for k in COUNTERS)
+        assert s.grad_evals == s.iterations
+        assert s.energy_evals == s.iterations + s.backtracks
+        descent = s.iterations - 1 - s.newton_steps
+        assert descent <= s.precond_solves <= 2 * descent
+        assert all(s.to_json_dict()[k] == getattr(s, k) for k in COUNTERS)
+    for k in COUNTERS + ("iterations", "newton_steps"):
+        assert getattr(first.limit, k) == sum(getattr(s, k) for s in first.stages)
+    # neither relation above is vacuous on these runs
+    if mu == 0.0:
+        assert first.limit.newton_steps > 0
+    else:
+        assert first.limit.backtracks > 0
+    assert ([s.to_json_dict() for s in first.stages + [first.limit]]
+            == [s.to_json_dict() for s in again.stages + [again.limit]])
