@@ -3,8 +3,8 @@
 
 Exit codes are stable for scripting: 0 converged/pass, 1 usage/IO/schema,
 2 solver non-convergence or no ground state found, 3 assumption failure.
-Identical config + seed reproduce bit-identical JSON apart from the
-timestamp field, which is excluded from the digest.
+Identical configs reproduce bit-identical JSON apart from the timestamp
+field, which is excluded from the digest.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ _SCHEMA = {
         "p": (float, 0.0),
         "q": (float, 0.0),
     },
-    "output": {
-        "directory": (str, "out"),
-        "formats": (str, "both"),
-    },
+    "output": {"directory": (str, "out")},
 }
 
 _NONLINEARITY_KEYS = {"log", "log_power", "saturation", "power_sublinear"}
@@ -187,7 +184,6 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     solve_cfg = build_solve_config(cfg)
     out_dir = args.out or cfg.values["output"]["directory"]
-    fmt = args.format or cfg.values["output"]["formats"]
     os.makedirs(out_dir, exist_ok=True)
     notes = []
     spec = solve_cfg.spec
@@ -202,13 +198,11 @@ def cmd_solve(args) -> int:
         return EXIT_NOCONV
     best = min(limits, key=lambda r: r.energy)
     profile_csv = os.path.join(out_dir, "profile.csv")
-    if fmt in ("csv", "both"):
-        save_field(best.u, profile_csv)
-    payload = result_payload(best, cfg, profile_csv if fmt in ("csv", "both") else None)
+    save_field(best.u, profile_csv)
+    payload = result_payload(best, cfg, profile_csv)
     if notes:
         payload["notes"] = notes
-    if fmt in ("json", "both"):
-        _dump_json(payload, os.path.join(out_dir, "result.json"))
+    _dump_json(payload, os.path.join(out_dir, "result.json"))
     ground_state = (best.converged and best.on_sphere and best.lam > 0
                     and best.energy < 0)
     for note in notes:
@@ -352,7 +346,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the continuation for one config")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--format", choices=["json", "csv", "both"], default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep-rho", help="energy map over a range of mass radii")

@@ -66,26 +66,15 @@ def _nehari_sides(lam, p: IdentityParts) -> tuple:
     return p.kinetic + lam * p.mass, p.pairing
 
 
-def pohozaev_parts(u: RadialField, lam: float, eps: float,
-                   spec: nl.NonlinearitySpec) -> tuple:
-    return _pohozaev_sides(u.grid.dim, lam, _parts(u, eps, spec))
-
-
 def pohozaev_residual(result, spec: nl.NonlinearitySpec) -> float:
     """Relative residual of the scaling identity for a solver result
     (anything with .u, .lam, .eps attributes)."""
-    lhs, rhs = pohozaev_parts(result.u, result.lam, result.eps, spec)
-    return _rel(lhs, rhs)
-
-
-def nehari_parts(u: RadialField, lam: float, eps: float,
-                 spec: nl.NonlinearitySpec) -> tuple:
-    return _nehari_sides(lam, _parts(u, eps, spec))
+    parts = _parts(result.u, result.eps, spec)
+    return _rel(*_pohozaev_sides(result.u.grid.dim, result.lam, parts))
 
 
 def nehari_residual(result, spec: nl.NonlinearitySpec) -> float:
-    lhs, rhs = nehari_parts(result.u, result.lam, result.eps, spec)
-    return _rel(lhs, rhs)
+    return _rel(*_nehari_sides(result.lam, _parts(result.u, result.eps, spec)))
 
 
 def shape_check(u: RadialField, tol: float = 1e-8) -> tuple:

@@ -64,23 +64,22 @@ ARMIJO = 1e-4
 # relative KKT residual below which a stage on the sphere switches from the
 # descent to Newton steps on the KKT system
 NEWTON_SWITCH = 1e-3
+# relative tolerance on the mass for a field to count as on the sphere
+TOL_MASS = 1e-9
 
 
-class StepFailure(RuntimeError):
-    """Backtracking exhausted without an energy decrease.  continuation()
-    attaches the stages it completed before the failure as ``stages``."""
+class ContinuationAborted(RuntimeError):
+    """A continuation stopped before its last stage; the stages it completed
+    are attached as ``stages``."""
 
     def __init__(self, message, stages=()):
         super().__init__(message)
         self.stages = list(stages)
 
 
-class ContinuationAborted(RuntimeError):
-    """A continuation stage failed to converge; partial results attached."""
-
-    def __init__(self, message, stages):
-        super().__init__(message)
-        self.stages = stages
+class StepFailure(ContinuationAborted):
+    """Backtracking exhausted without an energy decrease.  continuation()
+    attaches the stages it completed before the failure."""
 
 
 @dataclass
@@ -91,9 +90,7 @@ class SolveConfig:
     n: int = 2000
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     tol_grad: float = 1e-8
-    tol_mass: float = 1e-9
     max_iter: int = 20000
-    seed: int = 0
     rearrange_every: int = 0
     multistarts: int = 1
 
@@ -549,7 +546,7 @@ def _result(config, u, eps, energy, dens, g, m, status, **solver) -> SolverResul
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
         converged=status != "max_iter",
-        on_sphere=abs(m - rho * rho) <= config.tol_mass * rho * rho, status=status,
+        on_sphere=abs(m - rho * rho) <= TOL_MASS * rho * rho, status=status,
         bundle=bundle_from_parts(u, lam, parts), **solver,
     )
 
@@ -606,19 +603,19 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
                               eps_monotone=eps_monotone, total_iterations=total)
 
 
-def multistart(config: SolveConfig, starts: Optional[int] = None) -> list:
-    """Independent continuations from jittered seeds; all limits are
-    recorded (distinct equal-energy profiles are kept, not adjudicated).
-    A start that fails, or whose continuation stops on a stage's iteration
-    cap, is logged and skipped, so the list may be empty."""
-    k = starts if starts is not None else config.multistarts
+def multistart(config: SolveConfig) -> list:
+    """config.multistarts independent continuations: start 0 from the plain
+    initial guess, start j >= 1 jittered by np.random.default_rng(j).  All
+    limits are recorded (distinct equal-energy profiles are kept, not
+    adjudicated).  A start that fails, or whose continuation stops on a
+    stage's iteration cap, is logged and skipped, so the list may be empty."""
     out = []
     grid = config.make_grid()
-    for j in range(k):
-        rng = np.random.default_rng(config.seed + j) if j > 0 else None
+    for j in range(config.multistarts):
+        rng = np.random.default_rng(j) if j > 0 else None
         try:
             out.append(continuation(config, grid=grid, rng=rng).limit)
-        except (ContinuationAborted, StepFailure) as exc:
+        except ContinuationAborted as exc:
             log.warning("start %d failed: %s", j, exc)
     return out
 
@@ -636,7 +633,7 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
         cfg = replace(config, rho=float(rho))
         try:
             res = continuation(cfg, grid=grid, warm=warm)
-        except (ContinuationAborted, StepFailure) as exc:
+        except ContinuationAborted as exc:
             log.warning("rho=%g failed: %s", rho, exc)
             last = exc.stages[-1] if exc.stages else None
             points.append(EnergyMapPoint(rho=float(rho),

@@ -670,18 +670,11 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     details["g3_ratio_tail"] = float(last)
 
     s4 = np.logspace(-6, 6, 3000)
-    G4 = np.atleast_1d(G_value(spec, s4))
-    best = int(np.argmax(G4))
-    gmax = float(G4[best])
-    if gmax > 0:
-        from scipy.optimize import minimize_scalar
-
-        lo = s4[max(best - 1, 0)]
-        hi = s4[min(best + 1, len(s4) - 1)]
-        if hi > lo:
-            res = minimize_scalar(lambda x: -float(G_value(spec, x)),
-                                  bounds=(lo, hi), method="bounded")
-            gmax = max(gmax, -float(res.fun))
+    gmax = float(np.max(G_value(spec, s4)))
+    roots = _sign_structure(spec).roots
+    if gmax > 0 and roots.size:
+        # G' = g, so between samples G can only peak at a root of g
+        gmax = max(gmax, float(np.max(G_value(spec, roots))))
     xi0 = find_positive_level(spec)
     if gmax > 0 and xi0 is not None:
         g4 = HOLDS

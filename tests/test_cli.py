@@ -308,13 +308,59 @@ def _doc_table(section):
     return {cells[0].strip().strip("`"): cells[2].strip() for cells in rows}
 
 
-@pytest.mark.parametrize("section", ["grid", "solver"])
+# the family that reads each key documented with default "—": the key's schema
+# default 0.0 is a placeholder that this family's check rejects
+NOT_SET_READERS = {("nonlinearity", "p"): "log_power",
+                   ("nonlinearity", "omega"): "power_sublinear",
+                   ("orlicz", "p"): "log_matched_power_tail",
+                   ("orlicz", "q"): "pure_q"}
+
+
+def _schema_defaults(section, family):
+    """A RunConfig of schema defaults with [section] family set."""
+    values = {sec: {key: default for key, (_, default) in keys.items()}
+              for sec, keys in cli._SCHEMA.items()}
+    values["nonlinearity"]["family"] = "log"
+    values["grid"]["dim"] = 3
+    values["solver"]["rho"] = 1.0
+    values[section]["family"] = family
+    return cli.RunConfig(values=values, digest="")
+
+
+@pytest.mark.parametrize("section", list(cli._SCHEMA))
 def test_config_doc_lists_the_schema(section):
     schema = cli._SCHEMA[section]
     documented = _doc_table(section)
     assert list(documented) == list(schema)
     for key, (parse, default) in schema.items():
+        cell = documented[key]
         if default is MISSING:
-            assert documented[key] == "*required*", key
+            assert cell == "*required*", key
+        elif cell != "—":
+            assert parse(cell.strip("`")) == default, key
+        elif (section, key) == ("orlicz", "family"):
+            assert default == "", key  # no [orlicz] block
         else:
-            assert parse(documented[key]) == default, key
+            assert default == 0.0, key
+            build = cli.build_spec if section == "nonlinearity" else cli.build_nfunction
+            with pytest.raises(cli.ConfigError):
+                build(_schema_defaults(section, NOT_SET_READERS[section, key]))
+
+
+@pytest.mark.parametrize("section,line", [("solver", "tol_mass = 1e-9"),
+                                          ("solver", "seed = 3"),
+                                          ("output", "formats = json")])
+def test_removed_config_keys_exit_one(tmp_path, capsys, section, line):
+    text = QUICK.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    rc = cli.main(["solve", "--config", write_config(tmp_path, text)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown key {line.split()[0]!r} in section [{section}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_has_no_format_option(tmp_path, capsys):
+    rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK), "--format", "json"])
+    assert rc == cli.EXIT_USAGE
+    assert "subnls: error: unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,9 +3,10 @@ subnls.minimizer binds its LAPACK routines from scipy's compiled
 scipy/linalg/_flapack file alone, so that extension is the only scipy module
 loaded, and a LAPACK that cannot be loaded fails the import rather than a
 run.  Solves with the Newton finish, a sweep (in this process, so even a
-huge --jobs starts no worker), `gn`, a Luxemburg norm and the Dirichlet
-eigenvalues load no further part of scipy: not scipy.linalg, not
-scipy.optimize, and not numpy.f2py.  When the file does not load, the same
+huge --jobs starts no worker), `gn`, `check` (assumption verdicts and
+N-function growth), a Luxemburg norm and the Dirichlet eigenvalues load no
+further part of scipy: not scipy.linalg, not scipy.optimize, and not
+numpy.f2py.  When the file does not load, the same
 routines come from scipy.linalg.lapack, with bit-identical answers."""
 
 import json
@@ -40,6 +41,7 @@ with open(sys.argv[1] + "/result.json") as fh:
 sweep_code = cli.main(["sweep-rho", "--config", "configs/quick.ini", "18", "36", "3",
                        "--jobs", "1000000", "--out", sys.argv[1] + "/sweep"])
 gn_code = cli.main(["gn", "3", "3.3"])
+check_code = cli.main(["check", "--config", "configs/quick.ini", "--out", sys.argv[1] + "/check"])
 import numpy as np
 from subnls import grid, orlicz
 g = grid.RadialGrid(3, 8.0, 120)
@@ -54,7 +56,7 @@ loaded = [m for m in forbidden if m in sys.modules]
 import scipy.linalg.lapack
 print(json.dumps({"bound_at_import": bound_at_import, "scipy_at_import": scipy_at_import,
                   "code": code, "sweep_code": sweep_code, "gn_code": gn_code,
-                  "newton_everywhere": all(k > 0 for k in newton),
+                  "check_code": check_code, "newton_everywhere": all(k > 0 for k in newton),
                   "loaded": loaded,
                   "one_binary": all(getattr(mz, name) is getattr(scipy.linalg.lapack, name)
                                     for name in ("dgtsv", "dpttrf", "dpttrs"))}))
@@ -106,7 +108,7 @@ def test_solve_path_imports_no_scipy_optimize(tmp_path):
     report = json.loads(_run(SCRIPT, str(tmp_path / "out")))
     assert report == {"bound_at_import": True,
                       "scipy_at_import": ["scipy.linalg._flapack"],
-                      "code": 0, "sweep_code": 0, "gn_code": 0,
+                      "code": 0, "sweep_code": 0, "gn_code": 0, "check_code": 0,
                       "newton_everywhere": True, "loaded": [], "one_binary": True}
 
 

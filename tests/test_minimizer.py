@@ -448,7 +448,11 @@ def test_multistart_keeps_starts_after_a_step_failure(log_spec3, monkeypatch):
 
     monkeypatch.setattr(mz, "continuation", second_fails)
     cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=100)
-    assert mz.multistart(cfg, starts=4) == [1, 3, 4]
+    assert mz.multistart(replace(cfg, multistarts=4)) == [1, 3, 4]
+    # start 0 runs unjittered, start j >= 1 draws from default_rng(j)
+    assert starts[0] is None
+    for j in (1, 2, 3):
+        assert starts[j].random(4).tolist() == np.random.default_rng(j).random(4).tolist()
 
 
 def kkt_residual(res, spec, eps):
@@ -543,6 +547,31 @@ def test_step_failure_keeps_completed_stages(log_spec3, monkeypatch):
     (point,) = mz.energy_map(cfg, [20.0])
     assert point.c_value == done[0].energy and not point.converged
     assert point.eps == done[0].eps
+
+
+def test_step_failure_is_a_continuation_aborted(log_spec3, monkeypatch):
+    assert issubclass(mz.StepFailure, mz.ContinuationAborted)
+    assert mz.StepFailure("no decrease").stages == []
+    real = mz.solve_ground_state
+    done = []
+
+    def fails_at_rho_20_stage_2(config, eps, **kwargs):
+        if config.rho == 20.0 and eps == 1e-2:
+            raise mz.StepFailure("no decrease")
+        result = real(config, eps, **kwargs)
+        if config.rho == 20.0:
+            done.append(result)
+        return result
+
+    monkeypatch.setattr(mz, "solve_ground_state", fails_at_rho_20_stage_2)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
+                         eps_schedule=(1e-1, 1e-2))
+    # energy_map catches ContinuationAborted alone: the StepFailure point
+    # keeps its last completed stage, and the sweep goes on unseeded
+    failed, after = mz.energy_map(cfg, [20.0, 22.0])
+    assert (failed.c_value, failed.eps, failed.converged) == (done[0].energy, 1e-1, False)
+    alone = mz.continuation(replace(cfg, rho=22.0))
+    assert after.converged and after.c_value == alone.limit.energy
 
 
 def test_newton_cuts_continuation_iterations(log_spec3):

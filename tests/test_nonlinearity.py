@@ -198,6 +198,24 @@ def test_check_assumptions_threshold_straddle():
             assert rep.g4 == expect, (alpha, p, dmu, rep.g4)
 
 
+@pytest.mark.parametrize("spec", [
+    nl.logarithmic(1.0, dim=3),
+    nl.log_power(1.0, 0.999 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),  # two roots, near mu*
+    nl.log_power(1.0, -0.05, 3.0, dim=3),                              # two roots
+    nl.log_power(1.0, 0.7, 3.0, dim=3),                                # one root
+    nl.custom(lambda s: s * math.log(s * s) - 0.05 * s**3 if s else 0.0, dim=3),
+], ids=["log", "near_threshold", "two_roots", "one_root", "custom_two_roots"])
+def test_g4_max_over_samples_and_roots(spec):
+    # G' = g, so G peaks between the (g4) samples only at a root of g.  Each
+    # set is evaluated in one call: a custom G sums quadratures between the
+    # sorted points of its call, so its rounding depends on them
+    at_samples = np.max(nl.G_value(spec, np.logspace(-6, 6, 3000)))
+    at_roots = np.max(nl.G_value(spec, nl._sign_structure(spec).roots))
+    report = nl.check_assumptions(spec)
+    assert report.details["g4_max"] == float(max(at_samples, at_roots))
+    assert report.g4 == nl.HOLDS
+
+
 def test_eta_coefficient():
     dim = 3
     pc = 2 + 4 / dim
