@@ -16,7 +16,10 @@ contributes the exception's type, message and completed stages; and every
 energy_map point.  Two trees that print the same digest give bit-identical
 answers on all of these.  --verbose also prints one line per record, and
 --expect DIGEST makes the exit status 1 when the digest differs from DIGEST
-(0 when it matches).
+(0 when it matches).  stdout is the digest line alone; stderr gets the
+solver's work summed over every stage of every start (iterations, Newton
+steps, preconditioner solves, energy evaluations), which the digest leaves
+out, so that a change in work shows next to an unchanged digest.
 """
 
 import argparse
@@ -33,6 +36,8 @@ from subnls import nonlinearity as nl
 
 # work counters, not answers: a change may count the same work differently
 COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
+# the work summed to stderr
+WORK = ("iterations", "newton_steps", "precond_solves", "energy_evals")
 SCHEDULE = (1e-1, 1e-2, 1e-3)
 STARTS = 3
 
@@ -60,8 +65,15 @@ def record(res) -> dict:
     return out
 
 
-def runs(config):
-    """(label, payload) for every start and every energy_map point."""
+def add_work(work, stages):
+    for s in stages:
+        for k in WORK:
+            work[k] += getattr(s, k)
+
+
+def runs(config, work):
+    """(label, payload) for every start and every energy_map point; adds the
+    WORK counters of every start's stages to work."""
     grid = config.make_grid()
     for j in range(STARTS):
         # the seeds multistart draws: none for start 0, then j
@@ -69,9 +81,11 @@ def runs(config):
         try:
             res = mz.continuation(config, grid=grid, rng=rng)
         except mz.ContinuationAborted as exc:
+            add_work(work, exc.stages)
             yield f"start {j}", {"raised": type(exc).__name__, "message": str(exc),
                                  "stages": [record(s) for s in exc.stages]}
             continue
+        add_work(work, res.stages)
         yield f"start {j}", {"stages": [record(s) for s in res.stages],
                              "limit": record(res.limit), "eps_monotone": res.eps_monotone,
                              "total_iterations": res.total_iterations}
@@ -87,15 +101,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.disable(logging.WARNING)
     digest = hashlib.sha256()
+    work = dict.fromkeys(WORK, 0)
     for name, spec, rho, r_max, n, rearrange, max_iter in CONFIGS:
         config = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n, eps_schedule=SCHEDULE,
                                 rearrange_every=rearrange, max_iter=max_iter)
-        for label, payload in runs(config):
+        for label, payload in runs(config, work):
             line = json.dumps([name, label, payload], sort_keys=True)
             digest.update(line.encode())
             if args.verbose:
                 print(line)
     print(digest.hexdigest())
+    print(" ".join(f"{k}={v}" for k, v in work.items()), file=sys.stderr)
     if args.expect is not None and digest.hexdigest() != args.expect:
         print(f"digest differs from the expected {args.expect}", file=sys.stderr)
         return 1

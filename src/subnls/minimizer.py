@@ -11,13 +11,15 @@ gradient (the backward-Euler step of the normalized gradient flow), a
 Barzilai-Borwein step proposal and Armijo backtracking along the projection
 arc, both measured in the metric of P.  Against the plain L2 gradient, whose
 condition number grows like h^-2, this keeps the iteration count of a stage
-flat as the grid is refined.  Once the iterate is on the sphere with a
-positive multiplier and a small KKT residual, Newton steps on the KKT system
+flat as the grid is refined.  From the first iterate on the sphere with a
+positive multiplier, each iteration tries a Newton step on the KKT system
 F(u, lambda) = 0 (the symmetric tridiagonal Hessian K + lambda W -
-W diag(g_eps'(u)) bordered by W u, one LAPACK gtsv solve per step) finish
-the stage in a few iterations instead of the descent's linear tail; a step
-that does not halve the residual, or raises the energy, is rejected and the
-descent carries on.  A stage ends on its KKT test.
+W diag(g_eps'(u)) bordered by W u, one LAPACK gtsv solve per step), which
+finishes the stage in a few iterations instead of the descent's linear
+tail; a step that does not halve the residual, or raises the energy, is
+rejected and the descent carries on until the residual has fallen another
+decade.  The preconditioner is factored only when a stage first descends.
+A stage ends on its KKT test.
 
 Minimizing over the disc rather than the sphere is deliberate: the disc is
 weakly closed, a minimizer with positive multiplier is automatically pushed
@@ -61,9 +63,6 @@ STEP_MAX = 1e4
 STEP_INIT = 1e-3
 BACKTRACK = 0.5
 ARMIJO = 1e-4
-# relative KKT residual below which a stage on the sphere switches from the
-# descent to Newton steps on the KKT system
-NEWTON_SWITCH = 1e-3
 # relative tolerance on the mass for a field to count as on the sphere
 TOL_MASS = 1e-9
 
@@ -174,19 +173,14 @@ class ContinuationResult:
 
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
-    return _energy(u.grid, u.values, nl.G_eps(spec, u.values, eps))
-
-
-def _energy(grid, vals, dens):
-    # accumulated in extended precision: over a stage's last steps the Armijo
-    # test compares energies closer than the rounding of a double sum
-    return 0.5 * kinetic_values(grid, vals) - float(np.sum(grid.w * dens, dtype=np.longdouble))
+    return _bind_stage(u.grid, spec, eps).energy(u.values)[0]
 
 
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
     """L2-gradient field -Lap u - g_eps(u); consistent with energy_eps at
     machine level thanks to exact summation by parts."""
-    return RadialField(u.grid, _grad_parts(u.grid, u.values, nl.bind_eps(spec, eps).g)[0])
+    g_eps_of = _bind_stage(u.grid, spec, eps).g
+    return RadialField(u.grid, _grad_parts(u.grid, u.values, g_eps_of)[0])
 
 
 def _grad_parts(grid, vals, g_eps_of):
@@ -204,17 +198,34 @@ class _Stage(NamedTuple):
 def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
     """Everything one eps-stage evaluates on bare nodal arrays, bound once
     (nl.bind_eps): the solver's trial energies, gradients and Newton
-    Jacobians, and the records of the stage and of the eps = 0 limit.  A
-    trial field that is not finite raises ValueError, as RadialField does."""
+    Jacobians, the seeds' energies, the records of the stage and of the
+    eps = 0 limit, and the public energy_eps and grad_energy_eps.  A trial
+    field that is not finite raises ValueError, as RadialField does.
+
+    The stage keeps the nl.Point of the last array it evaluated, so that a
+    trial's G_eps, the accepted point's g_eps and the next Newton Jacobian's
+    g_eps' share one |s|, s^2 and ln s^2 (one log per Newton iteration
+    instead of four).  The point is matched by identity: no caller writes
+    into an array it has passed to a stage."""
     kern = nl.bind_eps(spec, eps)
+    last = None
+
+    def at(vals):
+        nonlocal last
+        if last is None or last.s is not vals:
+            last = nl.Point(vals)
+        return last
 
     def energy(vals):
         if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
-        dens = kern.G(vals)
-        return _energy(grid, vals, dens), dens
+        dens = kern.G(at(vals))
+        # accumulated in extended precision: over a stage's last steps the
+        # Armijo test compares energies closer than the rounding of a double sum
+        return (0.5 * kinetic_values(grid, vals)
+                - float(np.sum(grid.w * dens, dtype=np.longdouble))), dens
 
-    return _Stage(energy, kern.g, kern.dg)
+    return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)))
 
 
 def _to_sphere(w, vals, rho):
@@ -290,6 +301,7 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
+    energy = _bind_stage(grid, spec, eps).energy
     widths = [0.7, 1.0, 1.5]
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
@@ -303,8 +315,7 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     else:
         for lv in (level * 1.5, max(level * 1.5, amp)):
             candidates.append(dilated_witness(spec, grid, rho, lv))
-    best = min(candidates, key=lambda u: energy_eps(u, spec, eps))
-    return best
+    return min(candidates, key=lambda u: energy(u.values)[0])
 
 
 def _kinetic_bands(grid: RadialGrid):
@@ -321,7 +332,8 @@ def _sobolev_preconditioner(grid: RadialGrid, bands):
 
     P x solves (sigma W + K) d = W x, where W = diag(w) and K is the matrix
     of kinetic(); the system is symmetric positive-definite tridiagonal and
-    is factored once, here.
+    is factored once, here (solve_ground_state calls this on a stage's
+    first descent step).
     """
     k_diag, k_off = bands
     d_fac, e_fac, info = dpttrf(SOBOLEV_SHIFT * grid.w + k_diag, k_off)
@@ -379,13 +391,15 @@ def solve_ground_state(config: SolveConfig, eps: float,
     the KKT points.  Step lengths (the Armijo decrease and the BB proposal)
     are measured in the metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
 
-    Newton finish: once the iterate is on the sphere with lambda_hat > 0 and
-    its relative KKT residual is at most NEWTON_SWITCH, each iteration tries
-    one Newton step (_newton_kkt_step).  The step is accepted when it at
-    least halves the residual without raising E_eps beyond rounding;
-    otherwise the iterate stays, and the descent resumes until the residual
-    has fallen by another decade.  A Newton step is one iteration with one
-    energy and one gradient evaluation, so max_iter bounds the work.
+    Newton finish: while the iterate is on the sphere with lambda_hat > 0,
+    from a stage's first iterate on, each iteration tries one Newton step
+    (_newton_kkt_step).  The step is accepted when it at least halves the
+    residual without raising E_eps beyond rounding; otherwise the iterate
+    stays, and the descent runs until the residual has fallen by another
+    decade before the next try.  A Newton step is one iteration with one
+    energy and one gradient evaluation, so max_iter bounds the work.  The
+    preconditioner is factored on the stage's first descent step, so a
+    stage of Newton steps alone never factors it.
 
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
@@ -399,8 +413,10 @@ def solve_ground_state(config: SolveConfig, eps: float,
 
     The stage's kernels are bound once (_bind_stage), and every trial,
     gradient and Newton Jacobian is evaluated on bare nodal arrays through
-    them.  The stage record reuses the last iterate's energy, density and
-    g_eps (see _result), and counts the evaluations made.
+    them, one pass per point: a trial's energy, the gradient there once it
+    is accepted and the next Newton Jacobian share one log.  The stage
+    record reuses the last iterate's energy, density and g_eps (see
+    _result), and counts the evaluations made.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
@@ -410,7 +426,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     w = grid.w
     bands = _kinetic_bands(grid)
     stage = _bind_stage(grid, spec, eps)
-    solve_precond = _sobolev_preconditioner(grid, bands)
+    solve_precond = None  # factored on the stage's first descent step
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
 
     def wdot(a, b):
@@ -425,6 +441,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
         return _grad_parts(grid, vals, stage.g)
 
     def precond(x):
+        nonlocal solve_precond
+        if solve_precond is None:
+            solve_precond = _sobolev_preconditioner(grid, bands)
         counts["precond_solves"] += 1
         return solve_precond(x)
 
@@ -442,7 +461,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     g, lap, rhs = grad_of(u)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
     tau = STEP_INIT
-    newton_gate = NEWTON_SWITCH
+    newton_gate = math.inf
     newton_steps = 0
     it = 0
     status = "max_iter"
@@ -576,7 +595,8 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     for j, eps in enumerate(config.eps_schedule):
         if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
             seed = _on_sphere(grid, warm[j].u.values, config.rho)
-            if energy_eps(seed, config.spec, eps) < energy_eps(u0, config.spec, eps):
+            energy = _bind_stage(grid, config.spec, eps).energy
+            if energy(seed.values)[0] < energy(u0.values)[0]:
                 u0 = seed
         try:
             result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng)

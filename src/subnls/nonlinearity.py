@@ -14,7 +14,8 @@ sign-change points of g, located once per spec and cached.  The built-in
 families have them in closed form, so no quadrature appears in their hot
 path; the custom family (odd g only) builds them by quadrature.  bind_eps
 binds one (spec, eps) once and returns G_eps, g_eps and g_eps' as functions
-of a float array; the public functions of the same names wrap it.
+of a Point, which computes |s|, s^2 and ln s^2 once for every kernel
+evaluated there; the public functions of the same names wrap it.
 """
 
 from __future__ import annotations
@@ -94,36 +95,58 @@ def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> Nonlineari
     return NonlinearitySpec("custom", dim, g_func=g, G_func=G)
 
 
+class Point:
+    """A float array s at which kernels are evaluated, with what the family
+    kernels derive from it: |s|, s^2 = |s| |s| and, on first use,
+    ln max(s^2, _TINY^2).  Every kernel evaluated at the same Point shares
+    them, with the arithmetic of evaluating that kernel alone, so sharing
+    changes no bit.  The array must not be written to while the Point is in
+    use."""
+
+    __slots__ = ("s", "mag", "s2", "_ln_s2")
+
+    def __init__(self, s):
+        self.s = s
+        self.mag = np.abs(s)
+        self.s2 = self.mag * self.mag
+        self._ln_s2 = None
+
+    @property
+    def ln_s2(self):
+        if self._ln_s2 is None:
+            self._ln_s2 = np.log(np.maximum(self.s2, _TINY**2))
+        return self._ln_s2
+
+
 # ---------------------------------------------------------------------------
-# half-line kernels (arguments are |s| arrays); every g is odd, so the
-# negative axis follows by symmetry.  Each family supplies g, its
-# derivative dg, the pair (G, P) with P(s) = int_0^s t g(t) dt, the positive
-# roots of g, its parameter check and its growth coefficient eta; each
-# built-in call takes one log (or power) per node.
+# half-line kernels (arguments are Points, read through |s|); every g is
+# odd, so the negative axis follows by symmetry.  Each family supplies g,
+# its derivative dg, the pair (G, P) with P(s) = int_0^s t g(t) dt, the
+# positive roots of g, its parameter check and its growth coefficient eta;
+# the built-ins take one log (or power) per node and kernel, and the log
+# families share theirs across the kernels evaluated at one Point.
 
 
-def _log_g(spec, s):
-    s2 = s * s
-    g = spec.alpha * np.log(np.maximum(s2, _TINY**2)) * s
+def _log_g(spec, x):
+    g = spec.alpha * x.ln_s2 * x.mag
     if spec.mu != 0.0:
-        g += spec.mu * s2 ** (0.5 * spec.p_exp - 1.0) * s
+        g += spec.mu * x.s2 ** (0.5 * spec.p_exp - 1.0) * x.mag
     return g
 
 
-def _log_dg(spec, s):
-    s2 = s * s
-    dg = spec.alpha * (np.log(np.maximum(s2, _TINY**2)) + 2.0)
+def _log_dg(spec, x):
+    dg = spec.alpha * (x.ln_s2 + 2.0)
     if spec.mu != 0.0:
-        dg += spec.mu * (spec.p_exp - 1.0) * s2 ** (0.5 * spec.p_exp - 1.0)
+        dg += spec.mu * (spec.p_exp - 1.0) * x.s2 ** (0.5 * spec.p_exp - 1.0)
     return dg
 
 
-def _log_prims(spec, s):
-    # in place: this is the inner loop of every energy evaluation
-    s2 = s * s
+def _log_prims(spec, x):
+    # in place after the first operation, which copies the shared ln s^2:
+    # this is the inner loop of every energy evaluation
+    s, s2 = x.mag, x.s2
     a = spec.alpha
-    G = np.log(np.maximum(s2, _TINY**2))
-    G -= 1.0
+    G = x.ln_s2 - 1.0
     G *= s2
     G *= 0.5 * a  # a s^2 (ln s^2 - 1) / 2
     P = G * (2.0 / 3.0)
@@ -211,15 +234,20 @@ def _check_sublinear(spec):
         raise ValueError("power_sublinear needs 0 < omega < 1")
 
 
-def _sublinear_dg(spec, s):
+def _saturation_prims(spec, x):
+    s, s2 = x.mag, x.s2
+    return 0.5 * (s2 - np.log1p(s2)), s**3 / 3.0 - s + np.arctan(s)
+
+
+def _sublinear_dg(spec, x):
     # floored like the log: the derivative is unbounded at 0, where the ramp
     # multiplies it by |s|/eps = 0
     w = spec.omega
-    return -w * np.maximum(s, _TINY) ** (w - 1.0)
+    return -w * np.maximum(x.mag, _TINY) ** (w - 1.0)
 
 
-def _sublinear_prims(spec, s):
-    w = spec.omega
+def _sublinear_prims(spec, x):
+    w, s = spec.omega, x.mag
     sw1 = -(s ** (w + 1.0))
     return sw1 / (w + 1.0), sw1 * s / (w + 2.0)
 
@@ -272,9 +300,9 @@ def _sampled_eta(spec):
 
 
 class _Family(NamedTuple):
-    g: Callable      # (spec, |s|) -> g
-    dg: Callable     # (spec, |s|) -> g'
-    prims: Callable  # (spec, |s|) -> (G, P)
+    g: Callable      # (spec, Point) -> g at |s|
+    dg: Callable     # (spec, Point) -> g' at |s|
+    prims: Callable  # (spec, Point) -> (G, P) at |s|
     roots: Callable  # spec -> positive roots of g, ascending
     check: Callable  # spec -> None; raises ValueError on bad parameters
     eta: Callable    # spec -> EtaEstimate
@@ -284,16 +312,16 @@ _FAMILIES = {
     "log": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log, _power_eta),
     "log_power": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log_power,
                          _power_eta),
-    "saturation": _Family(lambda spec, s: s**3 / (1.0 + s * s),
-                          lambda spec, s: s * s * (3.0 + s * s) / (1.0 + s * s) ** 2,
-                          lambda spec, s: (0.5 * (s * s - np.log1p(s * s)),
-                                           s**3 / 3.0 - s + np.arctan(s)),
-                          lambda spec: (), lambda spec: None, _power_eta),
-    "power_sublinear": _Family(lambda spec, s: -(s**spec.omega), _sublinear_dg,
+    "saturation": _Family(lambda spec, x: x.mag**3 / (1.0 + x.s2),
+                          lambda spec, x: x.s2 * (3.0 + x.s2) / (1.0 + x.s2) ** 2,
+                          _saturation_prims, lambda spec: (), lambda spec: None, _power_eta),
+    "power_sublinear": _Family(lambda spec, x: -(x.mag**spec.omega), _sublinear_dg,
                                _sublinear_prims, lambda spec: (), _check_sublinear,
                                _power_eta),
-    "custom": _Family(_custom_g, _custom_dg, _custom_prims, _custom_roots, _check_custom,
-                      _sampled_eta),
+    "custom": _Family(lambda spec, x: _custom_g(spec, x.mag),
+                      lambda spec, x: _custom_dg(spec, x.mag),
+                      lambda spec, x: _custom_prims(spec, x.mag), _custom_roots,
+                      _check_custom, _sampled_eta),
 }
 
 
@@ -331,8 +359,8 @@ def _sign_structure(spec: NonlinearitySpec) -> _SignStructure:
     left = np.concatenate([[0.0], roots])
     right = np.append(roots, max(2.0 * left[-1], 1.0) * 10.0)
     mid = np.where(left > 0, np.sqrt(left * right), right / 2.0)
-    neg = fam.g(spec, mid) <= 0.0
-    G_left, P_left = fam.prims(spec, left)
+    neg = fam.g(spec, Point(mid)) <= 0.0
+    G_left, P_left = fam.prims(spec, Point(left))
     gp = np.concatenate([[0.0], np.cumsum(np.where(neg[:-1], 0.0, np.diff(G_left)))])
     im = np.concatenate([[0.0], np.cumsum(np.where(neg[:-1], -np.diff(P_left), 0.0))])
     return _SignStructure(roots, neg, gp, im, G_left, P_left)
@@ -349,7 +377,7 @@ def _cutoff_table(spec: NonlinearitySpec, eps: float):
     st = _sign_structure(spec)
     c = st.gp_prefix - st.im_prefix / eps - np.where(st.neg, st.P_left / eps, st.G_left)
     j = int(np.searchsorted(st.roots, eps, side="right"))
-    G_e, P_e = _FAMILIES[spec.family].prims(spec, np.asarray([eps]))
+    G_e, P_e = _FAMILIES[spec.family].prims(spec, Point(np.asarray([eps])))
     K = c[j] + (P_e[0] / eps - G_e[0] if st.neg[j] else 0.0)
     return c, float(K), bool(st.roots.size and st.roots[0] < eps)
 
@@ -382,10 +410,11 @@ def g_plus_value(spec: NonlinearitySpec, s):
 
 def G_plus_value(spec: NonlinearitySpec, s):
     arr, scalar = _as_array(s)
-    mag = np.abs(np.atleast_1d(arr))
+    x = Point(np.atleast_1d(arr))
+    mag = x.mag
     st = _sign_structure(spec)
     j = np.searchsorted(st.roots, mag, side="right")
-    G = _FAMILIES[spec.family].prims(spec, mag)[0]
+    G = _FAMILIES[spec.family].prims(spec, x)[0]
     out = np.where(st.neg[j], st.gp_prefix[j], st.gp_prefix[j] - st.G_left[j] + G)
     return _shaped(out, arr, scalar)
 
@@ -433,20 +462,22 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
     # read off the sign interval of |s|, so that no large G+ cancels: where
     # g < 0, G_minus = gp_j - G and int_0^m t g_minus = im_j - (P - P_j);
     # where g > 0 both are constant.  Beyond eps, G_minus^eps = G_minus - K.
-    mag = np.abs(np.atleast_1d(arr))
+    x = Point(np.atleast_1d(arr))
+    mag = x.mag
     st = _sign_structure(spec)
     _, K, _ = _cutoff_table(spec, eps)
     j = np.searchsorted(st.roots, mag, side="right")
     neg = st.neg[j]
-    G, P = _FAMILIES[spec.family].prims(spec, mag)
+    G, P = _FAMILIES[spec.family].prims(spec, x)
     Gm = st.gp_prefix[j] - np.where(neg, G, st.G_left[j])
     ramp = (st.im_prefix[j] - np.where(neg, P - st.P_left[j], 0.0)) / eps
     return _shaped(np.where(mag < eps, ramp, Gm - K), arr, scalar)
 
 
 class EpsKernels(NamedTuple):
-    """G_eps, g_eps and g_eps' of one (spec, eps) as functions of a float
-    array of any shape (eps = 0 gives G, g and g')."""
+    """G_eps, g_eps and g_eps' of one (spec, eps) as functions of a Point
+    over a float array of any shape (eps = 0 gives G, g and g').  Kernels
+    evaluated at the same Point share its |s|, s^2 and ln s^2."""
     G: Callable
     g: Callable
     dg: Callable
@@ -457,22 +488,22 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
     """The regularized kernels of one (spec, eps), bound once: the family's
     half-line kernels and, for eps > 0, its sign structure and cutoff table
     (G_eps is one fused pass over |s|, see _cutoff_table).  A solver stage
-    calls them on bare arrays; G_eps, g_eps and g_eps_prime wrap them for
-    scalars and arrays of any shape."""
+    calls them on a Point over its bare nodal array; G_eps, g_eps and
+    g_eps_prime wrap them for scalars and arrays of any shape."""
     fam = _FAMILIES[spec.family]
     if eps == 0.0:
-        return EpsKernels(G=lambda s: fam.prims(spec, np.abs(s))[0],
-                          g=lambda s: np.sign(s) * fam.g(spec, np.abs(s)),
-                          dg=lambda s: fam.dg(spec, np.abs(s)))
+        return EpsKernels(G=lambda x: fam.prims(spec, x)[0],
+                          g=lambda x: np.sign(x.s) * fam.g(spec, x),
+                          dg=lambda x: fam.dg(spec, x))
     _check_eps(eps)
     eps = float(eps)
     st = _sign_structure(spec)
     c, K, split = _cutoff_table(spec, eps)
     neg0 = bool(st.neg[0])
 
-    def G(s):
-        mag = np.abs(s)
-        Gm, P = fam.prims(spec, mag)
+    def G(x):
+        mag = x.mag
+        Gm, P = fam.prims(spec, x)
         if split:
             # a root of g lies below eps, so the ramp spans several sign intervals
             j = np.searchsorted(st.roots, mag, side="right")
@@ -481,16 +512,16 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
             low = P / eps if neg0 else Gm  # c_0 = 0
         return np.where(mag < eps, low, Gm + K)
 
-    def g(s):
-        mag = np.abs(s)
-        gs = np.sign(s) * fam.g(spec, mag)
+    def g(x):
+        s, mag = x.s, x.mag
+        gs = np.sign(s) * fam.g(spec, x)
         return np.where(s * gs > 0.0, gs, np.minimum(mag / eps, 1.0) * gs)
 
-    def dg(s):
-        mag = np.abs(s)
-        out = fam.dg(spec, mag)
+    def dg(x):
+        mag = x.mag
+        out = fam.dg(spec, x)
         # the same branch as g: the ramp acts wherever s g(s) <= 0
-        gm = fam.g(spec, mag)
+        gm = fam.g(spec, x)
         return np.where((gm <= 0.0) & (mag < eps), (gm + mag * out) / eps, out)
 
     return EpsKernels(G, g, dg)
@@ -498,7 +529,7 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
 
 def _apply(kernel, s):
     arr, scalar = _as_array(s)
-    return _shaped(kernel(np.atleast_1d(arr)), arr, scalar)
+    return _shaped(kernel(Point(np.atleast_1d(arr))), arr, scalar)
 
 
 def g_eps(spec: NonlinearitySpec, s, eps: float):

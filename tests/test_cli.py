@@ -279,10 +279,11 @@ directory = {out}
 
 
 def test_solve_aborted_continuation_exits_two(tmp_path, capsys, monkeypatch):
-    # with the descent alone (no Newton finish, under which these stages take
-    # 8/7/7 iterations) stage 1e-2 stops on max_iter: the completed eps = 0.1
-    # stage is not a limit, so the only start yields no result
-    monkeypatch.setattr(mz, "NEWTON_SWITCH", 0.0)
+    # with every Newton step rejected, the descent alone (under the Newton
+    # finish these stages take 5/5/5 iterations) stops stage 1e-2 on
+    # max_iter: the completed eps = 0.1 stage is not a limit, so the only
+    # start yields no result
+    monkeypatch.setattr(mz, "_newton_kkt_step", lambda *args: None)
     rc = cli.main(["solve", "--config", write_config(tmp_path, ABORTED)])
     assert rc == cli.EXIT_NOCONV
     assert "no stage produced a result" in capsys.readouterr().err

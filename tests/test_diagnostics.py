@@ -108,7 +108,7 @@ def test_mass_condition_power_law(gn24):
     spec = nl.log_power(1.0, 1.0, 4.0, dim=2)
     v1, _ = dg.mass_condition(spec, 1.0, gn_est=gn24)
     v2, _ = dg.mass_condition(spec, 2.0, gn_est=gn24)
-    assert v2 == pytest.approx(2.0 ** (4.0 / 2.0) * v1, rel=1e-12)
+    assert v2 == pytest.approx(2.0 ** (4.0 / 2.0) * v1, rel=1e-12, abs=0.0)
 
 
 def test_mass_condition_infinite_eta():

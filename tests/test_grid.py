@@ -25,7 +25,7 @@ def test_mass_gaussian(grid3, gauss3):
 
 def test_mass_doubling(gauss3):
     doubled = gr.RadialField(gauss3.grid, 2.0 * gauss3.values)
-    assert gr.mass(doubled) == pytest.approx(4.0 * gr.mass(gauss3), rel=1e-14)
+    assert gr.mass(doubled) == pytest.approx(4.0 * gr.mass(gauss3), rel=1e-14, abs=0.0)
 
 
 def test_kinetic_gaussian(gauss3):
@@ -128,7 +128,8 @@ def test_lowest_dirichlet_eigenvalue_rejects_bad_k():
 
 
 def test_integrate_matches_mass_and_zero(grid3, gauss3):
-    assert gr.integrate(gauss3, lambda s: s**2) == pytest.approx(gr.mass(gauss3), rel=1e-14)
+    assert gr.integrate(gauss3, lambda s: s**2) == pytest.approx(gr.mass(gauss3), rel=1e-14,
+                                                                 abs=0.0)
     assert gr.integrate(gauss3, lambda s: 0.0 * s) == 0.0
 
 

@@ -181,7 +181,7 @@ def test_extract_lambda_linear_eigenproblem(small_grid):
     rng = np.random.default_rng(8)
     u = random_bump(g, rng)
     assert mz.extract_lambda(u, spec, 0.0) == pytest.approx(
-        2.0 - gr.kinetic(u) / gr.mass(u), rel=1e-12)
+        2.0 - gr.kinetic(u) / gr.mass(u), rel=1e-12, abs=0.0)
 
 
 def test_extract_lambda_sign_flip(small_grid, log_spec3):
@@ -586,6 +586,31 @@ def test_newton_cuts_continuation_iterations(log_spec3):
         assert s.to_json_dict()["kkt_residual"] == s.kkt_residual
     assert res.total_iterations <= 80
     assert res.limit.newton_steps == sum(s.newton_steps for s in res.stages)
+
+
+def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
+    # from the plain start every stage is on the sphere with lambda_hat > 0
+    # at its first iterate, so it takes Newton steps from there and never
+    # descends: no preconditioner is factored or applied.  A collapse run
+    # stays inside the disc, descends, and factors it once per stage.
+    factored = []
+    real = mz._sobolev_preconditioner
+
+    def counted(grid, bands):
+        factored.append(grid.n)
+        return real(grid, bands)
+
+    monkeypatch.setattr(mz, "_sobolev_preconditioner", counted)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=400)
+    res = mz.continuation(cfg)
+    assert len(res.stages) == len(mz.DEFAULT_EPS_SCHEDULE)
+    for s in res.stages:
+        assert s.status == "converged" and s.on_sphere
+        assert s.precond_solves == 0 and s.iterations == s.newton_steps + 1
+    assert factored == []
+    collapsed = mz.solve_ground_state(replace(cfg, rho=8.0), 0.1)
+    assert collapsed.status == "collapsed" and collapsed.newton_steps == 0
+    assert collapsed.precond_solves > 0 and factored == [cfg.n]
 
 
 def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):

@@ -24,9 +24,9 @@ FAMILIES = [
 
 def test_split_log_at_e():
     sv = nl.eval_split(nl.logarithmic(1.0, dim=3), E)
-    assert sv.G == pytest.approx(E**2 / 2, rel=1e-14)
+    assert sv.G == pytest.approx(E**2 / 2, rel=1e-14, abs=0.0)
     assert sv.G_plus == pytest.approx(E**2 / 2 + 0.5, rel=1e-12)
-    assert sv.G_minus == pytest.approx(0.5, rel=1e-12)
+    assert sv.G_minus == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_split_gplus_log_quadrature_oracle():
@@ -69,7 +69,7 @@ def test_phi_eps_properties(s, eps):
 
 def test_gme_power_sublinear_closed_form():
     spec = nl.power_sublinear(0.5, dim=3)
-    assert nl.G_minus_eps(spec, 0.25, 0.25) == pytest.approx(0.05, rel=1e-12)
+    assert nl.G_minus_eps(spec, 0.25, 0.25) == pytest.approx(0.05, rel=1e-12, abs=0.0)
 
 
 def test_gme_zero_and_limit():
@@ -144,9 +144,9 @@ def test_gme_quadratic_bound_small_s():
 
 
 def test_mu_threshold_values():
-    assert nl.mu_threshold(1, 4) == pytest.approx(-2 * math.exp(-2), rel=1e-15)
-    assert nl.mu_threshold(2, 4) == pytest.approx(-4 * math.exp(-2), rel=1e-15)
-    assert nl.mu_threshold(1, 3) == pytest.approx(-3 * math.exp(-1.5), rel=1e-15)
+    assert nl.mu_threshold(1, 4) == pytest.approx(-2 * math.exp(-2), rel=1e-15, abs=0.0)
+    assert nl.mu_threshold(2, 4) == pytest.approx(-4 * math.exp(-2), rel=1e-15, abs=0.0)
+    assert nl.mu_threshold(1, 3) == pytest.approx(-3 * math.exp(-1.5), rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         nl.mu_threshold(1, 2.0)
     with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ def test_eta_coefficient():
     dim = 3
     pc = 2 + 4 / dim
     crit = nl.eta_coefficient(nl.log_power(1.0, 0.6, pc, dim=dim))
-    assert crit.value == pytest.approx(0.6 / pc, rel=1e-14) and not crit.sampled
+    assert crit.value == pytest.approx(0.6 / pc, rel=1e-14, abs=0.0) and not crit.sampled
     sub = nl.eta_coefficient(nl.log_power(1.0, 0.6, 3.0, dim=dim))
     assert sub.value == 0.0
     assert nl.eta_coefficient(nl.logarithmic(1.0, dim=dim)).value == 0.0

@@ -105,7 +105,7 @@ def test_convexity_of_s_a_s():
 
 def test_complementary_gap_examples():
     A = ox.pure_q(1.5)
-    assert ox.complementary_gap(A, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert ox.complementary_gap(A, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
     assert ox.complementary_gap(A, 0.0) == 0.0
     LM = ox.log_matched(1.0)
     s = math.exp(-4)
@@ -142,7 +142,7 @@ def test_luxemburg_homogeneity(c, seed):
     A = ox.log_matched(1.0)
     n1 = ox.luxemburg_norm(gr.RadialField(g, c * u.values), A)
     n0 = ox.luxemburg_norm(u, A)
-    assert n1 == pytest.approx(abs(c) * n0, rel=1e-8)
+    assert n1 == pytest.approx(abs(c) * n0, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

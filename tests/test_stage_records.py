@@ -1,7 +1,8 @@
 """Stage and limit records are built from the solver's own last evaluations
 (bound once per stage by nonlinearity.bind_eps).  They must equal, with no
 tolerance, what the public functions compute afresh on the returned field,
-and the bound kernels must equal the public G_eps, g_eps and g_eps_prime."""
+and the bound kernels, alone or sharing one point's |s|, s^2 and ln s^2,
+must equal the public G_eps, g_eps and g_eps_prime."""
 
 import numpy as np
 import pytest
@@ -65,17 +66,25 @@ def test_bound_kernels_equal_public_functions(dim, name, eps):
     t = np.concatenate([[0.0, 1e-300, 1e-9], np.logspace(-4, 2, 61), [eps, 0.04997, 1.0]])
     s = np.concatenate([t, -t])
     public = {"G": nl.G_eps, "g": nl.g_eps, "dg": nl.g_eps_prime}
+    # the one-pass paths, in the solver's order (a trial's G_eps, the
+    # accepted point's g_eps, the next Newton Jacobian's g_eps'): one Point
+    # shared by the three kernels, and a stage evaluating one array
+    shared = nl.Point(s)
+    stage = mz._bind_stage(gr.RadialGrid(dim, 10.0, s.size), spec, eps)
+    stage_out = {"G": stage.energy(s)[1], "g": stage.g(s), "dg": stage.dg(s)}
     for field, fn in public.items():
-        bound = getattr(kern, field)(s)
+        bound = getattr(kern, field)(nl.Point(s))
         assert np.array_equal(fn(spec, s, eps), bound)
+        assert np.array_equal(getattr(kern, field)(shared), bound)
+        assert np.array_equal(stage_out[field], bound)
         assert np.array_equal(fn(spec, s.reshape(2, -1), eps), bound.reshape(2, -1))
         assert np.array_equal(fn(spec, list(s), eps), bound)
         for x, b in zip(s[::7], bound[::7]):
             out = fn(spec, float(x), eps)
             assert type(out) is float and out == b
     if eps == 0.0:
-        assert np.array_equal(nl.G_value(spec, s), kern.G(s))
-        assert np.array_equal(nl.g_value(spec, s), kern.g(s))
+        assert np.array_equal(nl.G_value(spec, s), kern.G(nl.Point(s)))
+        assert np.array_equal(nl.g_value(spec, s), kern.g(nl.Point(s)))
 
 
 def test_bind_eps_rejects_bad_eps(log_spec3):
