@@ -17,9 +17,10 @@ energy_map point.  Two trees that print the same digest give bit-identical
 answers on all of these.  --verbose also prints one line per record, and
 --expect DIGEST makes the exit status 1 when the digest differs from DIGEST
 (0 when it matches).  stdout is the digest line alone; stderr gets the
-solver's work summed over every stage of every start (iterations, Newton
-steps, preconditioner solves, energy evaluations), which the digest leaves
-out, so that a change in work shows next to an unchanged digest.
+solver's work (iterations, Newton steps, preconditioner solves, energy
+evaluations), which the digest leaves out, so that a change in work shows
+next to an unchanged digest: one line per configuration, summed over every
+stage of its starts, then the total over all configurations.
 """
 
 import argparse
@@ -71,6 +72,10 @@ def add_work(work, stages):
             work[k] += getattr(s, k)
 
 
+def format_work(work) -> str:
+    return " ".join(f"{k}={v}" for k, v in work.items())
+
+
 def runs(config, work):
     """(label, payload) for every start and every energy_map point; adds the
     WORK counters of every start's stages to work."""
@@ -101,17 +106,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.disable(logging.WARNING)
     digest = hashlib.sha256()
-    work = dict.fromkeys(WORK, 0)
+    total = dict.fromkeys(WORK, 0)
     for name, spec, rho, r_max, n, rearrange, max_iter in CONFIGS:
         config = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n, eps_schedule=SCHEDULE,
                                 rearrange_every=rearrange, max_iter=max_iter)
+        work = dict.fromkeys(WORK, 0)
         for label, payload in runs(config, work):
             line = json.dumps([name, label, payload], sort_keys=True)
             digest.update(line.encode())
             if args.verbose:
                 print(line)
+        print(f"{name}: {format_work(work)}", file=sys.stderr)
+        for k in WORK:
+            total[k] += work[k]
     print(digest.hexdigest())
-    print(" ".join(f"{k}={v}" for k, v in work.items()), file=sys.stderr)
+    print(f"total: {format_work(total)}", file=sys.stderr)
     if args.expect is not None and digest.hexdigest() != args.expect:
         print(f"digest differs from the expected {args.expect}", file=sys.stderr)
         return 1

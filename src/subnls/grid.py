@@ -50,6 +50,10 @@ class RadialGrid:
     # r^(N-1) h^2
     _area_h: float = field(init=False, repr=False)
     _lap_scale: np.ndarray = field(init=False, repr=False)
+    # (diagonal, off-diagonal) of the symmetric tridiagonal K with
+    # kinetic(u) = u^T K u, so K u = -W Lap u with W = diag(w): the matrix
+    # of the solver's preconditioner and Newton steps
+    _kinetic_bands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
@@ -73,6 +77,10 @@ class RadialGrid:
         object.__setattr__(self, "_rpow", rpow)
         object.__setattr__(self, "_area_h", area / h)
         object.__setattr__(self, "_lap_scale", rpow * h**2)
+        c = area / h
+        object.__setattr__(self, "_kinetic_bands", (
+            c * np.concatenate([face_coef[:1], face_coef[1:] + face_coef[:-1]]),
+            -c * face_coef[:-1]))
 
 
 @dataclass

@@ -16,19 +16,23 @@ positive multiplier, each iteration tries a Newton step on the KKT system
 F(u, lambda) = 0 (the symmetric tridiagonal Hessian K + lambda W -
 W diag(g_eps'(u)) bordered by W u, one LAPACK gtsv solve per step), which
 finishes the stage in a few iterations instead of the descent's linear
-tail; a step that does not halve the residual, or raises the energy, is
-rejected and the descent carries on until the residual has fallen another
-decade.  The preconditioner is factored only when a stage first descends.
-A stage ends on its KKT test.
+tail.  Inside the disc the constraint is inactive, and an iteration tries
+an unbordered Newton step on the gradient instead, when the Hessian
+K - W diag(g_eps'(u)) is positive definite (one LAPACK pttrf/pttrs); where
+it is not, the iteration descends.  A Newton step that does not halve the
+residual, or raises the energy, is rejected and the descent carries on
+until the residual has fallen another decade.  The preconditioner is
+factored only when a stage first descends.  A stage ends on its KKT test.
 
 Minimizing over the disc rather than the sphere is deliberate: the disc is
 weakly closed, a minimizer with positive multiplier is automatically pushed
 onto the sphere, and runs where the flow collapses into the interior are
-exactly the nonexistence evidence the diagnostics consume; off the sphere
-no Newton step is taken.  How a stage ended is data (SolverResult.status,
-with converged=False only for an exhausted iteration budget), not an
-exception; only a step that cannot decrease the energy at the smallest step
-size raises.
+exactly the nonexistence evidence the diagnostics consume; there the
+interior Newton steps finish the collapse to the zero field in a number of
+iterations that does not grow with n.  How a stage ended is data
+(SolverResult.status, with converged=False only for an exhausted iteration
+budget), not an exception; only a step that cannot decrease the energy at
+the smallest step size raises.
 """
 
 from __future__ import annotations
@@ -318,24 +322,16 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     return min(candidates, key=lambda u: energy(u.values)[0])
 
 
-def _kinetic_bands(grid: RadialGrid):
-    """(diagonal, off-diagonal) of the symmetric tridiagonal matrix K of
-    kinetic(), kinetic(u) = u^T K u; K u = -W Lap u with W = diag(w)."""
-    c = grid._area_h
-    a = grid.face_coef
-    return c * np.concatenate([a[:1], a[1:] + a[:-1]]), -c * a[:-1]
-
-
-def _sobolev_preconditioner(grid: RadialGrid, bands):
+def _sobolev_preconditioner(grid: RadialGrid):
     """x -> P x with P = (sigma I - Lap_h)^-1, sigma = SOBOLEV_SHIFT,
     self-adjoint in the w-inner product.
 
     P x solves (sigma W + K) d = W x, where W = diag(w) and K is the matrix
-    of kinetic(); the system is symmetric positive-definite tridiagonal and
-    is factored once, here (solve_ground_state calls this on a stage's
-    first descent step).
+    of kinetic() (grid._kinetic_bands); the system is symmetric
+    positive-definite tridiagonal and is factored once, here
+    (solve_ground_state calls this on a stage's first descent step).
     """
-    k_diag, k_off = bands
+    k_diag, k_off = grid._kinetic_bands
     d_fac, e_fac, info = dpttrf(SOBOLEV_SHIFT * grid.w + k_diag, k_off)
     if info != 0:
         raise np.linalg.LinAlgError(f"Sobolev factorization failed (info={info})")
@@ -347,7 +343,7 @@ def _sobolev_preconditioner(grid: RadialGrid, bands):
     return apply
 
 
-def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, g_eps_prime_of):
+def _newton_kkt_step(grid, u, m_u, res, lam, rho, g_eps_prime_of):
     """One Newton step on F(u, lam) = (K u + lam W u - W g_eps(u),
     (u^T W u - rho^2)/2) = 0 from (u, lam), with F_1 = W res.
 
@@ -358,7 +354,7 @@ def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, g_eps_prime_of):
     singular or the step is not finite.
     """
     w = grid.w
-    k_diag, k_off = bands
+    k_diag, k_off = grid._kinetic_bands
     wu = w * u
     diag = k_diag + w * (lam - g_eps_prime_of(u))
     x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
@@ -370,6 +366,26 @@ def _newton_kkt_step(grid, bands, u, m_u, res, lam, rho, g_eps_prime_of):
     if not np.all(np.isfinite(v)):
         return None
     return _to_sphere(w, v, rho)
+
+
+def _newton_interior_step(grid, u, g, rho, g_eps_prime_of):
+    """One Newton step on the gradient W g = K u - W g_eps(u) from an
+    iterate inside the disc, where the constraint is inactive.
+
+    The Hessian H = K - W diag(g_eps'(u)) is symmetric tridiagonal; LAPACK
+    pttrf factors it exactly when it is positive definite, and pttrs solves
+    H x = W g.  Returns v = u - x projected onto the disc and its mass, or
+    None when H is not positive definite or the step is not finite.
+    """
+    w = grid.w
+    k_diag, k_off = grid._kinetic_bands
+    d_fac, e_fac, info = dpttrf(k_diag - w * g_eps_prime_of(u), k_off)
+    if info != 0:
+        return None
+    v = u - dpttrs(d_fac, e_fac, w * g)[0]
+    if not np.all(np.isfinite(v)):
+        return None
+    return _project(w, v, rho)
 
 
 # what a stage counts besides iterations and Newton steps (SolverResult)
@@ -391,15 +407,18 @@ def solve_ground_state(config: SolveConfig, eps: float,
     the KKT points.  Step lengths (the Armijo decrease and the BB proposal)
     are measured in the metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
 
-    Newton finish: while the iterate is on the sphere with lambda_hat > 0,
-    from a stage's first iterate on, each iteration tries one Newton step
-    (_newton_kkt_step).  The step is accepted when it at least halves the
+    Newton finish: from a stage's first iterate on, each iteration tries
+    one Newton step, on the KKT system while the iterate is on the sphere
+    with lambda_hat > 0 (_newton_kkt_step), and on the gradient while it is
+    strictly inside the disc and nonzero (_newton_interior_step).  Inside,
+    a Hessian that is not positive definite gives no step, and the same
+    iteration descends.  A step is accepted when it at least halves the
     residual without raising E_eps beyond rounding; otherwise the iterate
     stays, and the descent runs until the residual has fallen by another
-    decade before the next try.  A Newton step is one iteration with one
-    energy and one gradient evaluation, so max_iter bounds the work.  The
-    preconditioner is factored on the stage's first descent step, so a
-    stage of Newton steps alone never factors it.
+    decade before the next try.  A Newton trial, accepted or rejected, is
+    one iteration with one energy and one gradient evaluation, so max_iter
+    bounds the work.  The preconditioner is factored on the stage's first
+    descent step, so a stage of Newton steps alone never factors it.
 
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
@@ -424,7 +443,6 @@ def solve_ground_state(config: SolveConfig, eps: float,
     if u0 is None:
         u0 = initial_guess(spec, grid, rho, eps, rng=rng)
     w = grid.w
-    bands = _kinetic_bands(grid)
     stage = _bind_stage(grid, spec, eps)
     solve_precond = None  # factored on the stage's first descent step
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
@@ -443,7 +461,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     def precond(x):
         nonlocal solve_precond
         if solve_precond is None:
-            solve_precond = _sobolev_preconditioner(grid, bands)
+            solve_precond = _sobolev_preconditioner(grid)
         counts["precond_solves"] += 1
         return solve_precond(x)
 
@@ -475,23 +493,28 @@ def solve_ground_state(config: SolveConfig, eps: float,
             status = "collapsed"
             break
 
-        if on_boundary and lam_hat > 0.0 and rel <= newton_gate:
-            step = _newton_kkt_step(grid, bands, u, m_u, res, lam_hat, rho, stage.dg)
+        if rel <= newton_gate and (lam_hat > 0.0 if on_boundary else m_u > 0.0):
+            if on_boundary:
+                step = _newton_kkt_step(grid, u, m_u, res, lam_hat, rho, stage.dg)
+            else:
+                step = _newton_interior_step(grid, u, g, rho, stage.dg)
             if step is not None:
                 v, m_v = step
                 E_v, dens_v = energy_of(v)
-                if E_v <= E + 1e-12 * (1.0 + abs(E)):
-                    g_v, lap_v, rhs_v = grad_of(v)
-                    kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
-                    if kkt_v[0] <= 0.5 * rel:
-                        u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
-                        rel, res, lam_hat, on_boundary = kkt_v
-                        newton_steps += 1
-                        continue
-            # rejected: the descent carries on until the residual has fallen
-            # by another decade
-            newton_gate = 0.1 * rel
-            continue
+                g_v, lap_v, rhs_v = grad_of(v)
+                kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
+                if E_v <= E + 1e-12 * (1.0 + abs(E)) and kkt_v[0] <= 0.5 * rel:
+                    u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
+                    rel, res, lam_hat, on_boundary = kkt_v
+                    newton_steps += 1
+                    continue
+            if on_boundary or step is not None:
+                # rejected: the descent carries on until the residual has
+                # fallen by another decade
+                newton_gate = 0.1 * rel
+                continue
+            # inside the disc with a Hessian that is not positive definite:
+            # descend in this iteration and leave the gate alone
 
         d = precond(g)
         if on_boundary:

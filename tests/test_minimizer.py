@@ -592,13 +592,14 @@ def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
     # from the plain start every stage is on the sphere with lambda_hat > 0
     # at its first iterate, so it takes Newton steps from there and never
     # descends: no preconditioner is factored or applied.  A collapse run
-    # stays inside the disc, descends, and factors it once per stage.
+    # descends into the disc, factoring it once per stage, and finishes on
+    # Newton steps inside the disc.
     factored = []
     real = mz._sobolev_preconditioner
 
-    def counted(grid, bands):
+    def counted(grid):
         factored.append(grid.n)
-        return real(grid, bands)
+        return real(grid)
 
     monkeypatch.setattr(mz, "_sobolev_preconditioner", counted)
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=400)
@@ -609,8 +610,25 @@ def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
         assert s.precond_solves == 0 and s.iterations == s.newton_steps + 1
     assert factored == []
     collapsed = mz.solve_ground_state(replace(cfg, rho=8.0), 0.1)
-    assert collapsed.status == "collapsed" and collapsed.newton_steps == 0
+    assert collapsed.status == "collapsed" and collapsed.newton_steps > 0
     assert collapsed.precond_solves > 0 and factored == [cfg.n]
+
+
+def test_collapse_stage_iterations_flat_in_n():
+    # below the threshold the flow collapses into the disc, where Newton
+    # steps on the positive-definite Hessian finish the first stage in a
+    # count independent of the grid: 13 at n = 500, 2000 and 8000, against
+    # 36, 30 and 41 for the descent alone
+    spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
+    first = set()
+    for n in (500, 2000, 8000):
+        cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=20.0, n=n)
+        stages = mz.continuation(cfg).stages
+        for s in stages:
+            assert s.status == "collapsed" and s.mass <= 1e-10 * cfg.rho ** 2
+        assert stages[0].newton_steps > 0
+        first.add(stages[0].iterations)
+    assert len(first) == 1 and first.pop() <= 15
 
 
 def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
@@ -647,28 +665,51 @@ COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 
 @pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
                          ids=["newton_finish", "collapse"])
-def test_solver_counters_are_deterministic_and_consistent(mu, rho):
-    # no rearrangement, so each iteration but the last makes one accepted
-    # step: a Newton step (one energy, one gradient) or a descent step (one
-    # energy per Armijo trial, one gradient, one or two preconditioner solves)
+def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
+    # no rearrangement, so each iteration but the last makes one Newton
+    # trial or one descent step.  A Newton trial, accepted or rejected, is
+    # one energy and one gradient evaluation; a descent step is one energy
+    # per Armijo trial, one gradient and one or two preconditioner solves.
+    # Spies count each stage's Newton trials (a step that returns None is
+    # no trial: inside the disc the descent runs in the same iteration).
+    trials = []
+    real_solve = mz.solve_ground_state
+
+    def solve(*args, **kwargs):
+        trials.append(0)
+        return real_solve(*args, **kwargs)
+
+    def counted(step):
+        def spy(*args):
+            out = step(*args)
+            trials[-1] += out is not None
+            return out
+        return spy
+
+    monkeypatch.setattr(mz, "solve_ground_state", solve)
+    for name in ("_newton_kkt_step", "_newton_interior_step"):
+        monkeypatch.setattr(mz, name, counted(getattr(mz, name)))
     spec = nl.log_power(1.0, mu, 4.0, dim=3)
     cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
     first, again = mz.continuation(cfg), mz.continuation(cfg)
-    for s in first.stages:
+    assert len(trials) == 2 * len(first.stages)
+    for s, tried in zip(first.stages, trials):
         assert s.status in ("converged", "collapsed")
         assert all(type(getattr(s, k)) is int for k in COUNTERS)
         assert s.grad_evals == s.iterations
         assert s.energy_evals == s.iterations + s.backtracks
-        descent = s.iterations - 1 - s.newton_steps
+        assert s.newton_steps <= tried
+        descent = s.iterations - 1 - tried
         assert descent <= s.precond_solves <= 2 * descent
         assert all(s.to_json_dict()[k] == getattr(s, k) for k in COUNTERS)
     for k in COUNTERS + ("iterations", "newton_steps"):
         assert getattr(first.limit, k) == sum(getattr(s, k) for s in first.stages)
-    # neither relation above is vacuous on these runs
-    if mu == 0.0:
-        assert first.limit.newton_steps > 0
-    else:
+    # neither relation above is vacuous on these runs: both take Newton
+    # steps, the collapse run also backtracks and rejects a Newton trial
+    assert first.limit.newton_steps > 0
+    if mu != 0.0:
         assert first.limit.backtracks > 0
+        assert sum(trials[:len(first.stages)]) > first.limit.newton_steps
     assert ([s.to_json_dict() for s in first.stages + [first.limit]]
             == [s.to_json_dict() for s in again.stages + [again.limit]])
