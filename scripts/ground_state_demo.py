@@ -15,7 +15,7 @@ from subnls import minimizer as mz
 from subnls import nonlinearity as nl
 
 spec = nl.log_power(1.0, 0.0, 4.0, dim=3)
-cfg = mz.SolveConfig(spec=spec, rho=20.0, rearrange_every=25)
+cfg = mz.SolveConfig(spec=spec, rho=20.0)
 
 t0 = time.time()
 res = mz.continuation(cfg)

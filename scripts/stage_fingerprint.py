@@ -6,21 +6,20 @@
 Every built-in family runs on a small grid: the log family in N = 2, 3 and
 4, log_power with mu > 0, with mu < 0 (two roots of g), with a root of g
 below the first eps (the cutoff ramp spans two sign intervals), and below
-the nonexistence threshold (a collapse run), saturation and
-power_sublinear, with rearrange_every 0 and 25.  Each configuration runs
-three starts (the plain seed and two jittered ones, as multistart draws
-them) and a 3-point energy_map.  The digest covers, for every stage and
-every limit, its to_json_dict() record without the solver's work counters,
-its residual bundle and the bytes of its field; a start that raises
-contributes the exception's type, message and completed stages; and every
-energy_map point.  Two trees that print the same digest give bit-identical
-answers on all of these.  --verbose also prints one line per record, and
---expect DIGEST makes the exit status 1 when the digest differs from DIGEST
-(0 when it matches).  stdout is the digest line alone; stderr gets the
-solver's work (iterations, Newton steps, preconditioner solves, energy
-evaluations), which the digest leaves out, so that a change in work shows
-next to an unchanged digest: one line per configuration, summed over every
-stage of its starts, then the total over all configurations.
+the nonexistence threshold (a collapse run), saturation and power_sublinear.
+Each configuration runs three starts (the plain seed and two jittered ones,
+as multistart draws them) and a 3-point energy_map.  The digest covers, for
+every stage and every limit, its to_json_dict() record without the solver's
+work counters, its residual bundle and the bytes of its field; a start that
+raises contributes the exception's type, message and completed stages; and
+every energy_map point.  Two trees that print the same digest give
+bit-identical answers on all of these.  --verbose also prints one line per
+record, and --expect DIGEST makes the exit status 1 when the digest differs
+from DIGEST (0 when it matches).  stdout is the digest line alone; stderr
+gets the solver's work (iterations, Newton steps, preconditioner solves,
+energy evaluations), which the digest leaves out, so that a change in work
+shows next to an unchanged digest: one line per configuration, summed over
+every stage of its starts, then the total over all configurations.
 """
 
 import argparse
@@ -42,20 +41,19 @@ WORK = ("iterations", "newton_steps", "precond_solves", "energy_evals")
 SCHEDULE = (1e-1, 1e-2, 1e-3)
 STARTS = 3
 
-# (name, spec, rho, r_max, n, rearrange_every, max_iter)
+# (name, spec, rho, r_max, n, max_iter)
 CONFIGS = [
-    ("log N=2", nl.logarithmic(1.0, dim=2), 12.0, 16.0, 200, 0, 20000),
-    ("log N=3", nl.logarithmic(1.0, dim=3), 20.0, 16.0, 200, 25, 20000),
-    ("log N=4", nl.logarithmic(1.0, dim=4), 30.0, 16.0, 200, 0, 20000),
-    ("log_power mu>0 N=3", nl.log_power(1.0, 0.7, 3.0, dim=3), 20.0, 16.0, 200, 25, 20000),
-    ("log_power mu<0 N=2", nl.log_power(1.0, -0.05, 4.0, dim=2), 12.0, 16.0, 200, 0, 20000),
-    ("log_power mu<0 N=3", nl.log_power(1.0, -0.05, 4.0, dim=3), 20.0, 16.0, 200, 25, 20000),
-    ("log_power small root N=4", nl.log_power(1.0, 2400.0, 4.0, dim=4), 2.0, 8.0, 200, 0,
-     20000),
+    ("log N=2", nl.logarithmic(1.0, dim=2), 12.0, 16.0, 200, 20000),
+    ("log N=3", nl.logarithmic(1.0, dim=3), 20.0, 16.0, 200, 20000),
+    ("log N=4", nl.logarithmic(1.0, dim=4), 30.0, 16.0, 200, 20000),
+    ("log_power mu>0 N=3", nl.log_power(1.0, 0.7, 3.0, dim=3), 20.0, 16.0, 200, 20000),
+    ("log_power mu<0 N=2", nl.log_power(1.0, -0.05, 4.0, dim=2), 12.0, 16.0, 200, 20000),
+    ("log_power mu<0 N=3", nl.log_power(1.0, -0.05, 4.0, dim=3), 20.0, 16.0, 200, 20000),
+    ("log_power small root N=4", nl.log_power(1.0, 2400.0, 4.0, dim=4), 2.0, 8.0, 200, 20000),
     ("log_power collapse N=3", nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),
-     10.0, 16.0, 120, 0, 60000),
-    ("saturation N=3", nl.saturation(dim=3), 20.0, 16.0, 200, 25, 20000),
-    ("power_sublinear N=2", nl.power_sublinear(0.5, dim=2), 3.0, 12.0, 120, 0, 60000),
+     10.0, 16.0, 120, 60000),
+    ("saturation N=3", nl.saturation(dim=3), 20.0, 16.0, 200, 20000),
+    ("power_sublinear N=2", nl.power_sublinear(0.5, dim=2), 3.0, 12.0, 120, 60000),
 ]
 
 
@@ -107,9 +105,9 @@ def main(argv=None) -> int:
     logging.disable(logging.WARNING)
     digest = hashlib.sha256()
     total = dict.fromkeys(WORK, 0)
-    for name, spec, rho, r_max, n, rearrange, max_iter in CONFIGS:
+    for name, spec, rho, r_max, n, max_iter in CONFIGS:
         config = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n, eps_schedule=SCHEDULE,
-                                rearrange_every=rearrange, max_iter=max_iter)
+                                max_iter=max_iter)
         work = dict.fromkeys(WORK, 0)
         for label, payload in runs(config, work):
             line = json.dumps([name, label, payload], sort_keys=True)

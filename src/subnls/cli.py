@@ -189,7 +189,10 @@ def cmd_solve(args) -> int:
     spec = solve_cfg.spec
     if spec.family == "log_power":
         verdict = dg.nonexistence_verdict(spec.alpha, spec.mu, spec.p_exp, spec.dim)
-        if verdict != dg.EXISTS_LARGE_RHO:
+        if verdict == dg.UNBOUNDED_BELOW:
+            notes.append(f"analytic verdict: {verdict} "
+                         f"((g3) fails: mu > 0 and p > 2 + 4/N = {2 + 4 / spec.dim:.6g})")
+        elif verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
                          f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")
     limits = mz.multistart(solve_cfg)

@@ -142,17 +142,23 @@ def mass_condition(spec: nl.NonlinearitySpec, rho: float, gn_est=None) -> tuple:
 EXISTS_LARGE_RHO = "exists_large_rho"
 BOUNDARY = "boundary"
 NO_NONTRIVIAL = "no_nontrivial"
+UNBOUNDED_BELOW = "unbounded_below"
 
 
 def nonexistence_verdict(alpha: float, mu: float, p: float, dim: int) -> str:
-    """Analytic verdict for the log + power family: compares mu with the
-    threshold -alpha p/(p-2) e^(-p/2) within 1e-12."""
+    """Analytic verdict for the log + power family: unbounded_below when
+    mu > 0 and p > 2 + 4/N (a mass-supercritical positive power, so (g3)
+    fails and the energy is unbounded below on every sphere), else mu
+    compared with the threshold -alpha p/(p-2) e^(-p/2) within 1e-12.
+    At p = 2 + 4/N the answer depends on rho (mass_condition)."""
     if dim >= 3:
         two_star = 2.0 * dim / (dim - 2.0)
         if not (2.0 < p <= two_star):
             raise ValueError(f"need 2 < p <= {two_star} for dim={dim}")
     elif not p > 2.0:
         raise ValueError("need p > 2")
+    if mu > 0.0 and p > 2.0 + 4.0 / dim:
+        return UNBOUNDED_BELOW
     mu_star = nl.mu_threshold(alpha, p)
     tol = 1e-12 * max(1.0, abs(mu_star))
     if mu > mu_star + tol:

@@ -11,18 +11,19 @@ gradient (the backward-Euler step of the normalized gradient flow), a
 Barzilai-Borwein step proposal and Armijo backtracking along the projection
 arc, both measured in the metric of P.  Against the plain L2 gradient, whose
 condition number grows like h^-2, this keeps the iteration count of a stage
-flat as the grid is refined.  From the first iterate on the sphere with a
-positive multiplier, each iteration tries a Newton step on the KKT system
-F(u, lambda) = 0 (the symmetric tridiagonal Hessian K + lambda W -
-W diag(g_eps'(u)) bordered by W u, one LAPACK gtsv solve per step), which
-finishes the stage in a few iterations instead of the descent's linear
-tail.  Inside the disc the constraint is inactive, and an iteration tries
-an unbordered Newton step on the gradient instead, when the Hessian
-K - W diag(g_eps'(u)) is positive definite (one LAPACK pttrf/pttrs); where
-it is not, the iteration descends.  A Newton step that does not halve the
-residual, or raises the energy, is rejected and the descent carries on
-until the residual has fallen another decade.  The preconditioner is
-factored only when a stage first descends.  A stage ends on its KKT test.
+flat as the grid is refined.  From a stage's first iterate on, each
+iteration tries one Newton step on the symmetric tridiagonal Hessian
+K + lambda W - W diag(g_eps'(u)), which finishes the stage in a few
+iterations instead of the descent's linear tail.  The step has two cases.
+On the sphere with a positive multiplier it solves the KKT system
+F(u, lambda) = 0, the Hessian bordered by W u (one LAPACK gtsv solve).
+Inside the disc the constraint is inactive, lambda = 0, and it solves the
+unbordered system when the Hessian is positive definite (one LAPACK
+pttrf/pttrs); where it is not, the iteration descends.  A Newton step that
+does not halve the residual, or raises the energy, is rejected and the
+descent carries on until the residual has fallen another decade.  The
+preconditioner is factored only when a stage first descends.  A stage ends
+on its KKT test.
 
 Minimizing over the disc rather than the sphere is deliberate: the disc is
 weakly closed, a minimizer with positive multiplier is automatically pushed
@@ -94,6 +95,8 @@ class SolveConfig:
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     tol_grad: float = 1e-8
     max_iter: int = 20000
+    # accepted and ignored: the solver no longer rearranges, and the field
+    # goes once perfbench stops passing it
     rearrange_every: int = 0
     multistarts: int = 1
 
@@ -108,6 +111,9 @@ class SolveConfig:
         if any(b <= a for a, b in zip(sched[1:], sched[:-1])):
             raise ValueError("eps schedule must be strictly decreasing")
         self.eps_schedule = sched
+        if self.rearrange_every:
+            log.warning("rearrange_every = %d is ignored: the solver no longer "
+                        "rearranges", self.rearrange_every)
 
     def make_grid(self) -> RadialGrid:
         return RadialGrid(self.spec.dim, self.r_max, self.n)
@@ -232,32 +238,25 @@ def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Sta
     return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)))
 
 
-def _to_sphere(w, vals, rho):
-    """vals rescaled to mass rho^2 under quadrature weights w; the zero field
-    stays zero.  Returns (values, mass)."""
+def _rescale(w, vals, rho, sphere=False):
+    """Nodal values rescaled radially to mass rho^2 under quadrature weights
+    w: onto the sphere when sphere is set (the zero field stays zero), else
+    onto the disc {mass <= rho^2} (identity inside, rescale outside).
+    Returns (values, mass)."""
     m = float(np.dot(w, vals * vals))
-    if m <= 0.0:
-        return vals, m
-    return vals * (rho / math.sqrt(m)), rho * rho
-
-
-def _project(w, vals, rho):
-    """Radial projection of nodal values onto {mass <= rho^2} under quadrature
-    weights w: identity inside, rescale outside.  Returns (values, mass)."""
-    m = float(np.dot(w, vals * vals))
-    if m <= rho * rho:
+    if m <= (0.0 if sphere else rho * rho):
         return vals, m
     return vals * (rho / math.sqrt(m)), rho * rho
 
 
 def project_disc(u: RadialField, rho: float) -> RadialField:
     """Radial projection onto {mass <= rho^2}: identity inside, rescale outside."""
-    return RadialField(u.grid, _project(u.grid.w, u.values, rho)[0])
+    return RadialField(u.grid, _rescale(u.grid.w, u.values, rho)[0])
 
 
 def _on_sphere(grid, vals, rho) -> RadialField:
     """The field vals rescaled to mass rho^2; the zero field stays zero."""
-    return RadialField(grid, _to_sphere(grid.w, vals, rho)[0])
+    return RadialField(grid, _rescale(grid.w, vals, rho, sphere=True)[0])
 
 
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
@@ -343,49 +342,40 @@ def _sobolev_preconditioner(grid: RadialGrid):
     return apply
 
 
-def _newton_kkt_step(grid, u, m_u, res, lam, rho, g_eps_prime_of):
-    """One Newton step on F(u, lam) = (K u + lam W u - W g_eps(u),
-    (u^T W u - rho^2)/2) = 0 from (u, lam), with F_1 = W res.
+def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg):
+    """One Newton step from (u, lam) with W res = K u + lam W u - W g_eps(u),
+    on the symmetric tridiagonal A = K + lam W - W diag(g_eps'(u)) (dg is
+    the stage's g_eps').
 
-    The Jacobian is the tridiagonal A = K + lam W - W diag(g_eps'(u)),
-    indefinite on the ground state, bordered by W u: one LAPACK gtsv solve
-    of A [x1, x2] = [F_1, W u] eliminates the border.  Returns the new
-    values rescaled onto the sphere and their mass, or None when A is
-    singular or the step is not finite.
+    On the sphere it solves the KKT system F(u, lam) = (W res,
+    (u^T W u - rho^2)/2) = 0: A, indefinite on the ground state, is bordered
+    by W u, and one LAPACK gtsv solve of A [x1, x2] = [W res, W u]
+    eliminates the border; the new values are rescaled onto the sphere.
+    Inside the disc the constraint is inactive (lam = 0, res = g): LAPACK
+    pttrf factors A exactly when it is positive definite, pttrs solves
+    A x = W g, and u - x is projected onto the disc.  Returns the new values
+    and their mass, or None when A is singular (on the sphere) or not
+    positive definite (inside), or the step is not finite.
     """
     w = grid.w
     k_diag, k_off = grid._kinetic_bands
-    wu = w * u
-    diag = k_diag + w * (lam - g_eps_prime_of(u))
-    x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
-    if info != 0:
-        return None
-    x1, x2 = x[:, 0], x[:, 1]
-    d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / float(np.dot(wu, x2))
-    v = u - x1 - d_lam * x2
+    diag = k_diag + w * (lam - dg(u))
+    if on_boundary:
+        wu = w * u
+        x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
+        if info != 0:
+            return None
+        x1, x2 = x[:, 0], x[:, 1]
+        d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / float(np.dot(wu, x2))
+        v = u - x1 - d_lam * x2
+    else:
+        d_fac, e_fac, info = dpttrf(diag, k_off)
+        if info != 0:
+            return None
+        v = u - dpttrs(d_fac, e_fac, w * res)[0]
     if not np.all(np.isfinite(v)):
         return None
-    return _to_sphere(w, v, rho)
-
-
-def _newton_interior_step(grid, u, g, rho, g_eps_prime_of):
-    """One Newton step on the gradient W g = K u - W g_eps(u) from an
-    iterate inside the disc, where the constraint is inactive.
-
-    The Hessian H = K - W diag(g_eps'(u)) is symmetric tridiagonal; LAPACK
-    pttrf factors it exactly when it is positive definite, and pttrs solves
-    H x = W g.  Returns v = u - x projected onto the disc and its mass, or
-    None when H is not positive definite or the step is not finite.
-    """
-    w = grid.w
-    k_diag, k_off = grid._kinetic_bands
-    d_fac, e_fac, info = dpttrf(k_diag - w * g_eps_prime_of(u), k_off)
-    if info != 0:
-        return None
-    v = u - dpttrs(d_fac, e_fac, w * g)[0]
-    if not np.all(np.isfinite(v)):
-        return None
-    return _project(w, v, rho)
+    return _rescale(w, v, rho, sphere=on_boundary)
 
 
 # what a stage counts besides iterations and Newton steps (SolverResult)
@@ -408,17 +398,17 @@ def solve_ground_state(config: SolveConfig, eps: float,
     are measured in the metric <x, P^-1 x> = sigma |x|^2 + kinetic(x).
 
     Newton finish: from a stage's first iterate on, each iteration tries
-    one Newton step, on the KKT system while the iterate is on the sphere
-    with lambda_hat > 0 (_newton_kkt_step), and on the gradient while it is
-    strictly inside the disc and nonzero (_newton_interior_step).  Inside,
-    a Hessian that is not positive definite gives no step, and the same
-    iteration descends.  A step is accepted when it at least halves the
-    residual without raising E_eps beyond rounding; otherwise the iterate
-    stays, and the descent runs until the residual has fallen by another
-    decade before the next try.  A Newton trial, accepted or rejected, is
-    one iteration with one energy and one gradient evaluation, so max_iter
-    bounds the work.  The preconditioner is factored on the stage's first
-    descent step, so a stage of Newton steps alone never factors it.
+    one Newton step (_newton_step), on the KKT system while the iterate is
+    on the sphere with lambda_hat > 0, and on the gradient while it is
+    strictly inside the disc and nonzero.  Inside, a Hessian that is not
+    positive definite gives no step, and the same iteration descends.  A
+    step is accepted when it at least halves the residual without raising
+    E_eps beyond rounding; otherwise the iterate stays, and the descent runs
+    until the residual has fallen by another decade before the next try.
+    A Newton trial, accepted or rejected, is one iteration with one energy
+    and one gradient evaluation, so max_iter bounds the work.  The
+    preconditioner is factored on the stage's first descent step, so a
+    stage of Newton steps alone never factors it.
 
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
@@ -426,9 +416,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     "collapsed" (the iterate has sunk to the zero field), "stalled" (steps
     at rounding level), "backtrack_exhausted" (no decrease visible above
     rounding) and "max_iter"; all but the last report converged=True.
-    Optional decreasing rearrangement of the profile is applied every
-    rearrange_every iterations and kept only when it does not increase the
-    energy.
+    config.rearrange_every is accepted and ignored (SolveConfig).
 
     The stage's kernels are bound once (_bind_stage), and every trial,
     gradient and Newton Jacobian is evaluated on bare nodal arrays through
@@ -474,7 +462,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary
 
-    u, m_u = _project(w, u0.values.copy(), rho)
+    u, m_u = _rescale(w, u0.values.copy(), rho)
     E, dens = energy_of(u)
     g, lap, rhs = grad_of(u)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
@@ -494,10 +482,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
             break
 
         if rel <= newton_gate and (lam_hat > 0.0 if on_boundary else m_u > 0.0):
-            if on_boundary:
-                step = _newton_kkt_step(grid, u, m_u, res, lam_hat, rho, stage.dg)
-            else:
-                step = _newton_interior_step(grid, u, g, rho, stage.dg)
+            step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg)
             if step is not None:
                 v, m_v = step
                 E_v, dens_v = energy_of(v)
@@ -526,7 +511,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
         accepted = False
         t = tau
         for _ in range(60):
-            v, m_v = _project(w, u - t * d, rho)
+            v, m_v = _rescale(w, u - t * d, rho)
             E_v, dens_v = energy_of(v)
             dv = v - u
             dd = wdot(dv, dv)
@@ -554,13 +539,6 @@ def solve_ground_state(config: SolveConfig, eps: float,
         sy = wdot(dv, g_v - g)
         tau = min(max(ss / sy, 1e-12), STEP_MAX) if sy > 0 else min(t * 2.0, STEP_MAX)
         u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
-
-        if config.rearrange_every and it % config.rearrange_every == 0:
-            r_vals, r_m = _project(w, np.sort(u)[::-1], rho)
-            E_r, dens_r = energy_of(r_vals)
-            if E_r <= E:
-                u, m_u, E, dens = r_vals, r_m, E_r, dens_r
-                g, lap, rhs = grad_of(u)
         rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
 
     result = _result(config, RadialField(grid, u), eps, E, dens, rhs, m_u, status,

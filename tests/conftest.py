@@ -38,7 +38,7 @@ def gausson_run(log_spec3):
     The exact minimizer is the Gaussian profile with E = m(2 - ln m / 2 +
     3 ln(pi)/4) = -54.8739 and lambda = 2 ln(rho) - 1.5 ln(pi) - 3 = 1.27440.
     """
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, rearrange_every=25)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0)
     return mz.continuation(cfg)
 
 

@@ -283,11 +283,43 @@ def test_solve_aborted_continuation_exits_two(tmp_path, capsys, monkeypatch):
     # finish these stages take 5/5/5 iterations) stops stage 1e-2 on
     # max_iter: the completed eps = 0.1 stage is not a limit, so the only
     # start yields no result
-    monkeypatch.setattr(mz, "_newton_kkt_step", lambda *args: None)
+    monkeypatch.setattr(mz, "_newton_step", lambda *args: None)
     rc = cli.main(["solve", "--config", write_config(tmp_path, ABORTED)])
     assert rc == cli.EXIT_NOCONV
     assert "no stage produced a result" in capsys.readouterr().err
     assert not (tmp_path / "out" / "result.json").exists()
+
+
+UNBOUNDED = """
+[nonlinearity]
+family = log_power
+alpha = 1.0
+mu = 0.1
+p = 4.0
+
+[grid]
+dim = 3
+r_max = 8.0
+n = 100
+
+[solver]
+rho = 2.0
+eps_schedule = 1e-1
+max_iter = 400
+
+[output]
+directory = {out}
+"""
+
+
+def test_solve_notes_why_the_energy_is_unbounded_below(tmp_path, capsys):
+    # mu > 0 with p = 4 > 2 + 4/3: (g3) fails, and the note says so instead
+    # of comparing mu with the threshold
+    cli.main(["solve", "--config", write_config(tmp_path, UNBOUNDED)])
+    note = "analytic verdict: unbounded_below ((g3) fails: mu > 0 and p > 2 + 4/N = 3.33333)"
+    assert note in capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert payload["notes"] == [note]
 
 
 @pytest.mark.parametrize("orlicz_section", ["family = pure_q\nq = 0.5\n",

@@ -121,6 +121,10 @@ def test_nonexistence_verdict_examples():
     assert dg.nonexistence_verdict(1.0, 0.0, 4.0, 3) == dg.EXISTS_LARGE_RHO
     assert dg.nonexistence_verdict(1.0, -2 * math.exp(-2), 4.0, 3) == dg.BOUNDARY
     assert dg.nonexistence_verdict(1.0, -1.0, 4.0, 3) == dg.NO_NONTRIVIAL
+    # a positive power above the mass-critical 2 + 4/N: (g3) fails
+    assert dg.nonexistence_verdict(1.0, 0.1, 4.0, 3) == dg.UNBOUNDED_BELOW
+    assert dg.nonexistence_verdict(1.0, 2400.0, 4.0, 4) == dg.UNBOUNDED_BELOW
+    assert dg.nonexistence_verdict(1.0, 0.7, 3.0, 3) == dg.EXISTS_LARGE_RHO
     with pytest.raises(ValueError):
         dg.nonexistence_verdict(1.0, 0.0, 7.0, 3)
 

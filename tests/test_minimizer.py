@@ -229,11 +229,20 @@ def test_single_stage_descent_and_feasibility(log_spec3):
     assert gr.wnorm(grid, resid) <= 10 * cfg.tol_grad * scale
 
 
-def test_rearrangement_keeps_descent(log_spec3):
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=800,
-                         rearrange_every=10)
-    res = mz.solve_ground_state(cfg, 0.1)
-    assert res.converged and res.bundle.monotone_ok and res.bundle.sign_ok
+def test_rearrange_every_is_accepted_and_ignored(caplog):
+    # the collapse stage, where a rearrangement every iteration would cost
+    # energy evaluations and move the answer: the setting warns once and
+    # changes nothing
+    spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
+    off = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120)
+    with caplog.at_level(logging.WARNING, logger="subnls.minimizer"):
+        on = replace(off, rearrange_every=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "rearrange_every = 1 is ignored: the solver no longer rearranges"]
+    a, b = mz.solve_ground_state(off, 0.1), mz.solve_ground_state(on, 0.1)
+    assert b.energy == a.energy
+    assert b.u.values.tobytes() == a.u.values.tobytes()
+    assert b.energy_evals == a.energy_evals
 
 
 def test_ground_state_contract(quick_run):
@@ -498,7 +507,7 @@ def test_every_trial_field_stays_in_the_disc(log_spec3, monkeypatch):
 
     patch_stage(monkeypatch, energy=spy)
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=600,
-                         eps_schedule=(1e-1, 1e-2), rearrange_every=10)
+                         eps_schedule=(1e-1, 1e-2))
     res = mz.continuation(cfg)
     assert all(s.status == "converged" for s in res.stages)
     assert len(masses) > res.total_iterations
@@ -636,7 +645,7 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
     # the descent then finishes every stage at the same energies
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
     good = mz.continuation(cfg).stages
-    real_step = mz._newton_kkt_step
+    real_step = mz._newton_step
     trials, flipped = [], []
 
     def counted(*args):
@@ -650,7 +659,7 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
         return negated
 
     patch_stage(monkeypatch, dg=wrong_sign)
-    monkeypatch.setattr(mz, "_newton_kkt_step", counted)
+    monkeypatch.setattr(mz, "_newton_step", counted)
     bad = mz.continuation(cfg).stages
     assert all(s.status == "converged" for s in bad)
     assert len(trials) > sum(s.newton_steps for s in bad)
@@ -666,10 +675,10 @@ COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 @pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
                          ids=["newton_finish", "collapse"])
 def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
-    # no rearrangement, so each iteration but the last makes one Newton
-    # trial or one descent step.  A Newton trial, accepted or rejected, is
-    # one energy and one gradient evaluation; a descent step is one energy
-    # per Armijo trial, one gradient and one or two preconditioner solves.
+    # each iteration but the last makes one Newton trial or one descent
+    # step.  A Newton trial, accepted or rejected, is one energy and one
+    # gradient evaluation; a descent step is one energy per Armijo trial,
+    # one gradient and one or two preconditioner solves.
     # Spies count each stage's Newton trials (a step that returns None is
     # no trial: inside the disc the descent runs in the same iteration).
     trials = []
@@ -687,8 +696,7 @@ def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
         return spy
 
     monkeypatch.setattr(mz, "solve_ground_state", solve)
-    for name in ("_newton_kkt_step", "_newton_interior_step"):
-        monkeypatch.setattr(mz, name, counted(getattr(mz, name)))
+    monkeypatch.setattr(mz, "_newton_step", counted(mz._newton_step))
     spec = nl.log_power(1.0, mu, 4.0, dim=3)
     cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
