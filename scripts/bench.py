@@ -18,9 +18,16 @@ Run from the root of a source checkout.  The record holds:
   over SOLVE_RUNS runs, its limit's energy, lambda and status, and the
   SolverResult counters of the limit (sums over the stages);
 * ``fingerprint``: the digest of scripts/stage_fingerprint.py and its work
-  lines (per configuration and the total).
+  lines (per configuration and the total);
+* ``layers``: microseconds per call, the minimum over LAYER_REPEAT timeit
+  repeats, of what one solver iteration is made of, at n = 500, 2000 and
+  8000 (log, N = 3, rho = 20, r_max 20, eps = 1e-3, on initial_guess's
+  field): a stage's energy, g_eps and g_eps' each on an array the stage has
+  not seen (two arrays alternate, so no cached |s|, ln s^2 or g(|s|)
+  carries over), one preconditioner apply, and one sphere Newton step at
+  an array the stage has evaluated, as in the solver.
 
-It adds no dependency and takes about 50 s on a 2-core machine, most of it
+It adds no dependency and takes about 40 s on a 2-core machine, most of it
 in the three perfbench runs.
 """
 
@@ -32,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -39,6 +47,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
+from subnls import grid as gr  # noqa: E402
 from subnls import minimizer as mz  # noqa: E402
 from subnls import nonlinearity as nl  # noqa: E402
 
@@ -46,6 +55,9 @@ PERFBENCH_ARGS = ("--seed", "301", "--seconds", "10", "--trace", "0")
 IMPORT_RUNS = 5
 SOLVE_RUNS = 5
 COUNTERS = ("iterations", "newton_steps") + mz._EVAL_COUNTS
+LAYER_SIZES = (500, 2000, 8000)
+LAYER_REPEAT = 5
+LAYER_TARGET_S = 0.02  # the length of one timed repeat
 
 
 def env():
@@ -125,6 +137,41 @@ def fingerprint():
     return {"digest": stdout.strip(), "work": work}
 
 
+def per_call_us(fn, calls=1):
+    """Microseconds per call of fn, which makes calls calls: the minimum
+    over LAYER_REPEAT repeats of a loop that lasts about LAYER_TARGET_S."""
+    timer = timeit.Timer(fn)
+    number = 1
+    while timer.timeit(number) < LAYER_TARGET_S:
+        number *= 2
+    return 1e6 * min(timer.repeat(LAYER_REPEAT, number)) / (number * calls)
+
+
+def layers():
+    spec = nl.logarithmic(1.0, dim=3)
+    eps, rho = 1e-3, 20.0
+    out = {}
+    for n in LAYER_SIZES:
+        grid = gr.RadialGrid(3, 20.0, n)
+        u = mz.initial_guess(spec, grid, rho, eps).values
+        other = u * (1.0 - 1e-9)
+        stage = mz._bind_stage(grid, spec, eps)
+        lam = mz.extract_lambda(gr.RadialField(grid, u), spec, eps)
+        res = -gr.laplacian_values(grid, u) - stage.g(u) + lam * u
+        m_u = float(np.dot(grid.w, u * u))
+        apply = mz._sobolev_preconditioner(grid)
+        rhs2 = np.empty((n, 2), order="F")
+        row = {name: per_call_us(lambda f=f: (f(u), f(other)), calls=2)
+               for name, f in (("energy", stage.energy), ("g_eps", stage.g),
+                               ("g_eps_prime", stage.dg))}
+        row["precond_apply"] = per_call_us(lambda: apply(res))
+        stage.energy(u)
+        row["newton_step_sphere"] = per_call_us(
+            lambda: mz._newton_step(grid, u, m_u, res, lam, rho, True, stage.dg, rhs2))
+        out[f"n{n}"] = row
+    return {"us_per_call": out, "repeat": LAYER_REPEAT, "eps": eps}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -134,7 +181,7 @@ def main(argv=None) -> int:
     # quiet the solver's seed warning on the collapse run
     mz.log.setLevel("ERROR")
     record = {"machine": machine(), "perfbench": perfbench(), "import": import_seconds(),
-              "solves": solves(), "fingerprint": fingerprint()}
+              "solves": solves(), "fingerprint": fingerprint(), "layers": layers()}
     record["bench_s"] = time.perf_counter() - started
     with open(argv[0], "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

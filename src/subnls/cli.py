@@ -192,6 +192,11 @@ def cmd_solve(args) -> int:
         if verdict == dg.UNBOUNDED_BELOW:
             notes.append(f"analytic verdict: {verdict} "
                          f"((g3) fails: mu > 0 and p > 2 + 4/N = {2 + 4 / spec.dim:.6g})")
+        elif verdict == dg.MASS_CRITICAL:
+            value, holds = dg.mass_condition(spec, solve_cfg.rho)
+            notes.append(f"analytic verdict: {verdict} (mu > 0 and p = 2 + 4/N: "
+                         f"2 eta C^(2+4/N) rho^(4/N) = {value:.6g} at rho = "
+                         f"{solve_cfg.rho:g}, {'<' if holds else '>='} 1)")
         elif verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
                          f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")

@@ -46,16 +46,18 @@ class IdentityParts(NamedTuple):
     pairing: float   # int g_eps(u) u
 
 
-def identity_parts(u: RadialField, density: np.ndarray, g: np.ndarray) -> IdentityParts:
-    """Parts of u from its nodal G_eps(u) and g_eps(u); the solver passes its
-    own last evaluations, residual_bundle fresh ones."""
+def identity_parts(u: RadialField, kin: float, density: np.ndarray,
+                   g: np.ndarray) -> IdentityParts:
+    """Parts of u from its kinetic term and its nodal G_eps(u) and g_eps(u);
+    the solver passes its own evaluations, residual_bundle fresh ones."""
     w = u.grid.w
-    return IdentityParts(kinetic(u), mass(u), float(np.dot(w, density)),
+    return IdentityParts(kin, mass(u), float(np.dot(w, density)),
                          float(np.dot(w, g * u.values)))
 
 
 def _parts(u, eps, spec):
-    return identity_parts(u, nl.G_eps(spec, u.values, eps), nl.g_eps(spec, u.values, eps))
+    return identity_parts(u, kinetic(u), nl.G_eps(spec, u.values, eps),
+                          nl.g_eps(spec, u.values, eps))
 
 
 def _pohozaev_sides(dim, lam, p: IdentityParts) -> tuple:
@@ -143,20 +145,25 @@ EXISTS_LARGE_RHO = "exists_large_rho"
 BOUNDARY = "boundary"
 NO_NONTRIVIAL = "no_nontrivial"
 UNBOUNDED_BELOW = "unbounded_below"
+MASS_CRITICAL = "mass_critical"
 
 
 def nonexistence_verdict(alpha: float, mu: float, p: float, dim: int) -> str:
-    """Analytic verdict for the log + power family: unbounded_below when
-    mu > 0 and p > 2 + 4/N (a mass-supercritical positive power, so (g3)
-    fails and the energy is unbounded below on every sphere), else mu
-    compared with the threshold -alpha p/(p-2) e^(-p/2) within 1e-12.
-    At p = 2 + 4/N the answer depends on rho (mass_condition)."""
+    """Analytic verdict for the log + power family.  For mu > 0 it is
+    mass_critical when p = 2 + 4/N within 1e-12 relative (whether a
+    solution exists then depends on rho, see mass_condition) and
+    unbounded_below when p > 2 + 4/N (a mass-supercritical positive power,
+    so (g3) fails and the energy is unbounded below on every sphere);
+    otherwise mu is compared with the threshold -alpha p/(p-2) e^(-p/2)
+    within 1e-12."""
     if dim >= 3:
         two_star = 2.0 * dim / (dim - 2.0)
         if not (2.0 < p <= two_star):
             raise ValueError(f"need 2 < p <= {two_star} for dim={dim}")
     elif not p > 2.0:
         raise ValueError("need p > 2")
+    if mu > 0.0 and nl.is_mass_critical(p, dim):
+        return MASS_CRITICAL
     if mu > 0.0 and p > 2.0 + 4.0 / dim:
         return UNBOUNDED_BELOW
     mu_star = nl.mu_threshold(alpha, p)

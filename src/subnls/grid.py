@@ -133,16 +133,29 @@ def kinetic(u: RadialField) -> float:
     return kinetic_values(u.grid, u.values)
 
 
-def kinetic_values(g: RadialGrid, vals: np.ndarray) -> float:
-    """kinetic() on a bare array of nodal values."""
-    d = np.empty(g.n)
+def face_differences(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
+    """u_{i+1} - u_i across every face, the last against the Dirichlet
+    ghost 0 at r_max: what kinetic and the Laplacian are built from."""
+    d = np.empty(grid.n)
     d[:-1] = vals[1:] - vals[:-1]
-    d[-1] = -vals[-1]  # Dirichlet ghost
+    d[-1] = -vals[-1]
+    return d
+
+
+def kinetic_values(g: RadialGrid, vals: np.ndarray, d=None) -> float:
+    """kinetic() on a bare array of nodal values; d, when the caller has it,
+    is face_differences(g, vals)."""
+    if d is None:
+        d = face_differences(g, vals)
     return float(g._area_h * np.dot(g.face_coef, d**2))
 
 
-def laplacian_values(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
-    flux = grid.face_coef * np.concatenate([vals[1:] - vals[:-1], [-vals[-1]]])
+def laplacian_values(grid: RadialGrid, vals: np.ndarray, d=None) -> np.ndarray:
+    """The radial Laplacian of a bare array of nodal values; d, when the
+    caller has it, is face_differences(grid, vals)."""
+    if d is None:
+        d = face_differences(grid, vals)
+    flux = grid.face_coef * d
     div = np.empty(grid.n)
     div[0] = flux[0]
     div[1:] = flux[1:] - flux[:-1]

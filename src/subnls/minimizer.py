@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ from . import nonlinearity as nl
 # scipy's Fortran wrapper file alone (3-10 ms); only its fallback, all of
 # scipy.linalg.lapack, costs about 0.3 s of start-up
 from ._lapack import dgtsv, dpttrf, dpttrs
-from .grid import (RadialField, RadialGrid, kinetic, kinetic_values,
+from .grid import (RadialField, RadialGrid, face_differences, kinetic, kinetic_values,
                    laplacian_values, mass, sphere_area, wnorm)
 
 log = logging.getLogger("subnls.minimizer")
@@ -121,6 +121,13 @@ class SolveConfig:
 
 @dataclass
 class SolverResult:
+    """Record of one stage (or of a continuation's eps = 0 limit): the
+    field, its multiplier, energy, mass and kinetic term, how the stage
+    ended and what it cost.  It is built from the solver's own last
+    evaluations (_result); u may share its array with the stage's start u0
+    (and so with the previous stage's u).  bundle, the residual bundle, is
+    computed from parts on first access and then kept."""
+
     u: RadialField
     lam: float
     energy: float
@@ -140,7 +147,19 @@ class SolverResult:
     grad_evals: int
     backtracks: int
     precond_solves: int
-    bundle: object = None
+    # the integrals of u's Pohozaev and Nehari identities
+    # (diagnostics.IdentityParts), from which bundle is built
+    parts: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def bundle(self):
+        """u's residual bundle (diagnostics.ResidualBundle) at lam, built
+        from parts on first access and kept; None without parts."""
+        if self.parts is None:
+            return None
+        from .diagnostics import bundle_from_parts
+
+        return bundle_from_parts(self.u, self.lam, self.parts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,53 +208,122 @@ def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
     """L2-gradient field -Lap u - g_eps(u); consistent with energy_eps at
     machine level thanks to exact summation by parts."""
-    g_eps_of = _bind_stage(u.grid, spec, eps).g
-    return RadialField(u.grid, _grad_parts(u.grid, u.values, g_eps_of)[0])
+    return RadialField(u.grid, _grad_parts(_bind_stage(u.grid, spec, eps), u.values)[0])
 
 
-def _grad_parts(grid, vals, g_eps_of):
-    lap = laplacian_values(grid, vals)
-    rhs = g_eps_of(vals)
+def _grad_parts(stage, vals):
+    # one laplacian_values call per gradient evaluation (perfbench's tracer
+    # counts gradient evaluations by these calls), from the array's cached
+    # face differences
+    grid = stage.fields.grid
+    lap = laplacian_values(grid, vals, stage.fields.at(vals).d)
+    rhs = stage.g(vals)
     return -lap - rhs, lap, rhs
+
+
+class _At(nl.Point):
+    """The nl.Point of one nodal array plus what the grid derives from it,
+    each computed on first use: the face differences, which the kinetic term
+    and every Laplacian of the array are built from, and the kinetic term
+    (the arithmetic of grid.kinetic_values and grid.laplacian_values, so
+    sharing changes no bit)."""
+
+    __slots__ = ("grid", "_d", "_kinetic")
+
+    def __init__(self, vals, grid):
+        super().__init__(vals)
+        self.grid = grid
+        self._d = self._kinetic = None
+
+    @property
+    def d(self):
+        if self._d is None:
+            self._d = face_differences(self.grid, self.s)
+        return self._d
+
+    @property
+    def kinetic(self):
+        if self._kinetic is None:
+            self._kinetic = kinetic_values(self.grid, self.s, self.d)
+        return self._kinetic
+
+
+class _Fields:
+    """A per-array cache over one grid: the _At of the last array evaluated
+    and of the one kept, matched by identity.  The solver keeps its current
+    iterate, so that the stage's record, the next stage's start and the
+    eps = 0 limit, which see the same array, reuse its evaluations whatever
+    was evaluated since.  share() points this cache at another's entries:
+    that is how the stages and the limit of one continuation (one grid, one
+    spec), each bound with a cache of its own, read and fill one (_shared).
+    No caller writes into an array it has passed here."""
+
+    __slots__ = ("grid", "held")
+
+    def __init__(self, grid: RadialGrid):
+        self.grid = grid
+        self.held = [None, None]  # the last array's _At, the kept one's
+
+    def share(self, other: "_Fields"):
+        self.held = other.held
+
+    def at(self, vals) -> _At:
+        held = self.held
+        for x in held:
+            if x is not None and x.s is vals:
+                return x
+        held[0] = x = _At(vals, self.grid)
+        return x
+
+    def keep(self, vals):
+        self.held[1] = self.at(vals)
 
 
 class _Stage(NamedTuple):
     energy: Callable  # vals -> (E_eps(vals), its nodal density G_eps(vals))
     g: Callable       # vals -> g_eps(vals)
     dg: Callable      # vals -> g_eps'(vals)
+    fields: _Fields   # the cache the three evaluate through
 
 
 def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
     """Everything one eps-stage evaluates on bare nodal arrays, bound once
     (nl.bind_eps): the solver's trial energies, gradients and Newton
     Jacobians, the seeds' energies, the records of the stage and of the
-    eps = 0 limit, and the public energy_eps and grad_energy_eps.  A trial
-    field that is not finite raises ValueError, as RadialField does.
+    eps = 0 limit, and the public energy_eps and grad_energy_eps.
 
-    The stage keeps the nl.Point of the last array it evaluated, so that a
-    trial's G_eps, the accepted point's g_eps and the next Newton Jacobian's
-    g_eps' share one |s|, s^2 and ln s^2 (one log per Newton iteration
-    instead of four).  The point is matched by identity: no caller writes
-    into an array it has passed to a stage."""
+    The three evaluate through one cache (_Fields), which keeps per array
+    one |s|, s^2, ln s^2 and g(|s|) for the trial's G_eps, the accepted
+    point's g_eps and the next Newton Jacobian's g_eps', and one set of
+    face differences for its kinetic term and the Laplacian of each
+    gradient evaluation.  The stage starts
+    with a cache of its own; _shared points it at a continuation's.  The
+    energy is summed in double precision: a stage ends on the Newton
+    residual test, whose energy margin 1e-12 (1 + |E|) lies far above that
+    rounding.  A trial field that is not finite raises ValueError, as
+    RadialField does; the array is scanned only when the energy is not
+    finite."""
+    fields = _Fields(grid)
     kern = nl.bind_eps(spec, eps)
-    last = None
-
-    def at(vals):
-        nonlocal last
-        if last is None or last.s is not vals:
-            last = nl.Point(vals)
-        return last
+    at, w = fields.at, grid.w
 
     def energy(vals):
-        if not np.isfinite(vals).all():
+        x = at(vals)
+        dens = kern.G(x)
+        E = 0.5 * x.kinetic - float(np.dot(w, dens))
+        if not math.isfinite(E) and not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
-        dens = kern.G(at(vals))
-        # accumulated in extended precision: over a stage's last steps the
-        # Armijo test compares energies closer than the rounding of a double sum
-        return (0.5 * kinetic_values(grid, vals)
-                - float(np.sum(grid.w * dens, dtype=np.longdouble))), dens
+        return E, dens
 
-    return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)))
+    return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)),
+                  fields)
+
+
+def _shared(fields: _Fields, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
+    """_bind_stage on fields' grid, evaluating through the cache fields."""
+    stage = _bind_stage(fields.grid, spec, eps)
+    stage.fields.share(fields)
+    return stage
 
 
 def _rescale(w, vals, rho, sphere=False):
@@ -252,11 +340,6 @@ def _rescale(w, vals, rho, sphere=False):
 def project_disc(u: RadialField, rho: float) -> RadialField:
     """Radial projection onto {mass <= rho^2}: identity inside, rescale outside."""
     return RadialField(u.grid, _rescale(u.grid.w, u.values, rho)[0])
-
-
-def _on_sphere(grid, vals, rho) -> RadialField:
-    """The field vals rescaled to mass rho^2; the zero field stays zero."""
-    return RadialField(grid, _rescale(grid.w, vals, rho, sphere=True)[0])
 
 
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
@@ -291,9 +374,14 @@ def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
     given width; dilation u(sigma r) with sigma = (mass0/rho^2)^(1/N)
     preserves the amplitude and scales the kinetic term like rho^(2-4/N).
     """
+    return RadialField(grid, _witness(grid, rho, level, base_radius, taper))
+
+
+def _witness(grid, rho, level, base_radius=1.0, taper=1.0):
     mass0 = _plateau_mass(grid.dim, level, base_radius, taper)
     sigma = (mass0 / rho**2) ** (1.0 / grid.dim)
-    return _on_sphere(grid, _plateau(grid.r * sigma, level, base_radius, taper), rho)
+    return _rescale(grid.w, _plateau(grid.r * sigma, level, base_radius, taper), rho,
+                    sphere=True)[0]
 
 
 def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
@@ -304,12 +392,18 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
-    energy = _bind_stage(grid, spec, eps).energy
+    return RadialField(grid, _guess(_bind_stage(grid, spec, eps), spec, rho, rng))
+
+
+def _guess(stage, spec, rho, rng):
+    """initial_guess's winner as a bare array, its candidates scored by the
+    stage's energy; the stage's cache keeps the best so far."""
+    grid = stage.fields.grid
     widths = [0.7, 1.0, 1.5]
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
     amp = rho * math.pi ** (-grid.dim / 4.0)
-    candidates = [_on_sphere(grid, amp * np.exp(-(grid.r / wdt) ** 2 / 2.0), rho)
+    candidates = [_rescale(grid.w, amp * np.exp(-(grid.r / wdt) ** 2 / 2.0), rho, sphere=True)[0]
                   for wdt in widths]
     level = nl.find_positive_level(spec)
     if level is None:
@@ -317,8 +411,15 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
                     "Gaussian seed of mass rho^2 (no negative-energy start)")
     else:
         for lv in (level * 1.5, max(level * 1.5, amp)):
-            candidates.append(dilated_witness(spec, grid, rho, lv))
-    return min(candidates, key=lambda u: energy(u.values)[0])
+            candidates.append(_witness(grid, rho, lv))
+    best = best_energy = None
+    for vals in candidates:
+        energy = stage.energy(vals)[0]
+        # the first of equal energies wins, as with min()
+        if best is None or energy < best_energy:
+            best, best_energy = vals, energy
+            stage.fields.keep(vals)
+    return best
 
 
 def _sobolev_preconditioner(grid: RadialGrid):
@@ -342,7 +443,7 @@ def _sobolev_preconditioner(grid: RadialGrid):
     return apply
 
 
-def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg):
+def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
     """One Newton step from (u, lam) with W res = K u + lam W u - W g_eps(u),
     on the symmetric tridiagonal A = K + lam W - W diag(g_eps'(u)) (dg is
     the stage's g_eps').
@@ -350,7 +451,8 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg):
     On the sphere it solves the KKT system F(u, lam) = (W res,
     (u^T W u - rho^2)/2) = 0: A, indefinite on the ground state, is bordered
     by W u, and one LAPACK gtsv solve of A [x1, x2] = [W res, W u]
-    eliminates the border; the new values are rescaled onto the sphere.
+    eliminates the border, in place in rhs2, a Fortran-ordered (n, 2)
+    buffer of the caller's; the new values are rescaled onto the sphere.
     Inside the disc the constraint is inactive (lam = 0, res = g): LAPACK
     pttrf factors A exactly when it is positive definite, pttrs solves
     A x = W g, and u - x is projected onto the disc.  Returns the new values
@@ -362,7 +464,9 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg):
     diag = k_diag + w * (lam - dg(u))
     if on_boundary:
         wu = w * u
-        x, info = dgtsv(k_off, diag, k_off, np.column_stack((w * res, wu)))[3:]
+        np.multiply(w, res, out=rhs2[:, 0])
+        rhs2[:, 1] = wu
+        x, info = dgtsv(k_off, diag, k_off, rhs2, overwrite_d=1, overwrite_b=1)[3:]
         if info != 0:
             return None
         x1, x2 = x[:, 0], x[:, 1]
@@ -385,7 +489,7 @@ _EVAL_COUNTS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 def solve_ground_state(config: SolveConfig, eps: float,
                        u0: Optional[RadialField] = None,
                        grid: Optional[RadialGrid] = None,
-                       rng=None) -> SolverResult:
+                       rng=None, fields: Optional[_Fields] = None) -> SolverResult:
     """Minimize E_eps over the disc of radius rho in two phases: a
     Sobolev-preconditioned projected BB descent that globalizes, then Newton
     steps on the KKT system that finish the stage.
@@ -420,19 +524,24 @@ def solve_ground_state(config: SolveConfig, eps: float,
 
     The stage's kernels are bound once (_bind_stage), and every trial,
     gradient and Newton Jacobian is evaluated on bare nodal arrays through
-    them, one pass per point: a trial's energy, the gradient there once it
-    is accepted and the next Newton Jacobian share one log.  The stage
-    record reuses the last iterate's energy, density and g_eps (see
-    _result), and counts the evaluations made.
+    them and the cache fields (continuation passes its own; by default the
+    stage has one of its own), one pass per array: a trial's energy, the
+    gradient there once it is accepted and the next Newton Jacobian share
+    one log, one g(|s|) and one set of face differences.  The start is u0's
+    own array when it lies in the disc, so a stage that starts where the
+    last one ended reuses its evaluations.  The stage record reuses the last
+    iterate's energy, density, g_eps and kinetic term (see _result), and
+    counts the evaluations made.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
         grid = config.make_grid()
-    if u0 is None:
-        u0 = initial_guess(spec, grid, rho, eps, rng=rng)
     w = grid.w
-    stage = _bind_stage(grid, spec, eps)
+    stage = _bind_stage(grid, spec, eps) if fields is None else _shared(fields, spec, eps)
+    fields = stage.fields
+    vals0 = _guess(stage, spec, rho, rng) if u0 is None else u0.values
     solve_precond = None  # factored on the stage's first descent step
+    rhs2 = np.empty((grid.n, 2), order="F")  # the sphere Newton step's right-hand sides
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
 
     def wdot(a, b):
@@ -444,7 +553,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
 
     def grad_of(vals):
         counts["grad_evals"] += 1
-        return _grad_parts(grid, vals, stage.g)
+        return _grad_parts(stage, vals)
 
     def precond(x):
         nonlocal solve_precond
@@ -462,7 +571,8 @@ def solve_ground_state(config: SolveConfig, eps: float,
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary
 
-    u, m_u = _rescale(w, u0.values.copy(), rho)
+    u, m_u = _rescale(w, vals0, rho)
+    fields.keep(u)
     E, dens = energy_of(u)
     g, lap, rhs = grad_of(u)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
@@ -482,7 +592,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
             break
 
         if rel <= newton_gate and (lam_hat > 0.0 if on_boundary else m_u > 0.0):
-            step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg)
+            step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg, rhs2)
             if step is not None:
                 v, m_v = step
                 E_v, dens_v = energy_of(v)
@@ -491,6 +601,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 if E_v <= E + 1e-12 * (1.0 + abs(E)) and kkt_v[0] <= 0.5 * rel:
                     u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
                     rel, res, lam_hat, on_boundary = kkt_v
+                    fields.keep(u)
                     newton_steps += 1
                     continue
             if on_boundary or step is not None:
@@ -540,8 +651,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
         tau = min(max(ss / sy, 1e-12), STEP_MAX) if sy > 0 else min(t * 2.0, STEP_MAX)
         u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
         rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
+        fields.keep(u)
 
-    result = _result(config, RadialField(grid, u), eps, E, dens, rhs, m_u, status,
+    result = _result(config, fields.at(u), eps, E, dens, rhs, m_u, status,
                      iterations=it, newton_steps=newton_steps, kkt_residual=rel, **counts)
     log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d newton=%d kkt=%.2g status=%s "
              "on_sphere=%s", eps, E, result.lam, it, newton_steps, rel, status,
@@ -549,25 +661,26 @@ def solve_ground_state(config: SolveConfig, eps: float,
     return result
 
 
-def _result(config, u, eps, energy, dens, g, m, status, **solver) -> SolverResult:
-    """Record of field u at eps from the evaluations the caller already made
-    there: its energy E_eps(u), nodal density G_eps(u) and g_eps(u), and the
-    mass m it tracked.  The multiplier (the Nehari quotient), the Nehari
-    pairing and the Pohozaev integral reuse them, and the kinetic term and
-    mass are computed once (diagnostics.identity_parts).  solver holds the
-    iteration, Newton-step and evaluation counts and the final relative KKT
-    residual."""
-    from .diagnostics import bundle_from_parts, identity_parts
+def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResult:
+    """Record of the field at (an _At) at eps from the evaluations the caller
+    already made there: its energy E_eps, nodal density G_eps, g_eps and
+    kinetic term, and the mass m it tracked.  The multiplier (the Nehari
+    quotient) comes from them and the mass; the residual bundle is built
+    from the same parts on first access (SolverResult.bundle).  solver
+    holds the iteration, Newton-step and evaluation counts and the final
+    relative KKT residual."""
+    from .diagnostics import identity_parts
 
     rho = config.rho
-    parts = identity_parts(u, dens, g)
+    u = RadialField(at.grid, at.s)
+    parts = identity_parts(u, at.kinetic, dens, g)
     # extract_lambda's quotient
     lam = (parts.pairing - parts.kinetic) / parts.mass if m > 0 else 0.0
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
         converged=status != "max_iter",
         on_sphere=abs(m - rho * rho) <= TOL_MASS * rho * rho, status=status,
-        bundle=bundle_from_parts(u, lam, parts), **solver,
+        parts=parts, **solver,
     )
 
 
@@ -590,17 +703,20 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     """
     if grid is None:
         grid = config.make_grid()
+    fields = _Fields(grid)
     stages = []
     u0 = None
     total = 0
     for j, eps in enumerate(config.eps_schedule):
         if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
-            seed = _on_sphere(grid, warm[j].u.values, config.rho)
-            energy = _bind_stage(grid, config.spec, eps).energy
-            if energy(seed.values)[0] < energy(u0.values)[0]:
-                u0 = seed
+            seed = _rescale(grid.w, warm[j].u.values, config.rho, sphere=True)[0]
+            energy = _shared(fields, config.spec, eps).energy
+            if energy(seed)[0] < energy(u0.values)[0]:
+                fields.keep(seed)
+                u0 = RadialField(grid, seed)
         try:
-            result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng)
+            result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng,
+                                        fields=fields)
         except StepFailure as exc:
             exc.stages = stages
             raise
@@ -614,10 +730,10 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
         for a, b in zip(stages, stages[1:])
     )
     u = stages[-1].u
-    at_zero = _bind_stage(grid, config.spec, 0.0)
+    at_zero = _shared(fields, config.spec, 0.0)
     energy, dens = at_zero.energy(u.values)
-    limit = _result(config, u, 0.0, energy, dens, at_zero.g(u.values), mass(u),
-                    stages[-1].status, kkt_residual=stages[-1].kkt_residual,
+    limit = _result(config, fields.at(u.values), 0.0, energy, dens, at_zero.g(u.values),
+                    mass(u), stages[-1].status, kkt_residual=stages[-1].kkt_residual,
                     **{k: sum(getattr(s, k) for s in stages)
                        for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
     return ContinuationResult(stages=stages, limit=limit,

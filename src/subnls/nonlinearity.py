@@ -14,8 +14,9 @@ sign-change points of g, located once per spec and cached.  The built-in
 families have them in closed form, so no quadrature appears in their hot
 path; the custom family (odd g only) builds them by quadrature.  bind_eps
 binds one (spec, eps) once and returns G_eps, g_eps and g_eps' as functions
-of a Point, which computes |s|, s^2 and ln s^2 once for every kernel
-evaluated there; the public functions of the same names wrap it.
+of a Point, which computes |s|, s^2, ln s^2 and the half-line g(|s|) once
+for every kernel evaluated there; the public functions of the same names
+wrap it.
 """
 
 from __future__ import annotations
@@ -98,24 +99,32 @@ def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> Nonlineari
 class Point:
     """A float array s at which kernels are evaluated, with what the family
     kernels derive from it: |s|, s^2 = |s| |s| and, on first use,
-    ln max(s^2, _TINY^2).  Every kernel evaluated at the same Point shares
-    them, with the arithmetic of evaluating that kernel alone, so sharing
-    changes no bit.  The array must not be written to while the Point is in
-    use."""
+    ln max(s^2, _TINY^2) and a spec's half-line g(|s|).  Every kernel
+    evaluated at the same Point shares them, with the arithmetic of
+    evaluating that kernel alone, so sharing changes no bit.  The array
+    must not be written to while the Point is in use."""
 
-    __slots__ = ("s", "mag", "s2", "_ln_s2")
+    __slots__ = ("s", "mag", "s2", "_ln_s2", "_g", "_g_spec")
 
     def __init__(self, s):
         self.s = s
         self.mag = np.abs(s)
         self.s2 = self.mag * self.mag
         self._ln_s2 = None
+        self._g_spec = None
 
     @property
     def ln_s2(self):
         if self._ln_s2 is None:
             self._ln_s2 = np.log(np.maximum(self.s2, _TINY**2))
         return self._ln_s2
+
+    def half_g(self, spec):
+        """g(|s|) of spec's family, kept for the last spec asked for."""
+        if self._g_spec is not spec and self._g_spec != spec:
+            self._g = _FAMILIES[spec.family].g(spec, self)
+            self._g_spec = spec
+        return self._g
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +217,21 @@ def _log_roots(spec):
     return (r1, r2)
 
 
+def is_mass_critical(p: float, dim: int) -> bool:
+    """Whether p is the mass-critical exponent 2 + 4/N, within 1e-12
+    relative: 10/3 and 2 + 4/3 are adjacent doubles."""
+    pc = 2.0 + 4.0 / dim
+    return abs(p - pc) <= 1e-12 * pc
+
+
 def _power_eta(spec):
     # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
     # and mu = 0 in every other built-in family
-    pc = spec.mass_critical_exp
-    if spec.mu <= 0 or spec.p_exp < pc:
+    if spec.mu <= 0:
         return EtaEstimate(0.0, sampled=False)
-    return EtaEstimate(spec.mu / spec.p_exp if spec.p_exp == pc else math.inf, sampled=False)
+    if is_mass_critical(spec.p_exp, spec.dim):
+        return EtaEstimate(spec.mu / spec.p_exp, sampled=False)
+    return EtaEstimate(0.0 if spec.p_exp < spec.mass_critical_exp else math.inf, sampled=False)
 
 
 def _check_log(spec):
@@ -477,7 +494,7 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
 class EpsKernels(NamedTuple):
     """G_eps, g_eps and g_eps' of one (spec, eps) as functions of a Point
     over a float array of any shape (eps = 0 gives G, g and g').  Kernels
-    evaluated at the same Point share its |s|, s^2 and ln s^2."""
+    evaluated at the same Point share its |s|, s^2, ln s^2 and g(|s|)."""
     G: Callable
     g: Callable
     dg: Callable
@@ -493,7 +510,7 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
     fam = _FAMILIES[spec.family]
     if eps == 0.0:
         return EpsKernels(G=lambda x: fam.prims(spec, x)[0],
-                          g=lambda x: np.sign(x.s) * fam.g(spec, x),
+                          g=lambda x: np.sign(x.s) * x.half_g(spec),
                           dg=lambda x: fam.dg(spec, x))
     _check_eps(eps)
     eps = float(eps)
@@ -514,14 +531,14 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
 
     def g(x):
         s, mag = x.s, x.mag
-        gs = np.sign(s) * fam.g(spec, x)
+        gs = np.sign(s) * x.half_g(spec)
         return np.where(s * gs > 0.0, gs, np.minimum(mag / eps, 1.0) * gs)
 
     def dg(x):
         mag = x.mag
         out = fam.dg(spec, x)
         # the same branch as g: the ramp acts wherever s g(s) <= 0
-        gm = fam.g(spec, x)
+        gm = x.half_g(spec)
         return np.where((gm <= 0.0) & (mag < eps), (gm + mag * out) / eps, out)
 
     return EpsKernels(G, g, dg)

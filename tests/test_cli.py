@@ -9,6 +9,7 @@ import pytest
 from subnls import cli
 from subnls import diagnostics as dg
 from subnls import minimizer as mz
+from subnls import nonlinearity as nl
 
 QUICK = """
 [nonlinearity]
@@ -317,6 +318,29 @@ def test_solve_notes_why_the_energy_is_unbounded_below(tmp_path, capsys):
     # of comparing mu with the threshold
     cli.main(["solve", "--config", write_config(tmp_path, UNBOUNDED)])
     note = "analytic verdict: unbounded_below ((g3) fails: mu > 0 and p > 2 + 4/N = 3.33333)"
+    assert note in capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert payload["notes"] == [note]
+
+
+def test_mass_critical_verdict_is_printed_and_explained(tmp_path, capsys):
+    # mu > 0 with p = 2 + 4/3 = 10/3: neither exists_large_rho nor
+    # unbounded_below; solve's note gives the mass condition at the
+    # configured rho
+    assert cli.main(["threshold", "--alpha", "1", "--p", str(10.0 / 3.0), "--mu", "0.1",
+                     "--dim", "3"]) == cli.EXIT_OK
+    assert "verdict = mass_critical" in capsys.readouterr().out.splitlines()
+    text = UNBOUNDED.replace("p = 4.0", f"p = {10.0 / 3.0!r}")
+    cli.main(["check", "--config", write_config(tmp_path, text, "check.ini")])
+    assert capsys.readouterr().out.splitlines()[-1].endswith("verdict = mass_critical")
+    payload = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert payload["threshold"]["verdict"] == "mass_critical"
+    cli.main(["solve", "--config", write_config(tmp_path, text)])
+    spec = nl.log_power(1.0, 0.1, 10.0 / 3.0, dim=3)
+    value, holds = dg.mass_condition(spec, 2.0)
+    assert 0.0 < value < 1.0 and holds
+    note = (f"analytic verdict: mass_critical (mu > 0 and p = 2 + 4/N: "
+            f"2 eta C^(2+4/N) rho^(4/N) = {value:.6g} at rho = 2, {'<' if holds else '>='} 1)")
     assert note in capsys.readouterr().out.splitlines()
     payload = json.loads((tmp_path / "out" / "result.json").read_text())
     assert payload["notes"] == [note]

@@ -125,6 +125,10 @@ def test_nonexistence_verdict_examples():
     assert dg.nonexistence_verdict(1.0, 0.1, 4.0, 3) == dg.UNBOUNDED_BELOW
     assert dg.nonexistence_verdict(1.0, 2400.0, 4.0, 4) == dg.UNBOUNDED_BELOW
     assert dg.nonexistence_verdict(1.0, 0.7, 3.0, 3) == dg.EXISTS_LARGE_RHO
+    # a positive power at the mass-critical 2 + 4/N: existence depends on rho
+    assert dg.nonexistence_verdict(1.0, 0.1, 10.0 / 3.0, 3) == dg.MASS_CRITICAL
+    assert dg.nonexistence_verdict(1.0, 0.1, 4.0, 2) == dg.MASS_CRITICAL
+    assert dg.nonexistence_verdict(1.0, 0.1, 3.0, 4) == dg.MASS_CRITICAL
     with pytest.raises(ValueError):
         dg.nonexistence_verdict(1.0, 0.0, 7.0, 3)
 

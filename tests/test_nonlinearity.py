@@ -221,6 +221,10 @@ def test_eta_coefficient():
     pc = 2 + 4 / dim
     crit = nl.eta_coefficient(nl.log_power(1.0, 0.6, pc, dim=dim))
     assert crit.value == pytest.approx(0.6 / pc, rel=1e-14, abs=0.0) and not crit.sampled
+    # 10/3 is the next double above 2 + 4/3 and still the critical exponent
+    assert 10.0 / 3.0 != pc
+    crit = nl.eta_coefficient(nl.log_power(1.0, 0.6, 10.0 / 3.0, dim=dim))
+    assert crit.value == pytest.approx(0.18, rel=1e-14, abs=0.0)
     sub = nl.eta_coefficient(nl.log_power(1.0, 0.6, 3.0, dim=dim))
     assert sub.value == 0.0
     assert nl.eta_coefficient(nl.logarithmic(1.0, dim=dim)).value == 0.0
