@@ -10,9 +10,9 @@ the nonexistence threshold (a collapse run), saturation and power_sublinear.
 Each configuration runs three starts (the plain seed and two jittered ones,
 as multistart draws them) and a 3-point energy_map.  The digest covers, for
 every stage and every limit, its to_json_dict() record without the solver's
-work counters, its residual bundle and the bytes of its field; a start that
-raises contributes the exception's type, message and completed stages; and
-every energy_map point.  Two trees that print the same digest give
+work counters, its residual bundle and the bytes of its field; a start
+without a limit contributes the status of the stage that ended it and its
+stages; and every energy_map point.  Two trees that print the same digest give
 bit-identical answers on all of these.  --verbose also prints one line per
 record, and --expect DIGEST makes the exit status 1 when the digest differs
 from DIGEST (0 when it matches).  stdout is the digest line alone; stderr
@@ -81,16 +81,14 @@ def runs(config, work):
     for j in range(STARTS):
         # the seeds multistart draws: none for start 0, then j
         rng = np.random.default_rng(j) if j else None
-        try:
-            res = mz.continuation(config, grid=grid, rng=rng)
-        except mz.ContinuationAborted as exc:
-            add_work(work, exc.stages)
-            yield f"start {j}", {"raised": type(exc).__name__, "message": str(exc),
-                                 "stages": [record(s) for s in exc.stages]}
-            continue
+        res = mz.continuation(config, grid=grid, rng=rng)
         add_work(work, res.stages)
-        yield f"start {j}", {"stages": [record(s) for s in res.stages],
-                             "limit": record(res.limit), "eps_monotone": res.eps_monotone,
+        stages = [record(s) for s in res.stages]
+        if res.limit is None:
+            yield f"start {j}", {"status": res.status, "stages": stages}
+            continue
+        yield f"start {j}", {"stages": stages, "limit": record(res.limit),
+                             "eps_monotone": res.eps_monotone,
                              "total_iterations": res.total_iterations}
     rhos = [config.rho * f for f in (1.0, 1.1, 1.2)]
     yield "energy_map", [dataclasses.asdict(p) for p in mz.energy_map(config, rhos)]

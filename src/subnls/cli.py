@@ -138,9 +138,11 @@ def build_solve_config(cfg: RunConfig) -> mz.SolveConfig:
     spec = build_spec(cfg)
     g, s = cfg.values["grid"], cfg.values["solver"]
     try:
-        return mz.SolveConfig(spec=spec, r_max=g["r_max"], n=g["n"], **s)
+        config = mz.SolveConfig(spec=spec, r_max=g["r_max"], n=g["n"], **s)
+        config.make_grid()  # RadialGrid checks r_max and n
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return config
 
 
 def build_nfunction(cfg: RunConfig):
@@ -335,7 +337,8 @@ def cmd_threshold(args) -> int:
         if args.mu is not None:
             if args.mu < 0:
                 lines.append(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
-            verdict = dg.nonexistence_verdict(args.alpha, args.mu, args.p, args.dim or 3)
+            dim = 3 if args.dim is None else args.dim
+            verdict = dg.nonexistence_verdict(args.alpha, args.mu, args.p, dim)
             lines.append(f"verdict = {verdict}")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

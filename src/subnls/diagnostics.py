@@ -155,7 +155,9 @@ def nonexistence_verdict(alpha: float, mu: float, p: float, dim: int) -> str:
     unbounded_below when p > 2 + 4/N (a mass-supercritical positive power,
     so (g3) fails and the energy is unbounded below on every sphere);
     otherwise mu is compared with the threshold -alpha p/(p-2) e^(-p/2)
-    within 1e-12."""
+    within 1e-12.  dim must be an integer >= 2."""
+    if dim < 2 or int(dim) != dim:
+        raise ValueError(f"dim must be an integer >= 2, got {dim}")
     if dim >= 3:
         two_star = 2.0 * dim / (dim - 2.0)
         if not (2.0 < p <= two_star):

@@ -30,10 +30,10 @@ weakly closed, a minimizer with positive multiplier is automatically pushed
 onto the sphere, and runs where the flow collapses into the interior are
 exactly the nonexistence evidence the diagnostics consume; there the
 interior Newton steps finish the collapse to the zero field in a number of
-iterations that does not grow with n.  How a stage ended is data
-(SolverResult.status, with converged=False only for an exhausted iteration
-budget), not an exception; only a step that cannot decrease the energy at
-the smallest step size raises.
+iterations that does not grow with n.  How a stage ended is data, never an
+exception: SolverResult.status, converged only for "converged" and
+"collapsed".  A continuation stops at its first stage that did not converge
+and returns it last, without a limit (ContinuationResult).
 """
 
 from __future__ import annotations
@@ -73,17 +73,8 @@ TOL_MASS = 1e-9
 
 
 class ContinuationAborted(RuntimeError):
-    """A continuation stopped before its last stage; the stages it completed
-    are attached as ``stages``."""
-
-    def __init__(self, message, stages=()):
-        super().__init__(message)
-        self.stages = list(stages)
-
-
-class StepFailure(ContinuationAborted):
-    """Backtracking exhausted without an energy decrease.  continuation()
-    attaches the stages it completed before the failure."""
+    """Raised nowhere: a continuation reports a stage that did not converge
+    in ContinuationResult.  The name stays while perfbench imports it."""
 
 
 @dataclass
@@ -110,6 +101,13 @@ class SolveConfig:
             raise ValueError("eps values must lie in (0, 1)")
         if any(b <= a for a, b in zip(sched[1:], sched[:-1])):
             raise ValueError("eps schedule must be strictly decreasing")
+        # a KKT residual is never below a tolerance <= 0
+        if not self.tol_grad > 0:
+            raise ValueError("tol_grad must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.multistarts < 1:
+            raise ValueError("multistarts must be at least 1")
         self.eps_schedule = sched
         if self.rearrange_every:
             log.warning("rearrange_every = %d is ignored: the solver no longer "
@@ -125,8 +123,9 @@ class SolverResult:
     field, its multiplier, energy, mass and kinetic term, how the stage
     ended and what it cost.  It is built from the solver's own last
     evaluations (_result); u may share its array with the stage's start u0
-    (and so with the previous stage's u).  bundle, the residual bundle, is
-    computed from parts on first access and then kept."""
+    (and so with the previous stage's u).  converged is derived from status;
+    bundle, the residual bundle, is computed from parts on first access and
+    then kept."""
 
     u: RadialField
     lam: float
@@ -138,7 +137,6 @@ class SolverResult:
     iterations: int
     newton_steps: int
     kkt_residual: float
-    converged: bool
     on_sphere: bool
     status: str
     # the stage's evaluations of E_eps and of the gradient, its rejected
@@ -150,6 +148,10 @@ class SolverResult:
     # the integrals of u's Pohozaev and Nehari identities
     # (diagnostics.IdentityParts), from which bundle is built
     parts: object = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.status in ("converged", "collapsed")
 
     @functools.cached_property
     def bundle(self):
@@ -194,21 +196,37 @@ class EnergyMapPoint:
 
 @dataclass
 class ContinuationResult:
+    """The stages of one continuation, ending with the stage that ended it,
+    and the eps = 0 limit, None when that stage did not converge."""
+
     stages: list
-    limit: SolverResult
-    eps_monotone: bool
-    total_iterations: int
+    limit: Optional[SolverResult]
+
+    @property
+    def status(self) -> str:
+        return self.stages[-1].status
+
+    @property
+    def eps_monotone(self) -> bool:
+        """Whether the stage minima are nondecreasing as eps decreases (the
+        regularized energies increase pointwise)."""
+        return all(b.energy >= a.energy - 1e-9 * (1.0 + abs(a.energy))
+                   for a, b in zip(self.stages, self.stages[1:]))
+
+    @property
+    def total_iterations(self) -> int:
+        return sum(s.iterations for s in self.stages)
 
 
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
-    return _bind_stage(u.grid, spec, eps).energy(u.values)[0]
+    return _bind_stage(_Fields(u.grid), spec, eps).energy(u.values)[0]
 
 
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
     """L2-gradient field -Lap u - g_eps(u); consistent with energy_eps at
     machine level thanks to exact summation by parts."""
-    return RadialField(u.grid, _grad_parts(_bind_stage(u.grid, spec, eps), u.values)[0])
+    return RadialField(u.grid, _grad_parts(_bind_stage(_Fields(u.grid), spec, eps), u.values)[0])
 
 
 def _grad_parts(stage, vals):
@@ -253,19 +271,15 @@ class _Fields:
     and of the one kept, matched by identity.  The solver keeps its current
     iterate, so that the stage's record, the next stage's start and the
     eps = 0 limit, which see the same array, reuse its evaluations whatever
-    was evaluated since.  share() points this cache at another's entries:
-    that is how the stages and the limit of one continuation (one grid, one
-    spec), each bound with a cache of its own, read and fill one (_shared).
-    No caller writes into an array it has passed here."""
+    was evaluated since: the stages and the limit of one continuation (one
+    grid, one spec) are all bound on its one cache.  No caller writes into
+    an array it has passed here."""
 
     __slots__ = ("grid", "held")
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         self.held = [None, None]  # the last array's _At, the kept one's
-
-    def share(self, other: "_Fields"):
-        self.held = other.held
 
     def at(self, vals) -> _At:
         held = self.held
@@ -286,26 +300,23 @@ class _Stage(NamedTuple):
     fields: _Fields   # the cache the three evaluate through
 
 
-def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
+def _bind_stage(fields: _Fields, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
     """Everything one eps-stage evaluates on bare nodal arrays, bound once
     (nl.bind_eps): the solver's trial energies, gradients and Newton
     Jacobians, the seeds' energies, the records of the stage and of the
     eps = 0 limit, and the public energy_eps and grad_energy_eps.
 
-    The three evaluate through one cache (_Fields), which keeps per array
-    one |s|, s^2, ln s^2 and g(|s|) for the trial's G_eps, the accepted
-    point's g_eps and the next Newton Jacobian's g_eps', and one set of
-    face differences for its kinetic term and the Laplacian of each
-    gradient evaluation.  The stage starts
-    with a cache of its own; _shared points it at a continuation's.  The
-    energy is summed in double precision: a stage ends on the Newton
-    residual test, whose energy margin 1e-12 (1 + |E|) lies far above that
-    rounding.  A trial field that is not finite raises ValueError, as
-    RadialField does; the array is scanned only when the energy is not
-    finite."""
-    fields = _Fields(grid)
+    The three evaluate through the cache fields (on the stage's grid),
+    which keeps per array one |s|, s^2, ln s^2 and g(|s|) for the trial's
+    G_eps, the accepted point's g_eps and the next Newton Jacobian's
+    g_eps', and one set of face differences for its kinetic term and the
+    Laplacian of each gradient evaluation.  The energy is summed in double
+    precision: a stage ends on the Newton residual test, whose energy
+    margin 1e-12 (1 + |E|) lies far above that rounding.  A trial field
+    that is not finite raises ValueError, as RadialField does; the array is
+    scanned only when the energy is not finite."""
     kern = nl.bind_eps(spec, eps)
-    at, w = fields.at, grid.w
+    at, w = fields.at, fields.grid.w
 
     def energy(vals):
         x = at(vals)
@@ -317,13 +328,6 @@ def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Sta
 
     return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)),
                   fields)
-
-
-def _shared(fields: _Fields, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
-    """_bind_stage on fields' grid, evaluating through the cache fields."""
-    stage = _bind_stage(fields.grid, spec, eps)
-    stage.fields.share(fields)
-    return stage
 
 
 def _rescale(w, vals, rho, sphere=False):
@@ -392,7 +396,7 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
-    return RadialField(grid, _guess(_bind_stage(grid, spec, eps), spec, rho, rng))
+    return RadialField(grid, _guess(_bind_stage(_Fields(grid), spec, eps), spec, rho, rng))
 
 
 def _guess(stage, spec, rho, rng):
@@ -517,15 +521,17 @@ def solve_ground_state(config: SolveConfig, eps: float,
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
     tol_grad relative to the natural operator scale.  The other exits are
-    "collapsed" (the iterate has sunk to the zero field), "stalled" (steps
-    at rounding level), "backtrack_exhausted" (no decrease visible above
-    rounding) and "max_iter"; all but the last report converged=True.
+    "collapsed" (the iterate has sunk to the zero field, which also counts
+    as converged), "stalled" (steps at rounding level), and, when 60
+    halvings find no Armijo decrease, "nonfinite" if the last trial energy
+    is not finite and "backtrack_exhausted" otherwise; "max_iter" ends an
+    exhausted budget.  No numerical ending raises.
     config.rearrange_every is accepted and ignored (SolveConfig).
 
     The stage's kernels are bound once (_bind_stage), and every trial,
     gradient and Newton Jacobian is evaluated on bare nodal arrays through
     them and the cache fields (continuation passes its own; by default the
-    stage has one of its own), one pass per array: a trial's energy, the
+    stage makes one), one pass per array: a trial's energy, the
     gradient there once it is accepted and the next Newton Jacobian share
     one log, one g(|s|) and one set of face differences.  The start is u0's
     own array when it lies in the disc, so a stage that starts where the
@@ -537,8 +543,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
     if grid is None:
         grid = config.make_grid()
     w = grid.w
-    stage = _bind_stage(grid, spec, eps) if fields is None else _shared(fields, spec, eps)
-    fields = stage.fields
+    if fields is None:
+        fields = _Fields(grid)
+    stage = _bind_stage(fields, spec, eps)
     vals0 = _guess(stage, spec, rho, rng) if u0 is None else u0.values
     solve_precond = None  # factored on the stage's first descent step
     rhs2 = np.empty((grid.n, 2), order="F")  # the sphere Newton step's right-hand sides
@@ -579,8 +586,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     tau = STEP_INIT
     newton_gate = math.inf
     newton_steps = 0
-    it = 0
-    status = "max_iter"
+    status = None
     for it in range(1, config.max_iter + 1):
         if rel <= config.tol_grad:
             status = "converged"
@@ -619,7 +625,6 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 # -P g points out of the disc: move along the sphere instead
                 pu = precond(u)
                 d = d - (ud / wdot(u, pu)) * pu
-        accepted = False
         t = tau
         for _ in range(60):
             v, m_v = _rescale(w, u - t * d, rho)
@@ -628,7 +633,6 @@ def solve_ground_state(config: SolveConfig, eps: float,
             dd = wdot(dv, dv)
             ss = SOBOLEV_SHIFT * dd + kinetic_values(grid, dv)  # <dv, P^-1 dv>
             if E_v <= E - ARMIJO * ss / max(t, 1e-300):
-                accepted = True
                 break
             if math.sqrt(dd) <= 1e-16 * (1.0 + math.sqrt(m_u)) and math.isfinite(E_v):
                 # step has collapsed to rounding level: treat as stationary
@@ -636,14 +640,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 break
             counts["backtracks"] += 1
             t *= BACKTRACK
-        if status == "stalled":
-            break
-        if not accepted:
-            # written so that a NaN trial energy fails too
-            if not E_v <= E + 1e-12 * (1.0 + abs(E)):
-                raise StepFailure(f"no decrease at step {t:g} (iteration {it}, "
-                                  f"trial energy {E_v:g})")
-            status = "backtrack_exhausted"
+        else:
+            status = "backtrack_exhausted" if math.isfinite(E_v) else "nonfinite"
+        if status is not None:
             break
 
         g_v, lap_v, rhs_v = grad_of(v)
@@ -652,6 +651,8 @@ def solve_ground_state(config: SolveConfig, eps: float,
         u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
         rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
         fields.keep(u)
+    else:
+        status = "max_iter"
 
     result = _result(config, fields.at(u), eps, E, dens, rhs, m_u, status,
                      iterations=it, newton_steps=newton_steps, kkt_residual=rel, **counts)
@@ -678,7 +679,6 @@ def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResu
     lam = (parts.pairing - parts.kinetic) / parts.mass if m > 0 else 0.0
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
-        converged=status != "max_iter",
         on_sphere=abs(m - rho * rho) <= TOL_MASS * rho * rho, status=status,
         parts=parts, **solver,
     )
@@ -690,9 +690,10 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
 
     The limit reports the unregularized energy and the multiplier recomputed
     from the unregularized Nehari quotient, so its identity residuals are
-    measured against the true nonlinearity.  Minima must be nondecreasing as
-    eps decreases (the regularized energies increase pointwise); the flag
-    records whether the computed stages respect that ordering.
+    measured against the true nonlinearity.  The run stops at the first
+    stage that does not converge; it is then the last of the stages and the
+    limit is None.  Every stage, every warm-seed comparison and the limit
+    evaluate through one cache (_Fields).
 
     warm is the stages of a neighbouring continuation on the same grid and
     schedule (energy_map passes the previous radius).  Stage j >= 1 then
@@ -706,80 +707,65 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     fields = _Fields(grid)
     stages = []
     u0 = None
-    total = 0
     for j, eps in enumerate(config.eps_schedule):
         if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
             seed = _rescale(grid.w, warm[j].u.values, config.rho, sphere=True)[0]
-            energy = _shared(fields, config.spec, eps).energy
+            energy = _bind_stage(fields, config.spec, eps).energy
             if energy(seed)[0] < energy(u0.values)[0]:
                 fields.keep(seed)
                 u0 = RadialField(grid, seed)
-        try:
-            result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng,
-                                        fields=fields)
-        except StepFailure as exc:
-            exc.stages = stages
-            raise
-        total += result.iterations
-        if not result.converged:
-            raise ContinuationAborted(f"stage eps={eps:g} did not converge", stages)
+        result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng, fields=fields)
         stages.append(result)
+        if not result.converged:
+            return ContinuationResult(stages=stages, limit=None)
         u0 = result.u
-    eps_monotone = all(
-        b.energy >= a.energy - 1e-9 * (1.0 + abs(a.energy))
-        for a, b in zip(stages, stages[1:])
-    )
     u = stages[-1].u
-    at_zero = _shared(fields, config.spec, 0.0)
+    at_zero = _bind_stage(fields, config.spec, 0.0)
     energy, dens = at_zero.energy(u.values)
     limit = _result(config, fields.at(u.values), 0.0, energy, dens, at_zero.g(u.values),
                     mass(u), stages[-1].status, kkt_residual=stages[-1].kkt_residual,
                     **{k: sum(getattr(s, k) for s in stages)
                        for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
-    return ContinuationResult(stages=stages, limit=limit,
-                              eps_monotone=eps_monotone, total_iterations=total)
+    return ContinuationResult(stages=stages, limit=limit)
 
 
 def multistart(config: SolveConfig) -> list:
     """config.multistarts independent continuations: start 0 from the plain
     initial guess, start j >= 1 jittered by np.random.default_rng(j).  All
     limits are recorded (distinct equal-energy profiles are kept, not
-    adjudicated).  A start that fails, or whose continuation stops on a
-    stage's iteration cap, is logged and skipped, so the list may be empty."""
+    adjudicated).  A start whose continuation has no limit (a stage did not
+    converge) is logged and skipped, so the list may be empty."""
     out = []
     grid = config.make_grid()
     for j in range(config.multistarts):
         rng = np.random.default_rng(j) if j > 0 else None
-        try:
-            out.append(continuation(config, grid=grid, rng=rng).limit)
-        except ContinuationAborted as exc:
-            log.warning("start %d failed: %s", j, exc)
+        res = continuation(config, grid=grid, rng=rng)
+        if res.limit is None:
+            log.warning("start %d skipped: stage eps=%g ended %s", j, res.stages[-1].eps,
+                        res.status)
+        else:
+            out.append(res.limit)
     return out
 
 
 def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
     """Ground-state-energy samples c(rho) along a list of radii, solved in
     order in this process, each point's continuation warm-started from the
-    stages of the point before it (see continuation).  A point that fails is
-    flagged with the energy and eps of its last completed stage (nan when
-    none completed), seeds nothing, and the sweep continues."""
+    stages of the point before it (see continuation).  A point without a
+    limit is flagged with the energy and eps of its last converged stage
+    (nan when none converged), seeds nothing, and the sweep continues."""
     points = []
     grid = config.make_grid()
     warm = None
     for rho in rho_list:
-        cfg = replace(config, rho=float(rho))
-        try:
-            res = continuation(cfg, grid=grid, warm=warm)
-        except ContinuationAborted as exc:
-            log.warning("rho=%g failed: %s", rho, exc)
-            last = exc.stages[-1] if exc.stages else None
-            points.append(EnergyMapPoint(rho=float(rho),
-                                         c_value=last.energy if last else math.nan,
-                                         eps=last.eps if last else math.nan,
-                                         converged=False))
-            warm = None
-            continue
-        points.append(EnergyMapPoint(rho=float(rho), c_value=res.limit.energy,
-                                     eps=0.0, converged=res.limit.converged))
-        warm = res.stages
+        res = continuation(replace(config, rho=float(rho)), grid=grid, warm=warm)
+        if res.limit is None:
+            log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, res.status)
+        # the limit, or the stage before the one that ended the run
+        done = res.limit or (res.stages[-2] if len(res.stages) > 1 else None)
+        points.append(EnergyMapPoint(rho=float(rho),
+                                     c_value=done.energy if done else math.nan,
+                                     eps=done.eps if done else math.nan,
+                                     converged=res.limit is not None))
+        warm = res.stages if res.limit else None
     return points

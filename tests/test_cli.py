@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import MISSING
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,16 +226,57 @@ def test_threshold_command(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    # a dimension that is not an integer >= 2 is a usage error, and 0 does
+    # not fall back to the default 3
+    for dim in ("0", "1", "-2"):
+        rc = cli.main(["threshold", "--alpha", "1", "--p", "4", "--mu", "0.1", "--dim", dim])
+        assert rc == cli.EXIT_USAGE, dim
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: dim must be an integer >= 2, got {dim}\n"
 
 
 def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
     def failing(config, grid=None, rng=None):
-        raise mz.StepFailure("no decrease")
+        ended = SimpleNamespace(eps=1e-1, status="nonfinite")
+        return mz.ContinuationResult(stages=[ended], limit=None)
 
     monkeypatch.setattr(mz, "continuation", failing)
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK)])
     assert rc == cli.EXIT_NOCONV
     assert "no stage produced a result" in capsys.readouterr().err
+
+
+def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
+    # configs/quick.ini with tol_grad = 1e-15: the first stage stalls at a
+    # KKT residual near 5e-14, which is not convergence, so the only start
+    # has no limit
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.ini"
+    text = quick.read_text().replace("tol_grad = 1e-8", "tol_grad = 1e-15")
+    text = text.replace("directory = out/quick", f"directory = {tmp_path / 'out'}")
+    assert "tol_grad = 1e-15" in text and str(tmp_path) in text
+    cfg = tmp_path / "stall.ini"
+    cfg.write_text(text)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_NOCONV
+    assert "no stage produced a result" in capsys.readouterr().err
+    assert "start 0 skipped: stage eps=0.1 ended stalled" in caplog.messages
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("old,new", [("n = 500", "n = 2"),
+                                     ("r_max = 14.0", "r_max = -5"),
+                                     ("[solver]\n", "[solver]\nmax_iter = 0\n"),
+                                     ("[solver]\n", "[solver]\nmultistarts = 0\n"),
+                                     ("[solver]\n", "[solver]\ntol_grad = 0\n"),
+                                     ("[solver]\n", "[solver]\ntol_grad = -1e-8\n")],
+                         ids=["n", "r_max", "max_iter", "multistarts", "tol_grad_0",
+                              "tol_grad_negative"])
+def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
+    rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK.replace(old, new))])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_records_stage_status(tmp_path):

@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,11 +303,36 @@ def test_nonexistence_flow_collapse():
 
 
 def test_continuation_abort_attaches_stages(log_spec3):
+    # the first stage runs out of iterations: it is the only stage, and
+    # there is no limit
     cfg = mz.SolveConfig(spec=log_spec3, rho=8.0, r_max=12.0, n=500,
                          eps_schedule=(1e-1, 1e-2), max_iter=5)
-    with pytest.raises(mz.ContinuationAborted) as exc:
-        mz.continuation(cfg)
-    assert exc.value.stages == []
+    res = mz.continuation(cfg)
+    assert res.limit is None and res.status == "max_iter"
+    assert [(s.eps, s.status) for s in res.stages] == [(1e-1, "max_iter")]
+    assert res.total_iterations == 5
+
+
+def test_continuation_stops_at_the_first_stage_that_did_not_converge(log_spec3, monkeypatch):
+    real = mz.solve_ground_state
+    solved = []
+
+    def capped(config, eps, **kwargs):
+        if eps == 1e-2:
+            config = replace(config, max_iter=1)
+        solved.append(real(config, eps, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(mz, "solve_ground_state", capped)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
+                         eps_schedule=(1e-1, 1e-2, 1e-3))
+    res = mz.continuation(cfg)
+    # eps = 1e-3 is never solved, and the capped stage is returned last
+    assert res.stages == solved and len(solved) == 2
+    assert [s.status for s in res.stages] == ["converged", "max_iter"]
+    assert [s.converged for s in res.stages] == [True, False]
+    assert res.limit is None and res.status == "max_iter"
+    assert res.total_iterations == solved[0].iterations + 1
 
 
 def test_energy_map_flags_and_values(log_spec3):
@@ -418,15 +444,15 @@ def patch_stage(monkeypatch, **wrappers):
     wrapper(real function, grid) -> replacement."""
     real = mz._bind_stage
 
-    def bound(grid, spec, eps):
-        stage = real(grid, spec, eps)
-        return stage._replace(**{name: wrap(getattr(stage, name), grid)
+    def bound(fields, spec, eps):
+        stage = real(fields, spec, eps)
+        return stage._replace(**{name: wrap(getattr(stage, name), fields.grid)
                                  for name, wrap in wrappers.items()})
 
     monkeypatch.setattr(mz, "_bind_stage", bound)
 
 
-def test_nan_trial_energy_raises_step_failure(small_grid, log_spec3, monkeypatch):
+def test_nan_trial_energy_ends_nonfinite(small_grid, log_spec3, monkeypatch):
     # NaN compares false both ways, so it must not pass for "no increase"
     calls = []
 
@@ -440,24 +466,48 @@ def test_nan_trial_energy_raises_step_failure(small_grid, log_spec3, monkeypatch
     patch_stage(monkeypatch, energy=poisoned)
     cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=300)
     u0 = random_bump(small_grid, np.random.default_rng(7))
-    with pytest.raises(mz.StepFailure, match="nan"):
-        mz.solve_ground_state(cfg, 0.1, u0=u0, grid=small_grid)
+    res = mz.solve_ground_state(cfg, 0.1, u0=u0, grid=small_grid)
+    assert res.status == "nonfinite" and not res.converged
+    assert res.to_json_dict()["converged"] is False
     assert len(calls) > 2
 
 
-def test_multistart_keeps_starts_after_a_step_failure(log_spec3, monkeypatch):
+def test_rising_trial_energy_ends_backtrack_exhausted(small_grid, log_spec3, monkeypatch):
+    # every trial reads 1 above the start's energy, far beyond rounding: from
+    # a huge first step 60 halvings find no decrease before the steps reach
+    # rounding level, and the stage ends with a status instead of raising
+    calls = []
+
+    def rising(energy, grid):
+        def start_then_one_above(vals):
+            calls.append(energy(vals))
+            return calls[0][0] + (len(calls) > 1), calls[-1][1]
+        return start_then_one_above
+
+    patch_stage(monkeypatch, energy=rising)
+    monkeypatch.setattr(mz, "STEP_INIT", 1e6)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=300)
+    u0 = random_bump(small_grid, np.random.default_rng(7))
+    res = mz.solve_ground_state(cfg, 0.1, u0=u0, grid=small_grid)
+    assert res.status == "backtrack_exhausted" and not res.converged
+    assert res.backtracks == 60
+
+
+def test_multistart_keeps_starts_after_a_step_failure(log_spec3, monkeypatch, caplog):
     starts = []
 
     def second_fails(config, grid=None, rng=None):
         starts.append(rng)
         if len(starts) == 2:
-            raise mz.StepFailure("no decrease")
-        return mz.ContinuationResult(stages=[], limit=len(starts),
-                                     eps_monotone=True, total_iterations=0)
+            ended = SimpleNamespace(eps=1e-2, status="nonfinite")
+            return mz.ContinuationResult(stages=[ended], limit=None)
+        return mz.ContinuationResult(stages=[], limit=len(starts))
 
     monkeypatch.setattr(mz, "continuation", second_fails)
     cfg = mz.SolveConfig(spec=log_spec3, rho=5.0, r_max=10.0, n=100)
-    assert mz.multistart(replace(cfg, multistarts=4)) == [1, 3, 4]
+    with caplog.at_level(logging.WARNING, logger="subnls.minimizer"):
+        assert mz.multistart(replace(cfg, multistarts=4)) == [1, 3, 4]
+    assert "start 1 skipped: stage eps=0.01 ended nonfinite" in caplog.messages
     # start 0 runs unjittered, start j >= 1 draws from default_rng(j)
     assert starts[0] is None
     for j in (1, 2, 3):
@@ -523,51 +573,52 @@ def test_stage_status_of_each_exit(log_spec3, monkeypatch):
     assert capped.to_json_dict()["status"] == "max_iter"
     # an energy with its minimum at the start never passes Armijo: from a
     # small step the trials reach rounding level (a stall), from a huge one
-    # backtracking runs out first, within the rounding allowance of E
+    # backtracking runs out first; neither counts as converged
     grid = collapsed.u.grid
     u0 = mz.initial_guess(log_spec3, grid, cfg.rho, 0.1)
     patch_stage(monkeypatch, energy=lambda energy, grid: lambda vals: (
         gr.wnorm(grid, vals - u0.values) ** 2, energy(vals)[1]))
     stalled = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert stalled.status == "stalled" and stalled.iterations == 1
+    assert not stalled.converged
     monkeypatch.setattr(mz, "STEP_INIT", 1e6)
     exhausted = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert exhausted.status == "backtrack_exhausted" and exhausted.iterations == 1
-    assert exhausted.converged
+    assert not exhausted.converged
 
 
 def test_step_failure_keeps_completed_stages(log_spec3, monkeypatch):
+    # the second stage ends backtrack_exhausted: the continuation returns
+    # both stages and no limit, and the energy_map point keeps the first
     real = mz.solve_ground_state
     done = []
 
     def second_stage_fails(config, eps, **kwargs):
-        if done:
-            raise mz.StepFailure("no decrease")
-        done.append(real(config, eps, **kwargs))
+        result = real(config, eps, **kwargs)
+        done.append(replace(result, status="backtrack_exhausted") if done else result)
         return done[-1]
 
     monkeypatch.setattr(mz, "solve_ground_state", second_stage_fails)
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
                          eps_schedule=(1e-1, 1e-2))
-    with pytest.raises(mz.StepFailure) as exc:
-        mz.continuation(cfg)
-    assert exc.value.stages == done
+    res = mz.continuation(cfg)
+    assert res.stages == done and len(done) == 2
+    assert res.limit is None and res.status == "backtrack_exhausted"
     done.clear()
     (point,) = mz.energy_map(cfg, [20.0])
     assert point.c_value == done[0].energy and not point.converged
     assert point.eps == done[0].eps
 
 
-def test_step_failure_is_a_continuation_aborted(log_spec3, monkeypatch):
-    assert issubclass(mz.StepFailure, mz.ContinuationAborted)
-    assert mz.StepFailure("no decrease").stages == []
+def test_nonfinite_stage_point_keeps_its_last_converged_stage(log_spec3, monkeypatch):
+    assert not hasattr(mz, "StepFailure")
     real = mz.solve_ground_state
     done = []
 
     def fails_at_rho_20_stage_2(config, eps, **kwargs):
-        if config.rho == 20.0 and eps == 1e-2:
-            raise mz.StepFailure("no decrease")
         result = real(config, eps, **kwargs)
+        if config.rho == 20.0 and eps == 1e-2:
+            return replace(result, status="nonfinite")
         if config.rho == 20.0:
             done.append(result)
         return result
@@ -575,8 +626,8 @@ def test_step_failure_is_a_continuation_aborted(log_spec3, monkeypatch):
     monkeypatch.setattr(mz, "solve_ground_state", fails_at_rho_20_stage_2)
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
                          eps_schedule=(1e-1, 1e-2))
-    # energy_map catches ContinuationAborted alone: the StepFailure point
-    # keeps its last completed stage, and the sweep goes on unseeded
+    # the point whose second stage ended nonfinite keeps its last converged
+    # stage, and the sweep goes on unseeded
     failed, after = mz.energy_map(cfg, [20.0, 22.0])
     assert (failed.c_value, failed.eps, failed.converged) == (done[0].energy, 1e-1, False)
     alone = mz.continuation(replace(cfg, rho=22.0))

@@ -75,7 +75,7 @@ def test_bound_kernels_equal_public_functions(dim, name, eps):
     # accepted point's g_eps, the next Newton Jacobian's g_eps'): one Point
     # shared by the three kernels, and a stage evaluating one array
     shared = nl.Point(s)
-    stage = mz._bind_stage(gr.RadialGrid(dim, 10.0, s.size), spec, eps)
+    stage = mz._bind_stage(mz._Fields(gr.RadialGrid(dim, 10.0, s.size)), spec, eps)
     stage_out = {"G": stage.energy(s)[1], "g": stage.g(s), "dg": stage.dg(s)}
     for field, fn in public.items():
         bound = getattr(kern, field)(nl.Point(s))
@@ -140,8 +140,8 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     energies = []
     real_bind = mz._bind_stage
 
-    def bind(grid, spec, eps):
-        stage = real_bind(grid, spec, eps)
+    def bind(fields, spec, eps):
+        stage = real_bind(fields, spec, eps)
 
         def energy(vals):
             energies.append(vals)
