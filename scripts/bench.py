@@ -22,10 +22,10 @@ Run from the root of a source checkout.  The record holds:
 * ``layers``: microseconds per call, the minimum over LAYER_REPEAT timeit
   repeats, of what one solver iteration is made of, at n = 500, 2000 and
   8000 (log, N = 3, rho = 20, r_max 20, eps = 1e-3, on initial_guess's
-  field): a stage's energy, g_eps and g_eps' each on an array the stage has
-  not seen (two arrays alternate, so no cached |s|, ln s^2 or g(|s|)
-  carries over), one preconditioner apply, and one sphere Newton step at
-  an array the stage has evaluated, as in the solver;
+  field): a stage's energy, g_eps and g_eps' each at a fresh evaluated
+  point (one _At per call, so no |s|, ln s^2 or g(|s|) carries over), one
+  preconditioner apply, and one sphere Newton step, with g_eps' taken at a
+  point the stage has evaluated, as in the solver;
 * ``tier1``: the wall time, exit code and outcome counts (passed, failed,
   ...) of one run of the tier-1 suite,
   ``python -m pytest -q --continue-on-collection-errors``; a failing test
@@ -142,14 +142,14 @@ def fingerprint():
     return {"digest": proc.stdout.strip(), "work": work}
 
 
-def per_call_us(fn, calls=1):
-    """Microseconds per call of fn, which makes calls calls: the minimum
-    over LAYER_REPEAT repeats of a loop that lasts about LAYER_TARGET_S."""
+def per_call_us(fn):
+    """Microseconds per call of fn: the minimum over LAYER_REPEAT repeats of
+    a loop that lasts about LAYER_TARGET_S."""
     timer = timeit.Timer(fn)
     number = 1
     while timer.timeit(number) < LAYER_TARGET_S:
         number *= 2
-    return 1e6 * min(timer.repeat(LAYER_REPEAT, number)) / (number * calls)
+    return 1e6 * min(timer.repeat(LAYER_REPEAT, number)) / number
 
 
 def layers():
@@ -159,20 +159,31 @@ def layers():
     for n in LAYER_SIZES:
         grid = gr.RadialGrid(3, 20.0, n)
         u = mz.initial_guess(spec, grid, rho, eps).values
-        other = u * (1.0 - 1e-9)
-        stage = mz._bind_stage(mz._Fields(grid), spec, eps)
+        stage = mz._bind_stage(grid, spec, eps)
         lam = mz.extract_lambda(gr.RadialField(grid, u), spec, eps)
-        res = -gr.laplacian_values(grid, u) - stage.g(u) + lam * u
+        res = -gr.laplacian_values(grid, u) - stage.g(mz._At(u, grid)) + lam * u
         m_u = float(np.dot(grid.w, u * u))
         apply = mz._sobolev_preconditioner(grid)
         rhs2 = np.empty((n, 2), order="F")
-        row = {name: per_call_us(lambda f=f: (f(u), f(other)), calls=2)
+        held = [None]
+
+        def fresh(f):
+            # a new point per call, held until the next call has built its
+            # own: dropped at once, its arrays let malloc trim the heap and
+            # fault it back in on every call (3x the time at n = 8000)
+            def call():
+                held[0] = x = mz._At(u, grid)
+                return f(x)
+            return call
+
+        row = {name: per_call_us(fresh(f))
                for name, f in (("energy", stage.energy), ("g_eps", stage.g),
                                ("g_eps_prime", stage.dg))}
         row["precond_apply"] = per_call_us(lambda: apply(res))
-        stage.energy(u)
+        at = mz._At(u, grid)
+        stage.energy(at)
         row["newton_step_sphere"] = per_call_us(
-            lambda: mz._newton_step(grid, u, m_u, res, lam, rho, True, stage.dg, rhs2))
+            lambda: mz._newton_step(grid, u, m_u, res, lam, rho, True, stage.dg(at), rhs2))
         out[f"n{n}"] = row
     return {"us_per_call": out, "repeat": LAYER_REPEAT, "eps": eps}
 

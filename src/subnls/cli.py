@@ -92,13 +92,18 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     with open(path) as fh:
         raw = fh.read()
-    parser.read_string(raw)
+    try:
+        parser.read_string(raw, source=path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        # a key before any section header, a key given twice, a lone '%'
+        raise ConfigError(" ".join(str(exc).split())) from exc
     values = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         values[section] = {}
-        for key, text in parser.items(section):
+        for key, text in pairs:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
@@ -204,7 +209,8 @@ def cmd_solve(args) -> int:
                          f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")
     limits = mz.multistart(solve_cfg)
     if not limits:
-        print("no stage produced a result", file=sys.stderr)
+        # multistart has logged how each start ended
+        print("no start reached an eps = 0 limit", file=sys.stderr)
         return EXIT_NOCONV
     best = min(limits, key=lambda r: r.energy)
     profile_csv = os.path.join(out_dir, "profile.csv")

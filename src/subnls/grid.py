@@ -58,8 +58,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
-        if not (self.r_max > 0 and self.n >= 3):
-            raise ValueError("need r_max > 0 and n >= 3")
+        if not (0.0 < self.r_max < math.inf and self.n >= 3):
+            raise ValueError("need a finite r_max > 0 and n >= 3")
         h = self.r_max / (self.n + 1)
         r = h * np.arange(1, self.n + 1)
         rpow = r ** (self.dim - 1)
@@ -94,9 +94,6 @@ class RadialField:
             raise ValueError(f"expected {self.grid.n} nodal values, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
 
 
 def zeros(grid: RadialGrid) -> RadialField:

@@ -34,6 +34,12 @@ iterations that does not grow with n.  How a stage ended is data, never an
 exception: SolverResult.status, converged only for "converged" and
 "collapsed".  A continuation stops at its first stage that did not converge
 and returns it last, without a limit (ContinuationResult).
+
+Every field the solver evaluates is an explicit point (_At): built once per
+trial, it carries what the kernels share there, and the stage keeps the
+accepted one.  A stage hands its last point on (SolverResult.at) to the next
+stage as its start and to the eps = 0 limit, so what a point carries is
+computed once per array and nothing is looked up.
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ class SolveConfig:
     multistarts: int = 1
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         sched = tuple(self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must be nonempty")
@@ -122,10 +128,10 @@ class SolverResult:
     """Record of one stage (or of a continuation's eps = 0 limit): the
     field, its multiplier, energy, mass and kinetic term, how the stage
     ended and what it cost.  It is built from the solver's own last
-    evaluations (_result); u may share its array with the stage's start u0
-    (and so with the previous stage's u).  converged is derived from status;
-    bundle, the residual bundle, is computed from parts on first access and
-    then kept."""
+    evaluations (_result); at is the evaluated point (_At) of u, which the
+    next stage starts from, so u may share its array with the previous
+    stage's u.  converged is derived from status; bundle, the residual
+    bundle, is computed from parts on first access and then kept."""
 
     u: RadialField
     lam: float
@@ -148,6 +154,8 @@ class SolverResult:
     # the integrals of u's Pohozaev and Nehari identities
     # (diagnostics.IdentityParts), from which bundle is built
     parts: object = field(default=None, repr=False)
+    # u's evaluated point, handed on to the next stage; not in to_json_dict
+    at: object = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -220,31 +228,35 @@ class ContinuationResult:
 
 def energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Discrete E_eps(u); eps=0 evaluates the unregularized energy."""
-    return _bind_stage(_Fields(u.grid), spec, eps).energy(u.values)[0]
+    return _bind_stage(u.grid, spec, eps).energy(_At(u.values, u.grid))[0]
 
 
 def grad_energy_eps(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> RadialField:
     """L2-gradient field -Lap u - g_eps(u); consistent with energy_eps at
     machine level thanks to exact summation by parts."""
-    return RadialField(u.grid, _grad_parts(_bind_stage(_Fields(u.grid), spec, eps), u.values)[0])
+    stage = _bind_stage(u.grid, spec, eps)
+    return RadialField(u.grid, _grad_parts(stage, _At(u.values, u.grid))[0])
 
 
-def _grad_parts(stage, vals):
+def _grad_parts(stage, x):
     # one laplacian_values call per gradient evaluation (perfbench's tracer
-    # counts gradient evaluations by these calls), from the array's cached
-    # face differences
-    grid = stage.fields.grid
-    lap = laplacian_values(grid, vals, stage.fields.at(vals).d)
-    rhs = stage.g(vals)
+    # counts gradient evaluations by these calls), from the point's face
+    # differences
+    lap = laplacian_values(x.grid, x.s, x.d)
+    rhs = stage.g(x)
     return -lap - rhs, lap, rhs
 
 
 class _At(nl.Point):
-    """The nl.Point of one nodal array plus what the grid derives from it,
-    each computed on first use: the face differences, which the kinetic term
-    and every Laplacian of the array are built from, and the kinetic term
-    (the arithmetic of grid.kinetic_values and grid.laplacian_values, so
-    sharing changes no bit)."""
+    """The evaluated point of one nodal array: the nl.Point (|s|, s^2 and,
+    on first use, ln s^2 and g(|s|)) plus what the grid derives from the
+    array, each computed on first use: the face differences, which the
+    kinetic term and every Laplacian of the array are built from, and the
+    kinetic term (the arithmetic of grid.kinetic_values and
+    grid.laplacian_values, so sharing changes no bit).  The solver builds
+    one per trial and keeps the accepted one; a stage hands its last one on
+    to the next stage and to the eps = 0 limit.  Nothing writes into the
+    array while its point is in use."""
 
     __slots__ = ("grid", "_d", "_kinetic")
 
@@ -266,68 +278,38 @@ class _At(nl.Point):
         return self._kinetic
 
 
-class _Fields:
-    """A per-array cache over one grid: the _At of the last array evaluated
-    and of the one kept, matched by identity.  The solver keeps its current
-    iterate, so that the stage's record, the next stage's start and the
-    eps = 0 limit, which see the same array, reuse its evaluations whatever
-    was evaluated since: the stages and the limit of one continuation (one
-    grid, one spec) are all bound on its one cache.  No caller writes into
-    an array it has passed here."""
-
-    __slots__ = ("grid", "held")
-
-    def __init__(self, grid: RadialGrid):
-        self.grid = grid
-        self.held = [None, None]  # the last array's _At, the kept one's
-
-    def at(self, vals) -> _At:
-        held = self.held
-        for x in held:
-            if x is not None and x.s is vals:
-                return x
-        held[0] = x = _At(vals, self.grid)
-        return x
-
-    def keep(self, vals):
-        self.held[1] = self.at(vals)
-
-
 class _Stage(NamedTuple):
-    energy: Callable  # vals -> (E_eps(vals), its nodal density G_eps(vals))
-    g: Callable       # vals -> g_eps(vals)
-    dg: Callable      # vals -> g_eps'(vals)
-    fields: _Fields   # the cache the three evaluate through
+    energy: Callable  # _At -> (E_eps there, its nodal density G_eps)
+    g: Callable       # _At -> g_eps there
+    dg: Callable      # _At -> g_eps' there
 
 
-def _bind_stage(fields: _Fields, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
-    """Everything one eps-stage evaluates on bare nodal arrays, bound once
-    (nl.bind_eps): the solver's trial energies, gradients and Newton
-    Jacobians, the seeds' energies, the records of the stage and of the
-    eps = 0 limit, and the public energy_eps and grad_energy_eps.
+def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Stage:
+    """Everything one eps-stage evaluates, bound once (nl.bind_eps) and
+    taking an evaluated point (_At) on grid: the solver's trial energies,
+    gradients and Newton Jacobians, the seeds' energies, the records of the
+    stage and of the eps = 0 limit, and the public energy_eps and
+    grad_energy_eps.
 
-    The three evaluate through the cache fields (on the stage's grid),
-    which keeps per array one |s|, s^2, ln s^2 and g(|s|) for the trial's
-    G_eps, the accepted point's g_eps and the next Newton Jacobian's
-    g_eps', and one set of face differences for its kinetic term and the
-    Laplacian of each gradient evaluation.  The energy is summed in double
-    precision: a stage ends on the Newton residual test, whose energy
-    margin 1e-12 (1 + |E|) lies far above that rounding.  A trial field
-    that is not finite raises ValueError, as RadialField does; the array is
-    scanned only when the energy is not finite."""
+    The point keeps one |s|, s^2, ln s^2 and g(|s|) for the trial's G_eps,
+    the accepted point's g_eps and the next Newton Jacobian's g_eps', and
+    one set of face differences for its kinetic term and the Laplacian of
+    each gradient evaluation.  The energy is summed in double precision: a
+    stage ends on the Newton residual test, whose energy margin
+    1e-12 (1 + |E|) lies far above that rounding.  A trial field that is not
+    finite raises ValueError, as RadialField does; the array is scanned only
+    when the energy is not finite."""
     kern = nl.bind_eps(spec, eps)
-    at, w = fields.at, fields.grid.w
+    w = grid.w
 
-    def energy(vals):
-        x = at(vals)
+    def energy(x):
         dens = kern.G(x)
         E = 0.5 * x.kinetic - float(np.dot(w, dens))
-        if not math.isfinite(E) and not np.isfinite(vals).all():
+        if not math.isfinite(E) and not np.isfinite(x.s).all():
             raise ValueError("field values must be finite")
         return E, dens
 
-    return _Stage(energy, lambda vals: kern.g(at(vals)), lambda vals: kern.dg(at(vals)),
-                  fields)
+    return _Stage(energy, kern.g, kern.dg)
 
 
 def _rescale(w, vals, rho, sphere=False):
@@ -396,13 +378,12 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
-    return RadialField(grid, _guess(_bind_stage(_Fields(grid), spec, eps), spec, rho, rng))
+    return RadialField(grid, _guess(_bind_stage(grid, spec, eps), grid, spec, rho, rng).s)
 
 
-def _guess(stage, spec, rho, rng):
-    """initial_guess's winner as a bare array, its candidates scored by the
-    stage's energy; the stage's cache keeps the best so far."""
-    grid = stage.fields.grid
+def _guess(stage, grid, spec, rho, rng):
+    """initial_guess's winner as an evaluated point (_At) on grid, its
+    candidates scored by the stage's energy."""
     widths = [0.7, 1.0, 1.5]
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
@@ -418,11 +399,11 @@ def _guess(stage, spec, rho, rng):
             candidates.append(_witness(grid, rho, lv))
     best = best_energy = None
     for vals in candidates:
-        energy = stage.energy(vals)[0]
+        x = _At(vals, grid)
+        energy = stage.energy(x)[0]
         # the first of equal energies wins, as with min()
         if best is None or energy < best_energy:
-            best, best_energy = vals, energy
-            stage.fields.keep(vals)
+            best, best_energy = x, energy
     return best
 
 
@@ -449,8 +430,8 @@ def _sobolev_preconditioner(grid: RadialGrid):
 
 def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
     """One Newton step from (u, lam) with W res = K u + lam W u - W g_eps(u),
-    on the symmetric tridiagonal A = K + lam W - W diag(g_eps'(u)) (dg is
-    the stage's g_eps').
+    on the symmetric tridiagonal A = K + lam W - W diag(g_eps'(u)) (dg holds
+    the values g_eps'(u)).
 
     On the sphere it solves the KKT system F(u, lam) = (W res,
     (u^T W u - rho^2)/2) = 0: A, indefinite on the ground state, is bordered
@@ -465,7 +446,7 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
     """
     w = grid.w
     k_diag, k_off = grid._kinetic_bands
-    diag = k_diag + w * (lam - dg(u))
+    diag = k_diag + w * (lam - dg)
     if on_boundary:
         wu = w * u
         np.multiply(w, res, out=rhs2[:, 0])
@@ -493,7 +474,7 @@ _EVAL_COUNTS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 def solve_ground_state(config: SolveConfig, eps: float,
                        u0: Optional[RadialField] = None,
                        grid: Optional[RadialGrid] = None,
-                       rng=None, fields: Optional[_Fields] = None) -> SolverResult:
+                       rng=None, start: Optional[_At] = None) -> SolverResult:
     """Minimize E_eps over the disc of radius rho in two phases: a
     Sobolev-preconditioned projected BB descent that globalizes, then Newton
     steps on the KKT system that finish the stage.
@@ -528,25 +509,25 @@ def solve_ground_state(config: SolveConfig, eps: float,
     exhausted budget.  No numerical ending raises.
     config.rearrange_every is accepted and ignored (SolveConfig).
 
-    The stage's kernels are bound once (_bind_stage), and every trial,
-    gradient and Newton Jacobian is evaluated on bare nodal arrays through
-    them and the cache fields (continuation passes its own; by default the
-    stage makes one), one pass per array: a trial's energy, the
-    gradient there once it is accepted and the next Newton Jacobian share
-    one log, one g(|s|) and one set of face differences.  The start is u0's
-    own array when it lies in the disc, so a stage that starts where the
-    last one ended reuses its evaluations.  The stage record reuses the last
-    iterate's energy, density, g_eps and kinetic term (see _result), and
+    The stage's kernels are bound once (_bind_stage).  Each trial is one
+    evaluated point (_At), built once: its energy, the gradient there once
+    it is accepted and the next Newton Jacobian share one log, one g(|s|)
+    and one set of face differences, and the accepted point is kept.  The
+    stage starts from start, an evaluated point on grid (continuation hands
+    on the last stage's SolverResult.at), else from u0, else from
+    initial_guess's winner; a start that lies in the disc is kept as it is,
+    so a stage that starts where the last one ended reuses its
+    evaluations.  The stage record reuses the last point's energy, density,
+    g_eps and kinetic term and carries the point itself (see _result), and
     counts the evaluations made.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
         grid = config.make_grid()
     w = grid.w
-    if fields is None:
-        fields = _Fields(grid)
-    stage = _bind_stage(fields, spec, eps)
-    vals0 = _guess(stage, spec, rho, rng) if u0 is None else u0.values
+    stage = _bind_stage(grid, spec, eps)
+    if start is None:
+        start = _guess(stage, grid, spec, rho, rng) if u0 is None else _At(u0.values, grid)
     solve_precond = None  # factored on the stage's first descent step
     rhs2 = np.empty((grid.n, 2), order="F")  # the sphere Newton step's right-hand sides
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
@@ -554,13 +535,13 @@ def solve_ground_state(config: SolveConfig, eps: float,
     def wdot(a, b):
         return float(np.dot(w, a * b))
 
-    def energy_of(vals):
+    def energy_of(x):
         counts["energy_evals"] += 1
-        return stage.energy(vals)
+        return stage.energy(x)
 
-    def grad_of(vals):
+    def grad_of(x):
         counts["grad_evals"] += 1
-        return _grad_parts(stage, vals)
+        return _grad_parts(stage, x)
 
     def precond(x):
         nonlocal solve_precond
@@ -578,10 +559,10 @@ def solve_ground_state(config: SolveConfig, eps: float,
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary
 
-    u, m_u = _rescale(w, vals0, rho)
-    fields.keep(u)
-    E, dens = energy_of(u)
-    g, lap, rhs = grad_of(u)
+    u, m_u = _rescale(w, start.s, rho)
+    x = start if u is start.s else _At(u, grid)
+    E, dens = energy_of(x)
+    g, lap, rhs = grad_of(x)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
     tau = STEP_INIT
     newton_gate = math.inf
@@ -598,16 +579,17 @@ def solve_ground_state(config: SolveConfig, eps: float,
             break
 
         if rel <= newton_gate and (lam_hat > 0.0 if on_boundary else m_u > 0.0):
-            step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg, rhs2)
+            step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg(x),
+                                rhs2)
             if step is not None:
                 v, m_v = step
-                E_v, dens_v = energy_of(v)
-                g_v, lap_v, rhs_v = grad_of(v)
+                x_v = _At(v, grid)
+                E_v, dens_v = energy_of(x_v)
+                g_v, lap_v, rhs_v = grad_of(x_v)
                 kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
                 if E_v <= E + 1e-12 * (1.0 + abs(E)) and kkt_v[0] <= 0.5 * rel:
-                    u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
+                    x, u, m_u, E, dens, g, lap, rhs = x_v, v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
                     rel, res, lam_hat, on_boundary = kkt_v
-                    fields.keep(u)
                     newton_steps += 1
                     continue
             if on_boundary or step is not None:
@@ -628,7 +610,8 @@ def solve_ground_state(config: SolveConfig, eps: float,
         t = tau
         for _ in range(60):
             v, m_v = _rescale(w, u - t * d, rho)
-            E_v, dens_v = energy_of(v)
+            x_v = _At(v, grid)
+            E_v, dens_v = energy_of(x_v)
             dv = v - u
             dd = wdot(dv, dv)
             ss = SOBOLEV_SHIFT * dd + kinetic_values(grid, dv)  # <dv, P^-1 dv>
@@ -645,16 +628,15 @@ def solve_ground_state(config: SolveConfig, eps: float,
         if status is not None:
             break
 
-        g_v, lap_v, rhs_v = grad_of(v)
+        g_v, lap_v, rhs_v = grad_of(x_v)
         sy = wdot(dv, g_v - g)
         tau = min(max(ss / sy, 1e-12), STEP_MAX) if sy > 0 else min(t * 2.0, STEP_MAX)
-        u, m_u, E, dens, g, lap, rhs = v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
+        x, u, m_u, E, dens, g, lap, rhs = x_v, v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
         rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
-        fields.keep(u)
     else:
         status = "max_iter"
 
-    result = _result(config, fields.at(u), eps, E, dens, rhs, m_u, status,
+    result = _result(config, x, eps, E, dens, rhs, m_u, status,
                      iterations=it, newton_steps=newton_steps, kkt_residual=rel, **counts)
     log.info("stage eps=%g: E=%.6g lam=%.4g iters=%d newton=%d kkt=%.2g status=%s "
              "on_sphere=%s", eps, E, result.lam, it, newton_steps, rel, status,
@@ -663,13 +645,13 @@ def solve_ground_state(config: SolveConfig, eps: float,
 
 
 def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResult:
-    """Record of the field at (an _At) at eps from the evaluations the caller
-    already made there: its energy E_eps, nodal density G_eps, g_eps and
-    kinetic term, and the mass m it tracked.  The multiplier (the Nehari
-    quotient) comes from them and the mass; the residual bundle is built
-    from the same parts on first access (SolverResult.bundle).  solver
-    holds the iteration, Newton-step and evaluation counts and the final
-    relative KKT residual."""
+    """Record, carrying at, of the evaluated point at (an _At) at eps from
+    the evaluations the caller already made there: its energy E_eps, nodal
+    density G_eps, g_eps and kinetic term, and the mass m it tracked.  The
+    multiplier (the Nehari quotient) comes from them and the mass; the
+    residual bundle is built from the same parts on first access
+    (SolverResult.bundle).  solver holds the iteration, Newton-step and
+    evaluation counts and the final relative KKT residual."""
     from .diagnostics import identity_parts
 
     rho = config.rho
@@ -680,7 +662,7 @@ def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResu
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
         on_sphere=abs(m - rho * rho) <= TOL_MASS * rho * rho, status=status,
-        parts=parts, **solver,
+        parts=parts, at=at, **solver,
     )
 
 
@@ -692,8 +674,11 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     from the unregularized Nehari quotient, so its identity residuals are
     measured against the true nonlinearity.  The run stops at the first
     stage that does not converge; it is then the last of the stages and the
-    limit is None.  Every stage, every warm-seed comparison and the limit
-    evaluate through one cache (_Fields).
+    limit is None.  Each stage hands its evaluated point (SolverResult.at)
+    on: to the next stage as its start, and from the last stage to the
+    limit, which evaluates it at eps = 0 and carries it.  Each stage is
+    solved through the module attribute solve_ground_state, so a wrapper
+    set there sees every stage.
 
     warm is the stages of a neighbouring continuation on the same grid and
     schedule (energy_map passes the previous radius).  Stage j >= 1 then
@@ -704,26 +689,23 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     """
     if grid is None:
         grid = config.make_grid()
-    fields = _Fields(grid)
     stages = []
-    u0 = None
+    start = None
     for j, eps in enumerate(config.eps_schedule):
         if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
-            seed = _rescale(grid.w, warm[j].u.values, config.rho, sphere=True)[0]
-            energy = _bind_stage(fields, config.spec, eps).energy
-            if energy(seed)[0] < energy(u0.values)[0]:
-                fields.keep(seed)
-                u0 = RadialField(grid, seed)
-        result = solve_ground_state(config, eps, u0=u0, grid=grid, rng=rng, fields=fields)
+            seed = _At(_rescale(grid.w, warm[j].u.values, config.rho, sphere=True)[0], grid)
+            energy = _bind_stage(grid, config.spec, eps).energy
+            if energy(seed)[0] < energy(start)[0]:
+                start = seed
+        result = solve_ground_state(config, eps, grid=grid, rng=rng, start=start)
         stages.append(result)
         if not result.converged:
             return ContinuationResult(stages=stages, limit=None)
-        u0 = result.u
-    u = stages[-1].u
-    at_zero = _bind_stage(fields, config.spec, 0.0)
-    energy, dens = at_zero.energy(u.values)
-    limit = _result(config, fields.at(u.values), 0.0, energy, dens, at_zero.g(u.values),
-                    mass(u), stages[-1].status, kkt_residual=stages[-1].kkt_residual,
+        start = result.at
+    at_zero = _bind_stage(grid, config.spec, 0.0)
+    energy, dens = at_zero.energy(start)
+    limit = _result(config, start, 0.0, energy, dens, at_zero.g(start),
+                    mass(stages[-1].u), stages[-1].status, kkt_residual=stages[-1].kkt_residual,
                     **{k: sum(getattr(s, k) for s in stages)
                        for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
     return ContinuationResult(stages=stages, limit=limit)

@@ -80,6 +80,18 @@ def test_missing_config(capsys):
     assert cli.main(["solve", "--config", "/nonexistent.ini"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("text", ["rho = 20.0\n[solver]\n",
+                                  "[solver]\nrho = 20.0\nrho = 10.0\n",
+                                  "[solver]\nrho = 20.0\n[output]\ndirectory = out%1\n"],
+                         ids=["key_before_section", "key_twice", "lone_percent"])
+def test_malformed_ini_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_missing_required_key(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[nonlinearity]\nfamily = log\n[grid]\ndim = 3\n")
@@ -244,7 +256,7 @@ def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mz, "continuation", failing)
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK)])
     assert rc == cli.EXIT_NOCONV
-    assert "no stage produced a result" in capsys.readouterr().err
+    assert "no start reached an eps = 0 limit" in capsys.readouterr().err
 
 
 def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
@@ -258,7 +270,7 @@ def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
     cfg = tmp_path / "stall.ini"
     cfg.write_text(text)
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_NOCONV
-    assert "no stage produced a result" in capsys.readouterr().err
+    assert "no start reached an eps = 0 limit" in capsys.readouterr().err
     assert "start 0 skipped: stage eps=0.1 ended stalled" in caplog.messages
     assert not (tmp_path / "out" / "result.json").exists()
 
@@ -268,9 +280,11 @@ def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
                                      ("[solver]\n", "[solver]\nmax_iter = 0\n"),
                                      ("[solver]\n", "[solver]\nmultistarts = 0\n"),
                                      ("[solver]\n", "[solver]\ntol_grad = 0\n"),
-                                     ("[solver]\n", "[solver]\ntol_grad = -1e-8\n")],
+                                     ("[solver]\n", "[solver]\ntol_grad = -1e-8\n"),
+                                     ("r_max = 14.0", "r_max = inf"),
+                                     ("rho = 20.0", "rho = inf")],
                          ids=["n", "r_max", "max_iter", "multistarts", "tol_grad_0",
-                              "tol_grad_negative"])
+                              "tol_grad_negative", "r_max_inf", "rho_inf"])
 def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK.replace(old, new))])
     assert rc == cli.EXIT_USAGE
@@ -329,7 +343,7 @@ def test_solve_aborted_continuation_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mz, "_newton_step", lambda *args: None)
     rc = cli.main(["solve", "--config", write_config(tmp_path, ABORTED)])
     assert rc == cli.EXIT_NOCONV
-    assert "no stage produced a result" in capsys.readouterr().err
+    assert "no start reached an eps = 0 limit" in capsys.readouterr().err
     assert not (tmp_path / "out" / "result.json").exists()
 
 

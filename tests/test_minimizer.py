@@ -444,9 +444,9 @@ def patch_stage(monkeypatch, **wrappers):
     wrapper(real function, grid) -> replacement."""
     real = mz._bind_stage
 
-    def bound(fields, spec, eps):
-        stage = real(fields, spec, eps)
-        return stage._replace(**{name: wrap(getattr(stage, name), fields.grid)
+    def bound(grid, spec, eps):
+        stage = real(grid, spec, eps)
+        return stage._replace(**{name: wrap(getattr(stage, name), grid)
                                  for name, wrap in wrappers.items()})
 
     monkeypatch.setattr(mz, "_bind_stage", bound)
@@ -550,9 +550,9 @@ def test_every_trial_field_stays_in_the_disc(log_spec3, monkeypatch):
     masses = []
 
     def spy(energy, grid):
-        def recorded(vals):
-            masses.append(gr.mass(gr.RadialField(grid, vals)))
-            return energy(vals)
+        def recorded(x):
+            masses.append(gr.mass(gr.RadialField(grid, x.s)))
+            return energy(x)
         return recorded
 
     patch_stage(monkeypatch, energy=spy)
@@ -576,8 +576,8 @@ def test_stage_status_of_each_exit(log_spec3, monkeypatch):
     # backtracking runs out first; neither counts as converged
     grid = collapsed.u.grid
     u0 = mz.initial_guess(log_spec3, grid, cfg.rho, 0.1)
-    patch_stage(monkeypatch, energy=lambda energy, grid: lambda vals: (
-        gr.wnorm(grid, vals - u0.values) ** 2, energy(vals)[1]))
+    patch_stage(monkeypatch, energy=lambda energy, grid: lambda x: (
+        gr.wnorm(grid, x.s - u0.values) ** 2, energy(x)[1]))
     stalled = mz.solve_ground_state(cfg, 0.1, u0=u0)
     assert stalled.status == "stalled" and stalled.iterations == 1
     assert not stalled.converged

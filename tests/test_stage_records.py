@@ -1,11 +1,11 @@
 """Stage and limit records are built from the solver's own last evaluations
-(bound once per stage by nonlinearity.bind_eps, through one per-array cache
-per continuation).  They must equal, with no tolerance, what the public
-functions compute afresh on the returned field; the bound kernels, alone or
-sharing one point's |s|, s^2, ln s^2 and g(|s|), must equal the public
-G_eps, g_eps and g_eps_prime; the cache must compute each array's
-quantities once; and the double-precision energy sum must match an exactly
-rounded one."""
+(bound once per stage by nonlinearity.bind_eps, at evaluated points that
+each stage hands on to the next and to the limit).  They must equal, with
+no tolerance, what the public functions compute afresh on the returned
+field; the bound kernels, alone or sharing one point's |s|, s^2, ln s^2 and
+g(|s|), must equal the public G_eps, g_eps and g_eps_prime; a continuation
+must compute each array's quantities once; and the double-precision energy
+sum must match an exactly rounded one."""
 
 import math
 
@@ -75,8 +75,9 @@ def test_bound_kernels_equal_public_functions(dim, name, eps):
     # accepted point's g_eps, the next Newton Jacobian's g_eps'): one Point
     # shared by the three kernels, and a stage evaluating one array
     shared = nl.Point(s)
-    stage = mz._bind_stage(mz._Fields(gr.RadialGrid(dim, 10.0, s.size)), spec, eps)
-    stage_out = {"G": stage.energy(s)[1], "g": stage.g(s), "dg": stage.dg(s)}
+    grid = gr.RadialGrid(dim, 10.0, s.size)
+    stage, at = mz._bind_stage(grid, spec, eps), mz._At(s, grid)
+    stage_out = {"G": stage.energy(at)[1], "g": stage.g(at), "dg": stage.dg(at)}
     for field, fn in public.items():
         bound = getattr(kern, field)(nl.Point(s))
         assert np.array_equal(fn(spec, s, eps), bound)
@@ -131,21 +132,22 @@ def spy_computations(monkeypatch):
 @pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
                          ids=["newton_finish", "collapse"])
 def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
-    # one cache serves a continuation: the trials, the seeds, the stage
-    # records, the next stage's start and the eps = 0 limit compute ln s^2,
-    # the face differences and the kinetic term at most once per distinct
-    # array (the lists hold every array, so no id is reused), and each
-    # gradient evaluation builds its Laplacian from those differences
+    # evaluated points are handed on through a continuation: the trials,
+    # the seeds, the stage records, the next stage's start and the eps = 0
+    # limit compute ln s^2, the face differences and the kinetic term at
+    # most once per distinct array (the lists hold every array, so no id is
+    # reused), and each gradient evaluation builds its Laplacian from those
+    # differences
     seen = spy_computations(monkeypatch)
     energies = []
     real_bind = mz._bind_stage
 
-    def bind(fields, spec, eps):
-        stage = real_bind(fields, spec, eps)
+    def bind(grid, spec, eps):
+        stage = real_bind(grid, spec, eps)
 
-        def energy(vals):
-            energies.append(vals)
-            return stage.energy(vals)
+        def energy(x):
+            energies.append(x.s)
+            return stage.energy(x)
         return stage._replace(energy=energy)
 
     monkeypatch.setattr(mz, "_bind_stage", bind)
@@ -170,6 +172,28 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
         assert sum(a is vals for a in energies) >= 2
         for name in ("ln_s2", "differences", "kinetic"):
             assert sum(a is vals for a in seen[name]) == 1, name
+
+
+def test_each_stage_starts_from_the_point_handed_on(monkeypatch):
+    # stage j + 1 is given stage j's evaluated point as its start, and the
+    # eps = 0 limit carries the last stage's point
+    starts = []
+    real = mz.solve_ground_state
+
+    def recorded(config, eps, **kwargs):
+        starts.append(kwargs.get("start"))
+        return real(config, eps, **kwargs)
+
+    monkeypatch.setattr(mz, "solve_ground_state", recorded)
+    cfg = mz.SolveConfig(spec=nl.logarithmic(1.0, dim=3), rho=20.0, r_max=16.0, n=300,
+                         eps_schedule=(1e-1, 1e-2, 1e-3))
+    res = mz.continuation(cfg)
+    assert len(starts) == len(res.stages) == 3 and starts[0] is None
+    for stage, start in zip(res.stages, starts[1:]):
+        assert isinstance(stage.at, mz._At) and start is stage.at
+    assert res.limit.at is res.stages[-1].at
+    assert res.limit.u.values is res.stages[-1].at.s
+    assert "at" not in res.limit.to_json_dict() and ", at=" not in repr(res.limit)
 
 
 def test_stage_energy_sums_to_double_precision():
