@@ -17,6 +17,10 @@ Run from the root of a source checkout.  The record holds:
   collapse run (mu = 2 mu*, p = 4, n = 2000), each with its median wall time
   over SOLVE_RUNS runs, its limit's energy, lambda and status, and the
   SolverResult counters of the limit (sums over the stages);
+* ``sweep``: in this process, acceptance 4's 8-point energy_map (log,
+  N = 3, r_max 20, n = 2000, default schedule, rho_k = 18 * 2^(k/2)), its
+  median wall time over SOLVE_RUNS runs and each point's c, status and
+  iterations;
 * ``fingerprint``: the digest of scripts/stage_fingerprint.py and its work
   lines (per configuration and the total);
 * ``layers``: microseconds per call, the minimum over LAYER_REPEAT timeit
@@ -133,6 +137,20 @@ def solves():
     }
 
 
+def sweep():
+    config = mz.SolveConfig(spec=nl.log_power(1.0, 0.0, 4.0, dim=3), rho=18.0, r_max=20.0,
+                            n=2000)
+    rhos = [18.0 * 2 ** (k / 2.0) for k in range(8)]
+    walls = []
+    for _ in range(SOLVE_RUNS):
+        start = time.perf_counter()
+        points = mz.energy_map(config, rhos)
+        walls.append(time.perf_counter() - start)
+    return {"wall_s": statistics.median(walls), "runs": SOLVE_RUNS,
+            "points": [{"rho": p.rho, "c": p.c_value, "status": p.status,
+                        "iterations": p.iterations} for p in points]}
+
+
 def fingerprint():
     proc = run(["scripts/stage_fingerprint.py"])
     work = {}
@@ -208,8 +226,8 @@ def main(argv=None) -> int:
     # quiet the solver's seed warning on the collapse run
     mz.log.setLevel("ERROR")
     record = {"machine": machine(), "perfbench": perfbench(), "import": import_seconds(),
-              "solves": solves(), "fingerprint": fingerprint(), "layers": layers(),
-              "tier1": tier1()}
+              "solves": solves(), "sweep": sweep(), "fingerprint": fingerprint(),
+              "layers": layers(), "tier1": tier1()}
     record["bench_s"] = time.perf_counter() - started
     with open(argv[0], "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

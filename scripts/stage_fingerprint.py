@@ -12,14 +12,16 @@ as multistart draws them) and a 3-point energy_map.  The digest covers, for
 every stage and every limit, its to_json_dict() record without the solver's
 work counters, its residual bundle and the bytes of its field; a start
 without a limit contributes the status of the stage that ended it and its
-stages; and every energy_map point.  Two trees that print the same digest give
-bit-identical answers on all of these.  --verbose also prints one line per
-record, and --expect DIGEST makes the exit status 1 when the digest differs
-from DIGEST (0 when it matches).  stdout is the digest line alone; stderr
+stages; and every energy_map point without its iterations.  Two trees that
+print the same digest give bit-identical answers on all of these.  --verbose
+also prints one line per record, and --expect DIGEST makes the exit status 1
+when the digest differs from DIGEST (0 when it matches).  stdout is the digest line alone; stderr
 gets the solver's work (iterations, Newton steps, preconditioner solves,
 energy evaluations), which the digest leaves out, so that a change in work
 shows next to an unchanged digest: one line per configuration, summed over
-every stage of its starts, then the total over all configurations.
+every stage of its starts, then the total over all configurations.  Each
+configuration also gets a "<name> energy_map: iterations=N" line, the sum of
+its energy_map points' iterations, which the total leaves out.
 """
 
 import argparse
@@ -74,9 +76,10 @@ def format_work(work) -> str:
     return " ".join(f"{k}={v}" for k, v in work.items())
 
 
-def runs(config, work):
+def runs(config, work, sweep_work):
     """(label, payload) for every start and every energy_map point; adds the
-    WORK counters of every start's stages to work."""
+    WORK counters of every start's stages to work and the energy_map
+    points' iterations to sweep_work."""
     grid = config.make_grid()
     for j in range(STARTS):
         # the seeds multistart draws: none for start 0, then j
@@ -91,7 +94,9 @@ def runs(config, work):
                              "eps_monotone": res.eps_monotone,
                              "total_iterations": res.total_iterations}
     rhos = [config.rho * f for f in (1.0, 1.1, 1.2)]
-    yield "energy_map", [dataclasses.asdict(p) for p in mz.energy_map(config, rhos)]
+    points = [dataclasses.asdict(p) for p in mz.energy_map(config, rhos)]
+    sweep_work["iterations"] += sum(p.pop("iterations") for p in points)
+    yield "energy_map", points
 
 
 def main(argv=None) -> int:
@@ -107,12 +112,14 @@ def main(argv=None) -> int:
         config = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n, eps_schedule=SCHEDULE,
                                 max_iter=max_iter)
         work = dict.fromkeys(WORK, 0)
-        for label, payload in runs(config, work):
+        sweep_work = {"iterations": 0}
+        for label, payload in runs(config, work, sweep_work):
             line = json.dumps([name, label, payload], sort_keys=True)
             digest.update(line.encode())
             if args.verbose:
                 print(line)
         print(f"{name}: {format_work(work)}", file=sys.stderr)
+        print(f"{name} energy_map: {format_work(sweep_work)}", file=sys.stderr)
         for k in WORK:
             total[k] += work[k]
     print(digest.hexdigest())

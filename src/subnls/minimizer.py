@@ -33,7 +33,10 @@ interior Newton steps finish the collapse to the zero field in a number of
 iterations that does not grow with n.  How a stage ended is data, never an
 exception: SolverResult.status, converged only for "converged" and
 "collapsed".  A continuation stops at its first stage that did not converge
-and returns it last, without a limit (ContinuationResult).
+and returns it last, without a limit (ContinuationResult).  A sweep in rho
+(energy_map) continues along the branch at the last eps: each radius after
+the first is one stage from a start predicted by its neighbours, with the
+full continuation as fallback.
 
 Every field the solver evaluates is an explicit point (_At): built once per
 trial, it carries what the kernels share there, and the stage keeps the
@@ -200,6 +203,10 @@ class EnergyMapPoint:
     c_value: float
     eps: float
     converged: bool
+    # the solver iterations the point cost (a corrector stage plus any full
+    # continuation) and the status of its last stage
+    iterations: int = 0
+    status: str = ""
 
 
 @dataclass
@@ -667,48 +674,44 @@ def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResu
 
 
 def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
-                 rng=None, warm=None) -> ContinuationResult:
+                 rng=None) -> ContinuationResult:
     """Warm-started solves along the eps schedule plus the eps=0 limit object.
 
-    The limit reports the unregularized energy and the multiplier recomputed
-    from the unregularized Nehari quotient, so its identity residuals are
-    measured against the true nonlinearity.  The run stops at the first
-    stage that does not converge; it is then the last of the stages and the
-    limit is None.  Each stage hands its evaluated point (SolverResult.at)
-    on: to the next stage as its start, and from the last stage to the
-    limit, which evaluates it at eps = 0 and carries it.  Each stage is
+    Stage 0 starts from initial_guess (jittered by rng) and each later stage
+    from the evaluated point (SolverResult.at) the stage before it ended
+    on.  The run stops at the first stage that does not converge; it is then
+    the last of the stages and the limit is None.  Otherwise the limit is
+    the last stage's point evaluated at eps = 0 (_limit).  Each stage is
     solved through the module attribute solve_ground_state, so a wrapper
     set there sees every stage.
-
-    warm is the stages of a neighbouring continuation on the same grid and
-    schedule (energy_map passes the previous radius).  Stage j >= 1 then
-    starts from whichever has the lower E_eps at eps_j: this run's stage j-1
-    field, or warm[j]'s field rescaled to mass rho^2, the latter only when
-    warm[j] converged on the sphere.  Stage 0 always starts from
-    initial_guess, and warm=None is the plain continuation.
     """
     if grid is None:
         grid = config.make_grid()
     stages = []
     start = None
-    for j, eps in enumerate(config.eps_schedule):
-        if warm and j and warm[j].status == "converged" and warm[j].on_sphere:
-            seed = _At(_rescale(grid.w, warm[j].u.values, config.rho, sphere=True)[0], grid)
-            energy = _bind_stage(grid, config.spec, eps).energy
-            if energy(seed)[0] < energy(start)[0]:
-                start = seed
+    for eps in config.eps_schedule:
         result = solve_ground_state(config, eps, grid=grid, rng=rng, start=start)
         stages.append(result)
         if not result.converged:
             return ContinuationResult(stages=stages, limit=None)
         start = result.at
+    return ContinuationResult(stages=stages, limit=_limit(config, grid, stages))
+
+
+def _limit(config, grid, stages) -> SolverResult:
+    """The eps = 0 limit of stages, whose last one converged: its evaluated
+    point (SolverResult.at) evaluated at eps = 0 and carried.  The limit
+    reports the unregularized energy and the multiplier recomputed from the
+    unregularized Nehari quotient, so its identity residuals are measured
+    against the true nonlinearity; its status and KKT residual are the last
+    stage's, its counters the sums over stages."""
+    last = stages[-1]
     at_zero = _bind_stage(grid, config.spec, 0.0)
-    energy, dens = at_zero.energy(start)
-    limit = _result(config, start, 0.0, energy, dens, at_zero.g(start),
-                    mass(stages[-1].u), stages[-1].status, kkt_residual=stages[-1].kkt_residual,
-                    **{k: sum(getattr(s, k) for s in stages)
-                       for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
-    return ContinuationResult(stages=stages, limit=limit)
+    energy, dens = at_zero.energy(last.at)
+    return _result(config, last.at, 0.0, energy, dens, at_zero.g(last.at),
+                   mass(last.u), last.status, kkt_residual=last.kkt_residual,
+                   **{k: sum(getattr(s, k) for s in stages)
+                      for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
 
 
 def multistart(config: SolveConfig) -> list:
@@ -732,22 +735,61 @@ def multistart(config: SolveConfig) -> list:
 
 def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
     """Ground-state-energy samples c(rho) along a list of radii, solved in
-    order in this process, each point's continuation warm-started from the
-    stages of the point before it (see continuation).  A point without a
-    limit is flagged with the energy and eps of its last converged stage
-    (nan when none converged), seeds nothing, and the sweep continues."""
+    order in this process as a natural-parameter continuation in rho at the
+    schedule's last eps.
+
+    A point whose predecessor has a limit that converged on the sphere is
+    corrected: one last-eps stage (solve_ground_state, through the module
+    attribute) from the predicted start (_predict), accepted when it ends
+    converged on the sphere, and then limited to eps = 0 as a
+    continuation's last stage is (_limit).  Every other point, and one
+    whose corrector is not accepted, runs the full continuation unseeded,
+    so it is bit-identical to a standalone run.  A point without a limit is
+    flagged with the energy and eps of its last converged stage (nan when
+    none converged), seeds nothing, and the sweep continues.  Each point
+    records the solver iterations it cost (corrector plus any fallback) and
+    the status of its last stage."""
     points = []
     grid = config.make_grid()
-    warm = None
-    for rho in rho_list:
-        res = continuation(replace(config, rho=float(rho)), grid=grid, warm=warm)
+    eps = config.eps_schedule[-1]
+    known = []  # (rho, limit values) of the last points on the branch, newest last
+    for rho in map(float, rho_list):
+        cfg = replace(config, rho=rho)
+        res, iterations = None, 0
+        if known:
+            stage = solve_ground_state(cfg, eps, grid=grid,
+                                       start=_At(_predict(grid.w, known, rho), grid))
+            iterations = stage.iterations
+            if stage.status == "converged" and stage.on_sphere:
+                res = ContinuationResult(stages=[stage], limit=_limit(cfg, grid, [stage]))
+            else:
+                log.info("rho=%g: corrector ended %s (on_sphere=%s); running the full "
+                         "continuation", rho, stage.status, stage.on_sphere)
+        if res is None:
+            res = continuation(cfg, grid=grid)
+            iterations += res.total_iterations
         if res.limit is None:
             log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, res.status)
         # the limit, or the stage before the one that ended the run
         done = res.limit or (res.stages[-2] if len(res.stages) > 1 else None)
-        points.append(EnergyMapPoint(rho=float(rho),
-                                     c_value=done.energy if done else math.nan,
+        points.append(EnergyMapPoint(rho=rho, c_value=done.energy if done else math.nan,
                                      eps=done.eps if done else math.nan,
-                                     converged=res.limit is not None))
-        warm = res.stages if res.limit else None
+                                     converged=res.limit is not None,
+                                     iterations=iterations, status=res.status))
+        if res.limit and res.limit.status == "converged" and res.limit.on_sphere:
+            known = known[-1:] + [(rho, res.limit.u.values)]
+        else:
+            known = []
     return points
+
+
+def _predict(w, known, rho):
+    """The corrector's start at rho from known, the (rho, values) of one or
+    two neighbouring points on the branch, newest last: the secant through
+    two at distinct radii, else the newest alone, rescaled onto the sphere
+    of radius rho."""
+    rho1, u1 = known[-1]
+    if len(known) == 2 and known[0][0] != rho1:
+        rho0, u0 = known[0]
+        u1 = u1 + (rho - rho1) / (rho1 - rho0) * (u1 - u0)
+    return _rescale(w, u1, rho, sphere=True)[0]

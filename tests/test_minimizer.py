@@ -362,8 +362,9 @@ def sweep_config(**kwargs):
 
 
 def test_energy_map_warm_start_saves_iterations(monkeypatch):
-    # each point seeded from the one before reaches the standalone c(rho)
-    # in fewer solver iterations than the points solved cold
+    # each point after the first is one corrector stage from its predicted
+    # start, which reaches the standalone c(rho) in fewer solver iterations
+    # than the points solved cold
     cfg = sweep_config()
     rhos = [18.0 * 2 ** (k / 2.0) for k in range(4)]
     real = mz.solve_ground_state
@@ -377,37 +378,104 @@ def test_energy_map_warm_start_saves_iterations(monkeypatch):
     monkeypatch.setattr(mz, "solve_ground_state", counting)
     pts = mz.energy_map(cfg, rhos)
     warm = sum(iterations)
+    assert warm == sum(p.iterations for p in pts)
     iterations.clear()
     alone = [mz.continuation(replace(cfg, rho=r)).limit.energy for r in rhos]
     assert warm < sum(iterations)
     for p, c in zip(pts, alone):
-        assert p.converged and p.eps == 0.0
+        assert p.converged and p.eps == 0.0 and p.status == "converged"
         assert p.c_value == pytest.approx(c, rel=1e-9, abs=0.0)
+
+
+def record_sweep(monkeypatch):
+    # the continuations an energy_map runs, by radius, and every stage it
+    # solves, in order
+    real_solve, real_continuation = mz.solve_ground_state, mz.continuation
+    runs, solved = {}, []
+
+    def solving(config, eps, **kwargs):
+        solved.append(real_solve(config, eps, **kwargs))
+        return solved[-1]
+
+    def recording(config, **kwargs):
+        runs[config.rho] = real_continuation(config, **kwargs)
+        return runs[config.rho]
+
+    monkeypatch.setattr(mz, "solve_ground_state", solving)
+    monkeypatch.setattr(mz, "continuation", recording)
+    return runs, solved
+
+
+@pytest.mark.parametrize("spec, rhos, r_max, n", [
+    (nl.logarithmic(1.0, dim=2), [12.0, 14.0, 16.0, 20.0], 16.0, 400),
+    (nl.logarithmic(1.0, dim=3), [18.0, 22.0, 27.0, 36.0], 16.0, 400),
+    (nl.log_power(1.0, -0.05, 4.0, dim=3), [20.0, 22.0, 25.0, 30.0], 16.0, 400),
+    # rescaling alone, without the secant, takes 101-158 iterations at the
+    # last three radii
+    (nl.log_power(1.0, 0.7, 3.0, dim=3), list(np.linspace(8.0, 30.0, 6)), 20.0, 1000),
+    (nl.saturation(dim=3), [20.0, 22.0, 24.0, 27.0], 16.0, 400),
+], ids=["log N=2", "log N=3", "log_power mu<0", "log_power mu>0", "saturation"])
+def test_energy_map_corrector_matches_standalone(spec, rhos, r_max, n, monkeypatch):
+    # the first radius runs the full continuation, every later one a single
+    # corrector stage at the last eps, from the rescaled neighbour or the
+    # secant through two; each c(rho) is the standalone limit's energy
+    cfg = mz.SolveConfig(spec=spec, rho=rhos[0], r_max=r_max, n=n,
+                         eps_schedule=(1e-1, 1e-2, 1e-3))
+    runs, solved = record_sweep(monkeypatch)
+    pts = mz.energy_map(cfg, rhos)
+    assert list(runs) == [rhos[0]]
+    correctors = solved[len(runs[rhos[0]].stages):]
+    assert [s.rho for s in correctors] == rhos[1:]
+    assert all(s.eps == cfg.eps_schedule[-1] for s in correctors)
+    assert pts[0].iterations == runs[rhos[0]].total_iterations
+    for p, s in zip(pts[1:], correctors):
+        assert p.iterations == s.iterations <= 8
+    monkeypatch.undo()
+    for p in pts:
+        alone = mz.continuation(replace(cfg, rho=p.rho)).limit
+        assert p.converged and p.status == "converged" and p.eps == 0.0
+        assert p.c_value == pytest.approx(alone.energy, rel=1e-9, abs=0.0)
+
+
+def test_energy_map_collapsed_sweep_runs_no_corrector(monkeypatch):
+    # every power_sublinear point collapses off the sphere, so each radius
+    # runs the full continuation unseeded and no corrector stage is solved
+    cfg = mz.SolveConfig(spec=nl.power_sublinear(0.5, dim=2), rho=3.0, r_max=12.0, n=120,
+                         eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
+    rhos = [3.0, 3.3, 3.6]
+    runs, solved = record_sweep(monkeypatch)
+    pts = mz.energy_map(cfg, rhos)
+    assert list(runs) == rhos
+    assert solved == [s for rho in rhos for s in runs[rho].stages]
+    for p in pts:
+        assert p.status == "collapsed" and p.iterations == runs[p.rho].total_iterations
 
 
 def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     # rho = 18 aborts on max_iter in its last stage after two completed
-    # ones, and rho = 10 (below the negativity threshold 17.44) collapses off
-    # the sphere; the point after each is bit-identical to its standalone run
+    # ones, and rho = 10 (below the negativity threshold 17.44), corrected
+    # from rho = 25, collapses and falls back to a continuation that
+    # collapses off the sphere; the point after each is bit-identical to its
+    # standalone run
     cfg = sweep_config()
     real_solve, real_continuation = mz.solve_ground_state, mz.continuation
-    runs = {}
 
     def capped(config, eps, **kwargs):
         if config.rho == 18.0 and eps == config.eps_schedule[-1]:
             config = replace(config, max_iter=1)
         return real_solve(config, eps, **kwargs)
 
-    def recording(config, **kwargs):
-        runs[config.rho] = real_continuation(config, **kwargs)
-        return runs[config.rho]
-
     monkeypatch.setattr(mz, "solve_ground_state", capped)
-    monkeypatch.setattr(mz, "continuation", recording)
+    runs, solved = record_sweep(monkeypatch)
     pts = mz.energy_map(cfg, [18.0, 25.0, 10.0, 20.0])
     assert [p.converged for p in pts] == [False, True, True, True]
+    assert [p.status for p in pts] == ["max_iter", "converged", "collapsed", "converged"]
     assert pts[0].eps == cfg.eps_schedule[1]
     assert all(s.status == "collapsed" and not s.on_sphere for s in runs[10.0].stages)
+    # the one corrector stage, at rho = 10, counts towards its point
+    (corrector,) = [s for s in solved if not any(s is t for r in runs.values() for t in r.stages)]
+    assert corrector.rho == 10.0 and not corrector.on_sphere
+    assert pts[2].iterations == corrector.iterations + runs[10.0].total_iterations
 
     def fingerprint(res):
         return [(s.iterations, s.energy, s.lam, s.u.values.tobytes()) for s in res.stages]
@@ -416,13 +484,6 @@ def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     for rho, res in alone.items():
         assert fingerprint(res) == fingerprint(runs[rho])
         assert res.limit.energy == runs[rho].limit.energy
-    # the stages of rho = 25 do seed rho = 20, but not once marked collapsed
-    # or off the sphere
-    cfg20, seeds = replace(cfg, rho=20.0), runs[25.0].stages
-    assert fingerprint(real_continuation(cfg20, warm=seeds)) != fingerprint(alone[20.0])
-    for mark in ({"status": "collapsed"}, {"on_sphere": False}):
-        marked = [replace(s, **mark) for s in seeds]
-        assert fingerprint(real_continuation(cfg20, warm=marked)) == fingerprint(alone[20.0])
 
 
 def test_disc_feasibility_every_iteration(log_spec3):
