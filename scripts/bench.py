@@ -15,8 +15,9 @@ Run from the root of a source checkout.  The record holds:
 * ``solves``: in this process, the rho = 20 continuation (log, N = 3,
   r_max 20, default schedule) at n = 2000 and n = 8000 and the rho = 10
   collapse run (mu = 2 mu*, p = 4, n = 2000), each with its median wall time
-  over SOLVE_RUNS runs, its limit's energy, lambda and status, and the
-  SolverResult counters of the limit (sums over the stages);
+  over SOLVE_RUNS runs, its limit's energy, lambda, status and limit_kind,
+  and the SolverResult counters of the limit (sums over every stage solved,
+  the eps = 0 limit stage's included);
 * ``sweep``: in this process, acceptance 4's 8-point energy_map (log,
   N = 3, r_max 20, n = 2000, default schedule, rho_k = 18 * 2^(k/2)), its
   median wall time over SOLVE_RUNS runs and each point's c, status and
@@ -123,6 +124,7 @@ def solve_record(config):
     lim = res.limit
     return {"wall_s": statistics.median(walls), "runs": SOLVE_RUNS,
             "energy": lim.energy, "lambda": lim.lam, "status": lim.status,
+            "limit_kind": lim.limit_kind,
             **{k: getattr(lim, k) for k in COUNTERS}}
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Reference ground-state run: g(s) = s ln s^2 in R^3 at rho = 20.
 
-Prints the stage-by-stage continuation and compares the limit against the
+Prints the stage-by-stage continuation and its eps = 0 limit (the limit's
+iterations count every stage), and compares the limit against the
 exact Gaussian profile, whose energy and multiplier are known in closed form
 at this mass (E = m(2 - ln m / 2 + 3 ln(pi) / 4) = -54.8739, lambda =
 2 ln(rho) - 1.5 ln(pi) - 3 = 1.27440).
@@ -27,7 +28,7 @@ for s in res.stages:
           f"{s.bundle.pohozaev_rel:10.2e} {s.status}")
 lim = res.limit
 print(f"{'limit':>8} {lim.energy:14.6f} {lim.lam:10.6f} {lim.iterations:7d} "
-      f"{lim.bundle.pohozaev_rel:10.2e}")
+      f"{lim.bundle.pohozaev_rel:10.2e} {lim.status} ({lim.limit_kind})")
 
 m = cfg.rho**2
 exact_E = m * (2.0 - 0.5 * math.log(m) + 0.75 * math.log(math.pi))

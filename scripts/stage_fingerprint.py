@@ -19,7 +19,8 @@ when the digest differs from DIGEST (0 when it matches).  stdout is the digest l
 gets the solver's work (iterations, Newton steps, preconditioner solves,
 energy evaluations), which the digest leaves out, so that a change in work
 shows next to an unchanged digest: one line per configuration, summed over
-every stage of its starts, then the total over all configurations.  Each
+every stage of its starts (the eps = 0 limit stage included, through the
+limit's counters), then the total over all configurations.  Each
 configuration also gets a "<name> energy_map: iterations=N" line, the sum of
 its energy_map points' iterations, which the total leaves out.
 """
@@ -66,8 +67,10 @@ def record(res) -> dict:
     return out
 
 
-def add_work(work, stages):
-    for s in stages:
+def add_work(work, res):
+    # a limit's counters are the sums over every stage solved, the eps = 0
+    # stage's included; without a limit, sum the stages
+    for s in [res.limit] if res.limit is not None else res.stages:
         for k in WORK:
             work[k] += getattr(s, k)
 
@@ -85,7 +88,7 @@ def runs(config, work, sweep_work):
         # the seeds multistart draws: none for start 0, then j
         rng = np.random.default_rng(j) if j else None
         res = mz.continuation(config, grid=grid, rng=rng)
-        add_work(work, res.stages)
+        add_work(work, res)
         stages = [record(s) for s in res.stages]
         if res.limit is None:
             yield f"start {j}", {"status": res.status, "stages": stages}

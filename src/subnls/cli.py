@@ -372,7 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("steps", type=int)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="ignored: the radii are solved in order in one "
-                              "process, each after the first by one last-eps "
+                              "process, each after the first by one eps = 0 "
                               "stage from the radii before it")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep_rho)

@@ -3,7 +3,10 @@
     E_eps(u) = 1/2 int |grad u|^2 + int Gminus_eps(u) - int Gplus(u)
 
 over the L2 disc {mass(u) <= rho^2}, and the continuation eps -> 0 that
-recovers the unregularized ground state.
+recovers the unregularized ground state: the eps-stages of the schedule
+(one, 1e-1, by default) globalize, and the limit is the same stage solver
+run at eps = 0 from the last stage's point, a KKT point of the
+unregularized problem itself.
 
 Each stage runs in two phases.  The globalization is projected descent
 along the Sobolev gradient P g, with P = (sigma I - Lap)^-1 and g the L2
@@ -33,15 +36,20 @@ interior Newton steps finish the collapse to the zero field in a number of
 iterations that does not grow with n.  How a stage ended is data, never an
 exception: SolverResult.status, converged only for "converged" and
 "collapsed".  A continuation stops at its first stage that did not converge
-and returns it last, without a limit (ContinuationResult).  A sweep in rho
-(energy_map) continues along the branch at the last eps: each radius after
-the first is one stage from a start predicted by its neighbours, with the
-full continuation as fallback.
+and returns it last, without a limit (ContinuationResult).  Its limit is
+the eps = 0 stage when the last stage converged on the sphere with a
+positive multiplier and the eps = 0 stage converges on the sphere
+(limit_kind "eps0_stage"); otherwise, a collapse for one, it is the last
+stage's point evaluated at eps = 0 (limit_kind "evaluated").  A sweep in rho
+(energy_map) continues along the branch at eps = 0: each radius after the
+first is one eps = 0 stage from a start predicted by its neighbours, which
+is itself the point's limit, with the full continuation as fallback and in
+place of a corrector whose predicted multiplier is not positive.
 
 Every field the solver evaluates is an explicit point (_At): built once per
 trial, it carries what the kernels share there, and the stage keeps the
 accepted one.  A stage hands its last point on (SolverResult.at) to the next
-stage as its start and to the eps = 0 limit, so what a point carries is
+stage, the eps = 0 one included, as its start, so what a point carries is
 computed once per array and nothing is looked up.
 """
 
@@ -66,7 +74,9 @@ from .grid import (RadialField, RadialGrid, face_differences, kinetic, kinetic_v
 
 log = logging.getLogger("subnls.minimizer")
 
-DEFAULT_EPS_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+# one eps-stage globalizes, and the eps = 0 stage finishes from its point
+# (_limit); a longer schedule traces the eps-family itself
+DEFAULT_EPS_SCHEDULE = (1e-1,)
 # shift sigma of the preconditioner P = (sigma I - Lap)^-1, and the cap on a
 # proposed step.  Steps are O(1) in the metric of P, but near the zero field
 # the BB step approaches (sigma + l1)/l1 with l1 ~ (pi/r_max)^2 the lowest
@@ -128,12 +138,12 @@ class SolveConfig:
 
 @dataclass
 class SolverResult:
-    """Record of one stage (or of a continuation's eps = 0 limit): the
-    field, its multiplier, energy, mass and kinetic term, how the stage
-    ended and what it cost.  It is built from the solver's own last
-    evaluations (_result); at is the evaluated point (_At) of u, which the
-    next stage starts from, so u may share its array with the previous
-    stage's u.  converged is derived from status; bundle, the residual
+    """Record of one stage (or of a continuation's eps = 0 limit, which
+    limit_kind names): the field, its multiplier, energy, mass and kinetic
+    term, how the stage ended and what it cost.  It is built from the
+    solver's own last evaluations (_result); at is the evaluated point (_At)
+    of u, which the next stage starts from, so u may share its array with
+    the previous stage's u.  converged is derived from status; bundle, the residual
     bundle, is computed from parts on first access and then kept."""
 
     u: RadialField
@@ -149,7 +159,8 @@ class SolverResult:
     on_sphere: bool
     status: str
     # the stage's evaluations of E_eps and of the gradient, its rejected
-    # Armijo trials and its preconditioner solves (a limit: sums over stages)
+    # Armijo trials and its preconditioner solves (a limit: sums over every
+    # stage solved, the eps = 0 stage's included)
     energy_evals: int
     grad_evals: int
     backtracks: int
@@ -159,6 +170,10 @@ class SolverResult:
     parts: object = field(default=None, repr=False)
     # u's evaluated point, handed on to the next stage; not in to_json_dict
     at: object = field(default=None, repr=False)
+    # a limit's kind: "eps0_stage" (the eps = 0 stage, a KKT point of the
+    # unregularized problem) or "evaluated" (the last stage's point
+    # evaluated at eps = 0); None for a stage
+    limit_kind: Optional[str] = None
 
     @property
     def converged(self) -> bool:
@@ -192,6 +207,7 @@ class SolverResult:
             "converged": self.converged,
             "on_sphere": self.on_sphere,
             "status": self.status,
+            "limit_kind": self.limit_kind,
             "pohozaev_residual": getattr(self.bundle, "pohozaev_rel", None),
             "nehari_residual": getattr(self.bundle, "nehari_rel", None),
         }
@@ -204,7 +220,8 @@ class EnergyMapPoint:
     eps: float
     converged: bool
     # the solver iterations the point cost (a corrector stage plus any full
-    # continuation) and the status of its last stage
+    # continuation, its eps = 0 stage included) and the status of its last
+    # stage
     iterations: int = 0
     status: str = ""
 
@@ -230,6 +247,9 @@ class ContinuationResult:
 
     @property
     def total_iterations(self) -> int:
+        """Every solver iteration of the run, the eps = 0 stage's included."""
+        if self.limit is not None:
+            return self.limit.iterations
         return sum(s.iterations for s in self.stages)
 
 
@@ -681,9 +701,9 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     from the evaluated point (SolverResult.at) the stage before it ended
     on.  The run stops at the first stage that does not converge; it is then
     the last of the stages and the limit is None.  Otherwise the limit is
-    the last stage's point evaluated at eps = 0 (_limit).  Each stage is
-    solved through the module attribute solve_ground_state, so a wrapper
-    set there sees every stage.
+    taken from the last stage (_limit).  Each stage, the eps = 0 one
+    included, is solved through the module attribute solve_ground_state, so
+    a wrapper set there sees every stage.
     """
     if grid is None:
         grid = config.make_grid()
@@ -699,19 +719,40 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
 
 
 def _limit(config, grid, stages) -> SolverResult:
-    """The eps = 0 limit of stages, whose last one converged: its evaluated
-    point (SolverResult.at) evaluated at eps = 0 and carried.  The limit
-    reports the unregularized energy and the multiplier recomputed from the
-    unregularized Nehari quotient, so its identity residuals are measured
-    against the true nonlinearity; its status and KKT residual are the last
-    stage's, its counters the sums over stages."""
+    """The eps = 0 limit of stages, whose last one converged.
+
+    When that stage converged on the sphere with a positive multiplier, the
+    eps = 0 stage is solved from its point (SolverResult.at), through the
+    module attribute solve_ground_state; if it converges on the sphere it is
+    the limit (limit_kind "eps0_stage"), a KKT point of the unregularized
+    problem with its own status and KKT residual.  Otherwise (a collapse,
+    an end off the sphere, an eps = 0 stage that did not converge on the
+    sphere) the limit is the last stage's point evaluated at eps = 0 and
+    carried (limit_kind "evaluated"): the unregularized energy and the
+    multiplier recomputed from the unregularized Nehari quotient, so its
+    identity residuals are measured against the true nonlinearity, with the
+    last stage's status and KKT residual.  Either way the counters are the
+    sums over every stage solved, the eps = 0 stage's included."""
     last = stages[-1]
+    solved = list(stages)
+    if last.status == "converged" and last.on_sphere and last.lam > 0.0:
+        zero = solve_ground_state(config, 0.0, grid=grid, start=last.at)
+        solved.append(zero)
+        if zero.status == "converged" and zero.on_sphere:
+            return replace(zero, limit_kind="eps0_stage", **_sums(solved))
+        log.info("eps = 0 stage ended %s (on_sphere=%s); the limit is the eps=%g "
+                 "point evaluated at eps = 0", zero.status, zero.on_sphere, last.eps)
     at_zero = _bind_stage(grid, config.spec, 0.0)
     energy, dens = at_zero.energy(last.at)
     return _result(config, last.at, 0.0, energy, dens, at_zero.g(last.at),
                    mass(last.u), last.status, kkt_residual=last.kkt_residual,
-                   **{k: sum(getattr(s, k) for s in stages)
-                      for k in ("iterations", "newton_steps") + _EVAL_COUNTS})
+                   limit_kind="evaluated", **_sums(solved))
+
+
+def _sums(stages) -> dict:
+    # a limit's counters: sums over the stages solved
+    return {k: sum(getattr(s, k) for s in stages)
+            for k in ("iterations", "newton_steps") + _EVAL_COUNTS}
 
 
 def multistart(config: SolveConfig) -> list:
@@ -735,61 +776,70 @@ def multistart(config: SolveConfig) -> list:
 
 def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
     """Ground-state-energy samples c(rho) along a list of radii, solved in
-    order in this process as a natural-parameter continuation in rho at the
-    schedule's last eps.
+    order in this process as a natural-parameter continuation in rho at
+    eps = 0.
 
     A point whose predecessor has a limit that converged on the sphere is
-    corrected: one last-eps stage (solve_ground_state, through the module
-    attribute) from the predicted start (_predict), accepted when it ends
-    converged on the sphere, and then limited to eps = 0 as a
-    continuation's last stage is (_limit).  Every other point, and one
-    whose corrector is not accepted, runs the full continuation unseeded,
-    so it is bit-identical to a standalone run.  A point without a limit is
-    flagged with the energy and eps of its last converged stage (nan when
-    none converged), seeds nothing, and the sweep continues.  Each point
-    records the solver iterations it cost (corrector plus any fallback) and
-    the status of its last stage."""
+    corrected: one eps = 0 stage (solve_ground_state, through the module
+    attribute) from the predicted start (_predict), accepted, as the point's
+    limit, when it ends converged on the sphere.  A point whose predicted
+    multiplier is not positive lies below the branch's lambda = 0 point,
+    where a corrector could only collapse, so it is not corrected.  Every
+    other point, and one whose corrector is not accepted, runs the full
+    continuation unseeded, so it is bit-identical to a standalone run.  A
+    point without a limit is flagged with the energy and eps of its last
+    converged stage (nan when none converged), seeds nothing, and the sweep
+    continues.  Each point records the solver iterations it cost (corrector
+    plus any fallback) and the status of its last stage."""
     points = []
     grid = config.make_grid()
-    eps = config.eps_schedule[-1]
-    known = []  # (rho, limit values) of the last points on the branch, newest last
+    known = []  # (rho, limit values, limit lambda) of the last points on the branch
     for rho in map(float, rho_list):
         cfg = replace(config, rho=rho)
-        res, iterations = None, 0
+        limit, iterations = None, 0
         if known:
-            stage = solve_ground_state(cfg, eps, grid=grid,
-                                       start=_At(_predict(grid.w, known, rho), grid))
-            iterations = stage.iterations
-            if stage.status == "converged" and stage.on_sphere:
-                res = ContinuationResult(stages=[stage], limit=_limit(cfg, grid, [stage]))
+            start, lam = _predict(grid.w, known, rho)
+            if lam > 0.0:
+                stage = solve_ground_state(cfg, 0.0, grid=grid, start=_At(start, grid))
+                iterations = stage.iterations
+                if stage.status == "converged" and stage.on_sphere:
+                    limit = done = stage
+                    status = stage.status
+                else:
+                    log.info("rho=%g: corrector ended %s (on_sphere=%s); running the full "
+                             "continuation", rho, stage.status, stage.on_sphere)
             else:
-                log.info("rho=%g: corrector ended %s (on_sphere=%s); running the full "
-                         "continuation", rho, stage.status, stage.on_sphere)
-        if res is None:
+                log.info("rho=%g: predicted multiplier %.3g is not positive; running the "
+                         "full continuation", rho, lam)
+        if limit is None:
             res = continuation(cfg, grid=grid)
             iterations += res.total_iterations
-        if res.limit is None:
-            log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, res.status)
-        # the limit, or the stage before the one that ended the run
-        done = res.limit or (res.stages[-2] if len(res.stages) > 1 else None)
+            limit, status = res.limit, res.status
+            if limit is None:
+                log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, status)
+            # the limit, or the stage before the one that ended the run
+            done = limit or (res.stages[-2] if len(res.stages) > 1 else None)
         points.append(EnergyMapPoint(rho=rho, c_value=done.energy if done else math.nan,
                                      eps=done.eps if done else math.nan,
-                                     converged=res.limit is not None,
-                                     iterations=iterations, status=res.status))
-        if res.limit and res.limit.status == "converged" and res.limit.on_sphere:
-            known = known[-1:] + [(rho, res.limit.u.values)]
+                                     converged=limit is not None,
+                                     iterations=iterations, status=status))
+        if limit and limit.status == "converged" and limit.on_sphere:
+            known = known[-1:] + [(rho, limit.u.values, limit.lam)]
         else:
             known = []
     return points
 
 
 def _predict(w, known, rho):
-    """The corrector's start at rho from known, the (rho, values) of one or
-    two neighbouring points on the branch, newest last: the secant through
-    two at distinct radii, else the newest alone, rescaled onto the sphere
-    of radius rho."""
-    rho1, u1 = known[-1]
+    """The corrector's start at rho and its predicted multiplier, from
+    known, the (rho, values, lambda) of one or two neighbouring points on
+    the branch, newest last.  With two at distinct radii: the secant through
+    their values, rescaled onto the sphere of radius rho, and the secant
+    through their multipliers in ln rho^2 (exact for log, where lambda is
+    affine in ln rho^2).  With one: its values rescaled and its multiplier."""
+    rho1, u1, lam1 = known[-1]
     if len(known) == 2 and known[0][0] != rho1:
-        rho0, u0 = known[0]
+        rho0, u0, lam0 = known[0]
         u1 = u1 + (rho - rho1) / (rho1 - rho0) * (u1 - u0)
-    return _rescale(w, u1, rho, sphere=True)[0]
+        lam1 = lam1 + math.log(rho / rho1) / math.log(rho1 / rho0) * (lam1 - lam0)
+    return _rescale(w, u1, rho, sphere=True)[0], lam1

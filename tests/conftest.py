@@ -31,14 +31,19 @@ def grid3():
     return gr.RadialGrid(3, 20.0, 2000)
 
 
+# a seven-stage eps schedule, for the tests that measure the eps-family
+# itself (monotonicity, the approach to E_0); the default has one stage
+SEVEN_STAGES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+
 @pytest.fixture(scope="session")
 def gausson_run(log_spec3):
-    """Full default-schedule continuation at rho=20 on the reference grid.
+    """Seven-stage continuation at rho=20 on the reference grid.
 
     The exact minimizer is the Gaussian profile with E = m(2 - ln m / 2 +
     3 ln(pi)/4) = -54.8739 and lambda = 2 ln(rho) - 1.5 ln(pi) - 3 = 1.27440.
     """
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, eps_schedule=SEVEN_STAGES)
     return mz.continuation(cfg)
 
 

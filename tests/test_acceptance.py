@@ -108,20 +108,27 @@ def test_acceptance_2_ground_state_rho10(log_spec3):
 
 
 def test_acceptance_3_eps_monotonicity_and_limit(gausson_run):
+    # the seven-stage schedule; the limit is the eps = 0 stage, a KKT point of
+    # the unregularized problem, and continues the nondecreasing chain
     res = gausson_run
-    energies = [s.energy for s in res.stages]
+    lim = res.limit
+    energies = [s.energy for s in res.stages] + [lim.energy]
     lams = [s.lam for s in res.stages]
     nondecreasing = all(b >= a - 1e-9 * (1 + abs(a))
                         for a, b in zip(energies, energies[1:]))
-    de = abs(energies[-1] - energies[-2]) / abs(energies[-1])
+    de = abs(energies[-2] - energies[-3]) / abs(energies[-2])
     dl = abs(lams[-1] - lams[-2]) / abs(lams[-1])
-    ok = nondecreasing and de <= 1e-3 and dl <= 1e-3 and res.eps_monotone
+    at_zero = (lim.limit_kind == "eps0_stage" and lim.status == "converged"
+               and lim.kkt_residual <= 1e-8)
+    ok = nondecreasing and de <= 1e-3 and dl <= 1e-3 and res.eps_monotone and at_zero
     _report(3, "eps-monotonicity and limit", ok,
-            f"c_eps nondecreasing={nondecreasing}, last-two dE={de:.2e}, "
-            f"dlambda={dl:.2e} (run at rho=20, default schedule)")
+            f"c_eps nondecreasing to the limit={nondecreasing}, last-two dE={de:.2e}, "
+            f"dlambda={dl:.2e}, limit {lim.limit_kind} kkt={lim.kkt_residual:.1e} "
+            f"(run at rho=20, seven stages)")
     assert nondecreasing and res.eps_monotone
     assert de <= 1e-3
     assert dl <= 1e-3
+    assert at_zero
 
 
 def test_acceptance_4_energy_map_properties(tmp_path):

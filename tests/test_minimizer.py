@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import SEVEN_STAGES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -416,23 +417,31 @@ def record_sweep(monkeypatch):
     (nl.saturation(dim=3), [20.0, 22.0, 24.0, 27.0], 16.0, 400),
 ], ids=["log N=2", "log N=3", "log_power mu<0", "log_power mu>0", "saturation"])
 def test_energy_map_corrector_matches_standalone(spec, rhos, r_max, n, monkeypatch):
-    # the first radius runs the full continuation, every later one a single
-    # corrector stage at the last eps, from the rescaled neighbour or the
-    # secant through two; each c(rho) is the standalone limit's energy
+    # the first radius runs the full continuation, its eps = 0 stage
+    # included, every later one a single corrector stage at eps = 0, from the
+    # rescaled neighbour or the secant through two, which is the point's
+    # limit; each c(rho) is the standalone limit's energy, itself an eps = 0
+    # stage
     cfg = mz.SolveConfig(spec=spec, rho=rhos[0], r_max=r_max, n=n,
                          eps_schedule=(1e-1, 1e-2, 1e-3))
     runs, solved = record_sweep(monkeypatch)
     pts = mz.energy_map(cfg, rhos)
     assert list(runs) == [rhos[0]]
-    correctors = solved[len(runs[rhos[0]].stages):]
+    first = runs[rhos[0]]
+    k = len(first.stages)  # solved[k] is the first radius's eps = 0 stage
+    assert first.limit.limit_kind == "eps0_stage"
+    assert (solved[k].eps, solved[k].rho) == (0.0, rhos[0])
+    correctors = solved[k + 1:]
     assert [s.rho for s in correctors] == rhos[1:]
-    assert all(s.eps == cfg.eps_schedule[-1] for s in correctors)
-    assert pts[0].iterations == runs[rhos[0]].total_iterations
+    assert all(s.eps == 0.0 and s.kkt_residual <= cfg.tol_grad for s in correctors)
+    assert pts[0].iterations == first.total_iterations == first.limit.iterations
+    assert first.total_iterations == sum(s.iterations for s in solved[:k + 1])
     for p, s in zip(pts[1:], correctors):
         assert p.iterations == s.iterations <= 8
     monkeypatch.undo()
     for p in pts:
         alone = mz.continuation(replace(cfg, rho=p.rho)).limit
+        assert alone.limit_kind == "eps0_stage"
         assert p.converged and p.status == "converged" and p.eps == 0.0
         assert p.c_value == pytest.approx(alone.energy, rel=1e-9, abs=0.0)
 
@@ -472,10 +481,16 @@ def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     assert [p.status for p in pts] == ["max_iter", "converged", "collapsed", "converged"]
     assert pts[0].eps == cfg.eps_schedule[1]
     assert all(s.status == "collapsed" and not s.on_sphere for s in runs[10.0].stages)
-    # the one corrector stage, at rho = 10, counts towards its point
-    (corrector,) = [s for s in solved if not any(s is t for r in runs.values() for t in r.stages)]
-    assert corrector.rho == 10.0 and not corrector.on_sphere
+    # the one corrector stage, an eps = 0 stage at rho = 10, counts towards
+    # its point; the other stages outside the runs' stage lists are the
+    # eps = 0 limit stages of the runs at rho = 25 and 20
+    rest = [s for s in solved if not any(s is t for r in runs.values() for t in r.stages)]
+    (corrector,) = [s for s in rest if s.rho == 10.0]
+    assert corrector.eps == 0.0 and not corrector.on_sphere
     assert pts[2].iterations == corrector.iterations + runs[10.0].total_iterations
+    assert sorted(s.rho for s in rest if s is not corrector) == [20.0, 25.0]
+    assert all(s.eps == 0.0 and s.at is runs[s.rho].limit.at for s in rest if s is not corrector)
+    assert runs[10.0].limit.limit_kind == "evaluated"
 
     def fingerprint(res):
         return [(s.iterations, s.energy, s.lam, s.u.values.tobytes()) for s in res.stages]
@@ -696,17 +711,20 @@ def test_nonfinite_stage_point_keeps_its_last_converged_stage(log_spec3, monkeyp
 
 
 def test_newton_cuts_continuation_iterations(log_spec3):
-    # each stage ends in Newton steps on the KKT system; the descent alone
-    # takes 269 iterations over this schedule
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
+    # each stage, the eps = 0 limit stage included, ends in Newton steps on
+    # the KKT system; the descent alone takes 269 iterations over the seven
+    # eps-stages
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000,
+                         eps_schedule=SEVEN_STAGES)
     res = mz.continuation(cfg)
-    for s in res.stages:
+    assert res.limit.limit_kind == "eps0_stage"
+    for s in res.stages + [res.limit]:
         assert s.status == "converged" and s.on_sphere
         assert s.newton_steps >= 1 and s.kkt_residual <= cfg.tol_grad
         assert s.to_json_dict()["newton_steps"] == s.newton_steps
         assert s.to_json_dict()["kkt_residual"] == s.kkt_residual
     assert res.total_iterations <= 80
-    assert res.limit.newton_steps == sum(s.newton_steps for s in res.stages)
+    assert res.limit.newton_steps > sum(s.newton_steps for s in res.stages)
 
 
 def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
@@ -792,13 +810,15 @@ def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
     # gradient evaluation; a descent step is one energy per Armijo trial,
     # one gradient and one or two preconditioner solves.
     # Spies count each stage's Newton trials (a step that returns None is
-    # no trial: inside the disc the descent runs in the same iteration).
-    trials = []
+    # no trial: inside the disc the descent runs in the same iteration) and
+    # keep every stage record, the eps = 0 limit stage's included.
+    trials, solved = [], []
     real_solve = mz.solve_ground_state
 
     def solve(*args, **kwargs):
         trials.append(0)
-        return real_solve(*args, **kwargs)
+        solved.append(real_solve(*args, **kwargs))
+        return solved[-1]
 
     def counted(step):
         def spy(*args):
@@ -813,8 +833,13 @@ def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
     cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
     first, again = mz.continuation(cfg), mz.continuation(cfg)
-    assert len(trials) == 2 * len(first.stages)
-    for s, tried in zip(first.stages, trials):
+    # the ground state adds its eps = 0 stage, the collapse run none
+    eps0 = first.limit.limit_kind == "eps0_stage"
+    assert eps0 == (mu == 0.0)
+    ran = len(first.stages) + eps0
+    assert len(trials) == len(solved) == 2 * ran
+    assert solved[:len(first.stages)] == first.stages
+    for s, tried in zip(solved[:ran], trials):
         assert s.status in ("converged", "collapsed")
         assert all(type(getattr(s, k)) is int for k in COUNTERS)
         assert s.grad_evals == s.iterations
@@ -824,12 +849,82 @@ def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
         assert descent <= s.precond_solves <= 2 * descent
         assert all(s.to_json_dict()[k] == getattr(s, k) for k in COUNTERS)
     for k in COUNTERS + ("iterations", "newton_steps"):
-        assert getattr(first.limit, k) == sum(getattr(s, k) for s in first.stages)
+        assert getattr(first.limit, k) == sum(getattr(s, k) for s in solved[:ran])
+    if eps0:
+        assert first.limit.kkt_residual == solved[ran - 1].kkt_residual
     # neither relation above is vacuous on these runs: both take Newton
     # steps, the collapse run also backtracks and rejects a Newton trial
     assert first.limit.newton_steps > 0
     if mu != 0.0:
         assert first.limit.backtracks > 0
-        assert sum(trials[:len(first.stages)]) > first.limit.newton_steps
+        assert sum(trials[:ran]) > first.limit.newton_steps
     assert ([s.to_json_dict() for s in first.stages + [first.limit]]
             == [s.to_json_dict() for s in again.stages + [again.limit]])
+
+
+def gausson_energy(rho):
+    # closed-form E_0 of the Gausson (log, N = 3, alpha = 1) at mass rho^2
+    m = rho * rho
+    return m * (2.0 - 0.5 * math.log(m) + 0.75 * math.log(math.pi))
+
+
+def test_eps0_limit_converges_at_order_two_in_h(log_spec3):
+    # the limit is the eps = 0 stage itself, so its only error against the
+    # closed-form Gausson is the grid's: 2.495e-2, 6.24e-3, 1.56e-3 at
+    # n = 1000, 2000, 4000, order 2 in h = r_max/(n + 1)
+    hs, errors = [], []
+    for n in (1000, 2000, 4000):
+        cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=n)
+        lim = mz.continuation(cfg).limit
+        assert lim.limit_kind == "eps0_stage" and lim.status == "converged"
+        assert lim.eps == 0.0 and lim.on_sphere and lim.kkt_residual <= cfg.tol_grad
+        hs.append(cfg.r_max / (n + 1))
+        errors.append(abs(lim.energy - gausson_energy(cfg.rho)))
+    for k in (0, 1):
+        order = math.log(errors[k] / errors[k + 1]) / math.log(hs[k] / hs[k + 1])
+        assert 1.95 <= order <= 2.05, (errors, order)
+
+
+def test_eps_problems_approach_the_limit_from_below(gausson_run):
+    # E_eps < E_0 at every stage of the seven-stage schedule, and the gap to
+    # the eps = 0 stage's E_0 shrinks at least 30x per decade of eps from
+    # 1e-2 to 1e-4 (measured 48x and 57x)
+    lim = gausson_run.limit
+    assert lim.limit_kind == "eps0_stage"
+    gaps = {s.eps: lim.energy - s.energy for s in gausson_run.stages}
+    assert all(gap > 0.0 for gap in gaps.values()), gaps
+    assert gaps[1e-2] >= 30.0 * gaps[1e-3]
+    assert gaps[1e-3] >= 30.0 * gaps[1e-4]
+
+
+def test_default_schedule_iteration_budget(log_spec3):
+    # the default schedule is one eps-stage and the eps = 0 limit stage: the
+    # rho = 20, n = 2000 continuation takes at most 15 solver iterations in
+    # all (5 + 7 measured), against 29 over the seven-stage schedule
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=2000)
+    assert cfg.eps_schedule == mz.DEFAULT_EPS_SCHEDULE == (1e-1,)
+    res = mz.continuation(cfg)
+    assert res.limit.limit_kind == "eps0_stage"
+    assert res.total_iterations == res.limit.iterations <= 15
+    assert res.limit.iterations > res.stages[0].iterations
+
+
+def test_energy_map_point_below_the_zero_multiplier_runs_cold(log_spec3, monkeypatch):
+    # in a decreasing log N = 3 sweep the secant through the limit
+    # multipliers at rho = 16 and 14 predicts lambda < 0 at rho = 10 (the
+    # branch's lambda = 0 point is 10.58), where a corrector from rho = 14
+    # could only collapse: the point runs cold and costs exactly its
+    # standalone iterations, and every other point keeps its c
+    cfg = mz.SolveConfig(spec=log_spec3, rho=25.0, r_max=16.0, n=400)
+    rhos = [25.0, 20.0, 16.0, 14.0, 10.0]
+    runs, solved = record_sweep(monkeypatch)
+    pts = mz.energy_map(cfg, rhos)
+    assert list(runs) == [25.0, 10.0]
+    assert [s.rho for s in solved if s.rho == 10.0] == [s.rho for s in runs[10.0].stages]
+    monkeypatch.undo()
+    alone = {p.rho: mz.continuation(replace(cfg, rho=p.rho)) for p in pts}
+    assert pts[-1].iterations == alone[10.0].total_iterations
+    assert pts[-1].status == "collapsed" and pts[-1].c_value == alone[10.0].limit.energy
+    for p in pts[:-1]:
+        assert p.converged and p.status == "converged" and p.eps == 0.0
+        assert p.c_value == pytest.approx(alone[p.rho].limit.energy, rel=1e-9, abs=0.0)

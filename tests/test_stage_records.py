@@ -133,11 +133,11 @@ def spy_computations(monkeypatch):
                          ids=["newton_finish", "collapse"])
 def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     # evaluated points are handed on through a continuation: the trials,
-    # the seeds, the stage records, the next stage's start and the eps = 0
-    # limit compute ln s^2, the face differences and the kinetic term at
-    # most once per distinct array (the lists hold every array, so no id is
-    # reused), and each gradient evaluation builds its Laplacian from those
-    # differences
+    # the seeds, the stage records, the next stage's start (the eps = 0
+    # limit stage's included) and an evaluated limit compute ln s^2, the face
+    # differences and the kinetic term at most once per distinct array (the
+    # lists hold every array, so no id is reused), and each gradient
+    # evaluation builds its Laplacian from those differences
     seen = spy_computations(monkeypatch)
     energies = []
     real_bind = mz._bind_stage
@@ -160,39 +160,51 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
         assert len({id(a) for a in arrays}) == len(arrays), name
     assert len(seen["laplacian"]) == res.limit.grad_evals
     assert all(seen["laplacian_given_differences"])
-    # the limit evaluates the last stage's array, and a stage whose field
-    # lies in the disc hands that very array on as the next stage's start:
-    # each is evaluated twice and computed once
+    # a stage whose field lies in the disc hands that very array on as the
+    # next stage's start, the eps = 0 limit stage's too, and an evaluated
+    # limit evaluates the last stage's array: each is evaluated twice.  Every
+    # stage's field, the limit stage's included, is computed once.
     finals = [s.u.values for s in res.stages]
-    assert res.limit.u.values is finals[-1]
-    handed_on = [vals for vals in finals[:-1]
-                 if float(np.dot(res.limit.u.grid.w, vals * vals)) <= rho * rho]
-    assert handed_on
-    for vals in handed_on + finals[-1:]:
+    w = res.limit.u.grid.w
+    twice = [vals for vals in finals if float(np.dot(w, vals * vals)) <= rho * rho]
+    if mu == 0.0:
+        assert res.limit.limit_kind == "eps0_stage"
+        assert not any(res.limit.u.values is vals for vals in finals)
+        finals.append(res.limit.u.values)
+    else:
+        assert res.limit.limit_kind == "evaluated"
+        assert res.limit.u.values is finals[-1]
+    assert twice
+    for vals in twice:
         assert sum(a is vals for a in energies) >= 2
+    for vals in finals:
         for name in ("ln_s2", "differences", "kinetic"):
             assert sum(a is vals for a in seen[name]) == 1, name
 
 
 def test_each_stage_starts_from_the_point_handed_on(monkeypatch):
-    # stage j + 1 is given stage j's evaluated point as its start, and the
-    # eps = 0 limit carries the last stage's point
-    starts = []
+    # stage j + 1 is given stage j's evaluated point as its start, the
+    # eps = 0 limit stage the last eps-stage's, and the limit carries the
+    # eps = 0 stage's point
+    starts, solved = [], []
     real = mz.solve_ground_state
 
     def recorded(config, eps, **kwargs):
         starts.append(kwargs.get("start"))
-        return real(config, eps, **kwargs)
+        solved.append(real(config, eps, **kwargs))
+        return solved[-1]
 
     monkeypatch.setattr(mz, "solve_ground_state", recorded)
     cfg = mz.SolveConfig(spec=nl.logarithmic(1.0, dim=3), rho=20.0, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3))
     res = mz.continuation(cfg)
-    assert len(starts) == len(res.stages) == 3 and starts[0] is None
+    assert len(starts) == len(res.stages) + 1 == 4 and starts[0] is None
+    assert solved[:3] == res.stages and solved[3].eps == 0.0
     for stage, start in zip(res.stages, starts[1:]):
         assert isinstance(stage.at, mz._At) and start is stage.at
-    assert res.limit.at is res.stages[-1].at
-    assert res.limit.u.values is res.stages[-1].at.s
+    assert res.limit.limit_kind == "eps0_stage"
+    assert res.limit.at is solved[3].at
+    assert res.limit.u.values is solved[3].at.s
     assert "at" not in res.limit.to_json_dict() and ", at=" not in repr(res.limit)
 
 
