@@ -796,35 +796,33 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
     known = []  # (rho, limit values, limit lambda) of the last points on the branch
     for rho in map(float, rho_list):
         cfg = replace(config, rho=rho)
-        limit, iterations = None, 0
+        res, iterations = None, 0
         if known:
             start, lam = _predict(grid.w, known, rho)
             if lam > 0.0:
                 stage = solve_ground_state(cfg, 0.0, grid=grid, start=_At(start, grid))
                 iterations = stage.iterations
                 if stage.status == "converged" and stage.on_sphere:
-                    limit = done = stage
-                    status = stage.status
+                    res = ContinuationResult(stages=[stage], limit=stage)
                 else:
                     log.info("rho=%g: corrector ended %s (on_sphere=%s); running the full "
                              "continuation", rho, stage.status, stage.on_sphere)
             else:
                 log.info("rho=%g: predicted multiplier %.3g is not positive; running the "
                          "full continuation", rho, lam)
-        if limit is None:
+        if res is None:
             res = continuation(cfg, grid=grid)
             iterations += res.total_iterations
-            limit, status = res.limit, res.status
-            if limit is None:
-                log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, status)
-            # the limit, or the stage before the one that ended the run
-            done = limit or (res.stages[-2] if len(res.stages) > 1 else None)
+        if res.limit is None:
+            log.warning("rho=%g: stage eps=%g ended %s", rho, res.stages[-1].eps, res.status)
+        # the limit, or the stage before the one that ended the run
+        done = res.limit or (res.stages[-2] if len(res.stages) > 1 else None)
         points.append(EnergyMapPoint(rho=rho, c_value=done.energy if done else math.nan,
                                      eps=done.eps if done else math.nan,
-                                     converged=limit is not None,
-                                     iterations=iterations, status=status))
-        if limit and limit.status == "converged" and limit.on_sphere:
-            known = known[-1:] + [(rho, limit.u.values, limit.lam)]
+                                     converged=res.limit is not None,
+                                     iterations=iterations, status=res.status))
+        if res.limit and res.limit.status == "converged" and res.limit.on_sphere:
+            known = known[-1:] + [(rho, res.limit.u.values, res.limit.lam)]
         else:
             known = []
     return points

@@ -728,11 +728,11 @@ def test_newton_cuts_continuation_iterations(log_spec3):
 
 
 def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
-    # from the plain start every stage is on the sphere with lambda_hat > 0
-    # at its first iterate, so it takes Newton steps from there and never
-    # descends: no preconditioner is factored or applied.  A collapse run
-    # descends into the disc, factoring it once per stage, and finishes on
-    # Newton steps inside the disc.
+    # from the plain start every stage, the eps = 0 limit stage's included,
+    # is on the sphere with lambda_hat > 0 at its first iterate, so it takes
+    # Newton steps from there and never descends: no preconditioner is
+    # factored or applied.  A collapse run descends into the disc, factoring
+    # it once per stage, and finishes on Newton steps inside the disc.
     factored = []
     real = mz._sobolev_preconditioner
 
@@ -741,12 +741,19 @@ def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
         return real(grid)
 
     monkeypatch.setattr(mz, "_sobolev_preconditioner", counted)
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=400)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=400,
+                         eps_schedule=SEVEN_STAGES)
     res = mz.continuation(cfg)
-    assert len(res.stages) == len(mz.DEFAULT_EPS_SCHEDULE)
+    assert len(res.stages) == len(SEVEN_STAGES)
     for s in res.stages:
         assert s.status == "converged" and s.on_sphere
         assert s.precond_solves == 0 and s.iterations == s.newton_steps + 1
+    # the limit's counters are the stages' sums plus the eps = 0 stage's
+    limit = res.limit
+    assert limit.limit_kind == "eps0_stage" and limit.status == "converged" and limit.on_sphere
+    zero_iterations = limit.iterations - sum(s.iterations for s in res.stages)
+    zero_newton = limit.newton_steps - sum(s.newton_steps for s in res.stages)
+    assert limit.precond_solves == 0 and zero_iterations == zero_newton + 1
     assert factored == []
     collapsed = mz.solve_ground_state(replace(cfg, rho=8.0), 0.1)
     assert collapsed.status == "collapsed" and collapsed.newton_steps > 0
@@ -761,8 +768,10 @@ def test_collapse_stage_iterations_flat_in_n():
     spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     first = set()
     for n in (500, 2000, 8000):
-        cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=20.0, n=n)
-        stages = mz.continuation(cfg).stages
+        cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=20.0, n=n, eps_schedule=SEVEN_STAGES)
+        res = mz.continuation(cfg)
+        stages = res.stages
+        assert len(stages) == len(SEVEN_STAGES) and res.limit.limit_kind == "evaluated"
         for s in stages:
             assert s.status == "collapsed" and s.mass <= 1e-10 * cfg.rho ** 2
         assert stages[0].newton_steps > 0
@@ -772,9 +781,11 @@ def test_collapse_stage_iterations_flat_in_n():
 
 def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
     # a wrong-signed g_eps' gives steps that the residual test must reject;
-    # the descent then finishes every stage at the same energies
-    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000)
-    good = mz.continuation(cfg).stages
+    # the descent then finishes every stage, the eps = 0 limit stage's
+    # included, at the same energies
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=20.0, n=1000,
+                         eps_schedule=SEVEN_STAGES)
+    good = mz.continuation(cfg)
     real_step = mz._newton_step
     trials, flipped = [], []
 
@@ -790,12 +801,18 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
 
     patch_stage(monkeypatch, dg=wrong_sign)
     monkeypatch.setattr(mz, "_newton_step", counted)
-    bad = mz.continuation(cfg).stages
-    assert all(s.status == "converged" for s in bad)
-    assert len(trials) > sum(s.newton_steps for s in bad)
+    bad = mz.continuation(cfg)
+    assert len(bad.stages) == len(SEVEN_STAGES)
+    assert all(s.status == "converged" for s in bad.stages)
+    for res in (good, bad):
+        limit = res.limit
+        assert limit.limit_kind == "eps0_stage" and limit.status == "converged"
+        assert limit.on_sphere
+    # the limit's Newton steps are every stage's, the eps = 0 stage's included
+    assert len(trials) > bad.limit.newton_steps
     # every Newton step saw the injected derivative
     assert len(flipped) == len(trials)
-    for a, b in zip(good, bad):
+    for a, b in zip(good.stages + [good.limit], bad.stages + [bad.limit]):
         assert b.energy == pytest.approx(a.energy, rel=1e-9, abs=0.0)
 
 
