@@ -235,8 +235,8 @@ def cmd_sweep_rho(args) -> int:
     if args.steps < 3:
         print("steps must be >= 3", file=sys.stderr)
         return EXIT_USAGE
-    if not (0 < args.rho_min < args.rho_max):
-        print("need 0 < rho_min < rho_max", file=sys.stderr)
+    if not (0 < args.rho_min < args.rho_max < math.inf):
+        print("need 0 < rho_min < rho_max < inf", file=sys.stderr)
         return EXIT_USAGE
     cfg = load_config(args.config)
     solve_cfg = build_solve_config(cfg)
@@ -340,10 +340,12 @@ def cmd_threshold(args) -> int:
     try:
         lines = [f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = "
                  f"{nl.mu_threshold(args.alpha, args.p):.15g}"]
+        dim = 3 if args.dim is None else args.dim
+        if dim < 2:
+            raise ValueError(f"dim must be an integer >= 2, got {dim}")
         if args.mu is not None:
             if args.mu < 0:
                 lines.append(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
-            dim = 3 if args.dim is None else args.dim
             verdict = dg.nonexistence_verdict(args.alpha, args.mu, args.p, dim)
             lines.append(f"verdict = {verdict}")
     except ValueError as exc:

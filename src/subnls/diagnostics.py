@@ -55,40 +55,16 @@ def identity_parts(u: RadialField, kin: float, density: np.ndarray,
                          float(np.dot(w, g * u.values)))
 
 
-def _parts(u, eps, spec):
-    return identity_parts(u, kinetic(u), nl.G_eps(spec, u.values, eps),
-                          nl.g_eps(spec, u.values, eps))
-
-
-def _pohozaev_sides(dim, lam, p: IdentityParts) -> tuple:
-    return (dim - 2.0) * p.kinetic + dim * lam * p.mass, 2.0 * dim * p.density
-
-
-def _nehari_sides(lam, p: IdentityParts) -> tuple:
-    return p.kinetic + lam * p.mass, p.pairing
-
-
-def pohozaev_residual(result, spec: nl.NonlinearitySpec) -> float:
-    """Relative residual of the scaling identity for a solver result
-    (anything with .u, .lam, .eps attributes)."""
-    parts = _parts(result.u, result.eps, spec)
-    return _rel(*_pohozaev_sides(result.u.grid.dim, result.lam, parts))
-
-
-def nehari_residual(result, spec: nl.NonlinearitySpec) -> float:
-    return _rel(*_nehari_sides(result.lam, _parts(result.u, result.eps, spec)))
-
-
-def shape_check(u: RadialField, tol: float = 1e-8) -> tuple:
+def shape_check(u: RadialField) -> tuple:
     """(sign_ok, monotone_ok): constant sign and |u| nonincreasing in r,
-    both up to a relative tolerance."""
+    both up to a relative tolerance of 1e-8."""
     vals = u.values
     sup = float(np.max(np.abs(vals))) if vals.size else 0.0
     if sup == 0.0:
         return True, True
-    sign_ok = float(np.min(vals)) * float(np.max(vals)) >= -tol * sup * sup
+    sign_ok = float(np.min(vals)) * float(np.max(vals)) >= -1e-8 * sup * sup
     diffs = np.diff(np.abs(vals))
-    monotone_ok = bool(np.all(diffs <= tol * sup))
+    monotone_ok = bool(np.all(diffs <= 1e-8 * sup))
     return bool(sign_ok), monotone_ok
 
 
@@ -101,14 +77,18 @@ def boundary_leak(u: RadialField) -> float:
 
 def residual_bundle(u: RadialField, lam: float, eps: float,
                     spec: nl.NonlinearitySpec) -> ResidualBundle:
-    return bundle_from_parts(u, lam, _parts(u, eps, spec))
+    """u's residual bundle at lam from fresh evaluations of G_eps and g_eps."""
+    parts = identity_parts(u, kinetic(u), nl.G_eps(spec, u.values, eps),
+                           nl.g_eps(spec, u.values, eps))
+    return bundle_from_parts(u, lam, parts)
 
 
-def bundle_from_parts(u: RadialField, lam: float, parts: IdentityParts) -> ResidualBundle:
+def bundle_from_parts(u: RadialField, lam: float, p: IdentityParts) -> ResidualBundle:
+    dim = u.grid.dim
     sign_ok, monotone_ok = shape_check(u)
     return ResidualBundle(
-        pohozaev_rel=_rel(*_pohozaev_sides(u.grid.dim, lam, parts)),
-        nehari_rel=_rel(*_nehari_sides(lam, parts)),
+        pohozaev_rel=_rel((dim - 2.0) * p.kinetic + dim * lam * p.mass, 2.0 * dim * p.density),
+        nehari_rel=_rel(p.kinetic + lam * p.mass, p.pairing),
         sign_ok=sign_ok,
         monotone_ok=monotone_ok,
         boundary_leak=boundary_leak(u),
@@ -205,14 +185,14 @@ def _worst(violations):
     return max(violations) if violations else -math.inf
 
 
-def energy_map_properties(points: Sequence, tol_rel: float = 1e-2) -> list:
+def energy_map_properties(points: Sequence) -> list:
     """Checks on a computed rho -> c(rho) curve: monotone nonincreasing,
     subadditive over in-grid triples rho_k^2 = rho_i^2 + rho_j^2, the
     dilation inequality c(sqrt(s) rho) <= s c(rho) over in-grid pairs, and a
     finite-sample divergence proxy c(rho_max) < 2 c(rho_max/sqrt(2)) - tol
     (an unbounded limit cannot be asserted numerically; the proxy is the
     documented surrogate).  Margins are worst violations: positive means
-    the inequality failed by that much.
+    the inequality failed by that much; the tolerance tol is 1e-2 max |c|.
     """
     pts = [p for p in points if p.converged]
     if len(pts) < 3:
@@ -220,7 +200,7 @@ def energy_map_properties(points: Sequence, tol_rel: float = 1e-2) -> list:
     pts = sorted(pts, key=lambda p: p.rho)
     rho = np.asarray([p.rho for p in pts])
     c = np.asarray([p.c_value for p in pts])
-    tol = tol_rel * float(np.max(np.abs(c)))
+    tol = 1e-2 * float(np.max(np.abs(c)))
     checks = []
 
     mono_viol = [float(c[i + 1] - c[i]) for i in range(len(c) - 1)]

@@ -201,15 +201,15 @@ def _gn_quotient(grid: RadialGrid, vals: np.ndarray, p: float, theta: float) -> 
     return lp / (kin ** (theta / 2.0) * m ** ((1.0 - theta) / 2.0))
 
 
-def gn_constant(dim: int, p: float, grid: RadialGrid | None = None,
-                max_iter: int = 600) -> GNEstimate:
+def gn_constant(dim: int, p: float) -> GNEstimate:
     """Numerical estimate of the best Gagliardo-Nirenberg constant C_{N,p} in
 
         |u|_p <= C |grad u|_2^theta |u|_2^(1-theta),  theta = N(1/2 - 1/p).
 
     Maximizes the quotient over radial fields by monotone gradient ascent on
-    its logarithm, starting from a Gaussian.  The result is an estimate (a
-    quotient of an actual field), never a certified constant.
+    its logarithm, starting from a Gaussian, in at most 600 steps on a grid
+    of 800 nodes over [0, 16].  The result is an estimate (a quotient of an
+    actual field), never a certified constant.
     """
     if dim >= 3:
         two_star = 2.0 * dim / (dim - 2.0)
@@ -218,13 +218,11 @@ def gn_constant(dim: int, p: float, grid: RadialGrid | None = None,
     elif not p > 2.0:
         raise ValueError("need p > 2")
     theta = dim * (0.5 - 1.0 / p)
-    if grid is None:
-        grid = RadialGrid(dim, 16.0, 800)
+    grid = RadialGrid(dim, 16.0, 800)
     vals = np.exp(-grid.r**2 / 2.0)
     q = _gn_quotient(grid, vals, p, theta)
     step = 0.5
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 601):
         kin = kinetic(RadialField(grid, vals))
         m = float(np.dot(grid.w, vals**2))
         pp = float(np.dot(grid.w, np.abs(vals) ** p))

@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -190,27 +190,14 @@ class SolverResult:
         return bundle_from_parts(self.u, self.lam, self.parts)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "eps": self.eps,
-            "lambda": self.lam,
-            "energy": self.energy,
-            "mass": self.mass,
-            "kinetic": self.kinetic,
-            "iterations": self.iterations,
-            "newton_steps": self.newton_steps,
-            "kkt_residual": self.kkt_residual,
-            "energy_evals": self.energy_evals,
-            "grad_evals": self.grad_evals,
-            "backtracks": self.backtracks,
-            "precond_solves": self.precond_solves,
-            "converged": self.converged,
-            "on_sphere": self.on_sphere,
-            "status": self.status,
-            "limit_kind": self.limit_kind,
-            "pohozaev_residual": getattr(self.bundle, "pohozaev_rel", None),
-            "nehari_residual": getattr(self.bundle, "nehari_rel", None),
-        }
+        """The record's fields without the field values and points (u, parts,
+        at), lam as "lambda", plus converged and the two identity residuals."""
+        out = {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+               for f in fields(self) if f.name not in ("u", "parts", "at")}
+        out.update(converged=self.converged,
+                   pohozaev_residual=getattr(self.bundle, "pohozaev_rel", None),
+                   nehari_residual=getattr(self.bundle, "nehari_rel", None))
+        return out
 
 
 @dataclass
@@ -350,11 +337,6 @@ def _rescale(w, vals, rho, sphere=False):
     return vals * (rho / math.sqrt(m)), rho * rho
 
 
-def project_disc(u: RadialField, rho: float) -> RadialField:
-    """Radial projection onto {mass <= rho^2}: identity inside, rescale outside."""
-    return RadialField(u.grid, _rescale(u.grid.w, u.values, rho)[0])
-
-
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Multiplier from the Nehari pairing: (int g_eps(u) u - |grad u|^2)/|u|^2."""
     m = mass(u)
@@ -364,37 +346,29 @@ def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> flo
     return (pairing - kinetic(u)) / m
 
 
-def _plateau(r, level, base_radius, taper):
+def _plateau(r, level):
+    # level on [0, 1], a half-cosine taper to 0 on [1, 2], 0 beyond
     out = np.full_like(r, float(level))
-    ramp = (r >= base_radius) & (r < base_radius + taper)
-    out[ramp] = level * 0.5 * (1.0 + np.cos(math.pi * (r[ramp] - base_radius) / taper))
-    out[r >= base_radius + taper] = 0.0
+    ramp = (r >= 1.0) & (r < 2.0)
+    out[ramp] = level * 0.5 * (1.0 + np.cos(math.pi * (r[ramp] - 1.0)))
+    out[r >= 2.0] = 0.0
     return out
 
 
 @functools.lru_cache(maxsize=128)
-def _plateau_mass(dim, level, base_radius, taper):
+def _plateau_mass(dim, level):
     # continuum mass of the base profile via fine 1-D quadrature
-    rq = np.linspace(0.0, base_radius + taper, 4001)
-    fq = _plateau(rq, level, base_radius, taper) ** 2 * rq ** (dim - 1)
+    rq = np.linspace(0.0, 2.0, 4001)
+    fq = _plateau(rq, level) ** 2 * rq ** (dim - 1)
     return sphere_area(dim) * np.trapezoid(fq, rq)
 
 
-def dilated_witness(spec, grid, rho, level, base_radius=1.0, taper=1.0):
-    """Mass-rho dilation of a fixed mollified plateau at the given level.
-
-    The base profile is level on [0, R0] with a half-cosine taper of the
-    given width; dilation u(sigma r) with sigma = (mass0/rho^2)^(1/N)
-    preserves the amplitude and scales the kinetic term like rho^(2-4/N).
-    """
-    return RadialField(grid, _witness(grid, rho, level, base_radius, taper))
-
-
-def _witness(grid, rho, level, base_radius=1.0, taper=1.0):
-    mass0 = _plateau_mass(grid.dim, level, base_radius, taper)
-    sigma = (mass0 / rho**2) ** (1.0 / grid.dim)
-    return _rescale(grid.w, _plateau(grid.r * sigma, level, base_radius, taper), rho,
-                    sphere=True)[0]
+def _witness(grid, rho, level):
+    """Nodal values of the mass-rho dilation of the plateau at the given
+    level: u(sigma r), with sigma = (m0/rho^2)^(1/N) and m0 the plateau's
+    mass, keeps the amplitude and scales the kinetic term like rho^(2-4/N)."""
+    sigma = (_plateau_mass(grid.dim, level) / rho**2) ** (1.0 / grid.dim)
+    return _rescale(grid.w, _plateau(grid.r * sigma, level), rho, sphere=True)[0]
 
 
 def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
@@ -735,10 +709,10 @@ def _limit(config, grid, stages) -> SolverResult:
     sums over every stage solved, the eps = 0 stage's included."""
     last = stages[-1]
     solved = list(stages)
-    if last.status == "converged" and last.on_sphere and last.lam > 0.0:
+    if _on_branch(last) and last.lam > 0.0:
         zero = solve_ground_state(config, 0.0, grid=grid, start=last.at)
         solved.append(zero)
-        if zero.status == "converged" and zero.on_sphere:
+        if _on_branch(zero):
             return replace(zero, limit_kind="eps0_stage", **_sums(solved))
         log.info("eps = 0 stage ended %s (on_sphere=%s); the limit is the eps=%g "
                  "point evaluated at eps = 0", zero.status, zero.on_sphere, last.eps)
@@ -747,6 +721,12 @@ def _limit(config, grid, stages) -> SolverResult:
     return _result(config, last.at, 0.0, energy, dens, at_zero.g(last.at),
                    mass(last.u), last.status, kkt_residual=last.kkt_residual,
                    limit_kind="evaluated", **_sums(solved))
+
+
+def _on_branch(res) -> bool:
+    """Whether a stage or limit ended converged on the sphere: the test of
+    _limit's eps = 0 stage and of energy_map's correctors and seeds."""
+    return res.status == "converged" and res.on_sphere
 
 
 def _sums(stages) -> dict:
@@ -802,7 +782,7 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
             if lam > 0.0:
                 stage = solve_ground_state(cfg, 0.0, grid=grid, start=_At(start, grid))
                 iterations = stage.iterations
-                if stage.status == "converged" and stage.on_sphere:
+                if _on_branch(stage):
                     res = ContinuationResult(stages=[stage], limit=stage)
                 else:
                     log.info("rho=%g: corrector ended %s (on_sphere=%s); running the full "
@@ -821,7 +801,7 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
                                      eps=done.eps if done else math.nan,
                                      converged=res.limit is not None,
                                      iterations=iterations, status=res.status))
-        if res.limit and res.limit.status == "converged" and res.limit.on_sphere:
+        if res.limit and _on_branch(res.limit):
             known = known[-1:] + [(rho, res.limit.u.values, res.limit.lam)]
         else:
             known = []

@@ -57,7 +57,6 @@ class NonlinearitySpec:
     p_exp: float = 0.0
     omega: float = 0.0
     g_func: Optional[Callable] = None
-    G_func: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
@@ -87,13 +86,13 @@ def power_sublinear(omega: float, *, dim: int) -> NonlinearitySpec:
     return NonlinearitySpec("power_sublinear", dim, omega=omega)
 
 
-def custom(g: Callable, G: Optional[Callable] = None, *, dim: int) -> NonlinearitySpec:
-    """A general g (with its primitive G, if known).  g must be odd, like
-    every built-in, and is checked on samples: it then shares the built-ins'
-    half-line kernels and sign structure.  A non-odd g would need each half
-    line treated on its own (the mirror t -> -g(-t)), a second code path
-    that no caller needs."""
-    return NonlinearitySpec("custom", dim, g_func=g, G_func=G)
+def custom(g: Callable, *, dim: int) -> NonlinearitySpec:
+    """A general g, whose primitives G and P = int t g are built by
+    quadrature.  g must be odd, like every built-in, and is checked on
+    samples: it then shares the built-ins' half-line kernels and sign
+    structure.  A non-odd g would need each half line treated on its own
+    (the mirror t -> -g(-t)), a second code path that no caller needs."""
+    return NonlinearitySpec("custom", dim, g_func=g)
 
 
 class Point:
@@ -285,10 +284,7 @@ def _custom_prims(spec, s):
     gaps = list(zip(np.concatenate([[0.0], nodes[:-1]]), nodes))
     g = spec.g_func
     P = np.cumsum([_quad(lambda t: t * g(t), a, b) for a, b in gaps])
-    if spec.G_func is None:
-        G = np.cumsum([_quad(g, a, b) for a, b in gaps])
-    else:
-        G = np.vectorize(spec.G_func, otypes=[float])(nodes)
+    G = np.cumsum([_quad(g, a, b) for a, b in gaps])
     return G[inv].reshape(s.shape), P[inv].reshape(s.shape)
 
 

@@ -145,6 +145,14 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert cli.main(["sweep-rho", "--config", cfg, "1.0", "2.0", "2"]) == cli.EXIT_USAGE
     assert cli.main(["sweep-rho", "--config", cfg, "-1.0", "2.0", "4"]) == cli.EXIT_USAGE
     assert cli.main(["sweep-rho", "--config", cfg, "3.0", "2.0", "4"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+    # an infinite rho_max is refused before any radius is solved: one line,
+    # no traceback
+    assert cli.main(["sweep-rho", "--config", cfg, "18", "inf", "3"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need 0 < rho_min < rho_max < inf\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_outputs(tmp_path):
@@ -238,14 +246,15 @@ def test_threshold_command(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
-    # a dimension that is not an integer >= 2 is a usage error, and 0 does
-    # not fall back to the default 3
-    for dim in ("0", "1", "-2"):
-        rc = cli.main(["threshold", "--alpha", "1", "--p", "4", "--mu", "0.1", "--dim", dim])
-        assert rc == cli.EXIT_USAGE, dim
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"usage error: dim must be an integer >= 2, got {dim}\n"
+    # a dimension that is not an integer >= 2 is a usage error, with or
+    # without --mu, and 0 does not fall back to the default 3
+    for mu in (["--mu", "0.1"], []):
+        for dim in ("0", "1", "-2"):
+            rc = cli.main(["threshold", "--alpha", "1", "--p", "4", *mu, "--dim", dim])
+            assert rc == cli.EXIT_USAGE, (mu, dim)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: dim must be an integer >= 2, got {dim}\n"
 
 
 def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
@@ -458,6 +467,17 @@ def test_config_doc_lists_the_schema(section):
             build = cli.build_spec if section == "nonlinearity" else cli.build_nfunction
             with pytest.raises(cli.ConfigError):
                 build(_schema_defaults(section, NOT_SET_READERS[section, key]))
+
+
+def test_config_doc_lists_the_result_keys(tmp_path):
+    # the keys listed for result.json under 'Artifacts' in docs/config.md are
+    # exactly those a solve writes
+    assert cli.main(["solve", "--config", write_config(tmp_path, QUICK)]) == cli.EXIT_OK
+    written = json.loads((tmp_path / "out" / "result.json").read_text())
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    listed = text.split("## Artifacts", 1)[1].split("* `result.json` — ", 1)[1]
+    listed = " ".join(listed.split(" (", 1)[0].split()).split(", ")
+    assert sorted(listed) == sorted(written)
 
 
 @pytest.mark.parametrize("section,line", [("solver", "tol_mass = 1e-9"),

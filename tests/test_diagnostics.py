@@ -9,16 +9,11 @@ from subnls import minimizer as mz
 from subnls import nonlinearity as nl
 
 
-class FakeResult:
-    def __init__(self, u, lam, eps):
-        self.u, self.lam, self.eps = u, lam, eps
-
-
 def test_residuals_zero_solution(log_spec3):
     g = gr.RadialGrid(3, 8.0, 100)
-    zero = FakeResult(gr.zeros(g), 0.0, 0.0)
-    assert dg.pohozaev_residual(zero, log_spec3) == 0.0
-    assert dg.nehari_residual(zero, log_spec3) == 0.0
+    bundle = dg.residual_bundle(gr.zeros(g), 0.0, 0.0, log_spec3)
+    assert bundle.pohozaev_rel == 0.0
+    assert bundle.nehari_rel == 0.0
 
 
 def test_nehari_zero_by_construction(log_spec3):
@@ -28,14 +23,17 @@ def test_nehari_zero_by_construction(log_spec3):
     u = gr.RadialField(g, rng.uniform(0.5, 1.5) * np.exp(-g.r**2))
     for eps in (0.0, 0.1):
         lam = mz.extract_lambda(u, log_spec3, eps)
-        assert dg.nehari_residual(FakeResult(u, lam, eps), log_spec3) <= 1e-14
+        assert dg.residual_bundle(u, lam, eps, log_spec3).nehari_rel <= 1e-14
 
 
 def test_residuals_converged_run(quick_run, log_spec3):
+    # fresh evaluations, not the bundle the solver built from its own
     for stage in quick_run.stages[-2:]:
-        assert dg.pohozaev_residual(stage, log_spec3) <= 1e-3
-        assert dg.nehari_residual(stage, log_spec3) <= 1e-3
-    assert dg.pohozaev_residual(quick_run.limit, log_spec3) <= 1e-3
+        bundle = dg.residual_bundle(stage.u, stage.lam, stage.eps, log_spec3)
+        assert bundle.pohozaev_rel <= 1e-3
+        assert bundle.nehari_rel <= 1e-3
+    lim = quick_run.limit
+    assert dg.residual_bundle(lim.u, lim.lam, lim.eps, log_spec3).pohozaev_rel <= 1e-3
 
 
 def test_pohozaev_sharpens_under_refinement(log_spec3):
@@ -45,7 +43,7 @@ def test_pohozaev_sharpens_under_refinement(log_spec3):
         cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=n,
                              eps_schedule=(1e-1, 1e-2, 1e-3))
         lim = mz.continuation(cfg).limit
-        vals.append(dg.pohozaev_residual(lim, log_spec3))
+        vals.append(dg.residual_bundle(lim.u, lim.lam, lim.eps, log_spec3).pohozaev_rel)
     assert vals[1] <= vals[0]
 
 
