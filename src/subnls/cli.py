@@ -195,10 +195,10 @@ def cmd_solve(args) -> int:
     notes = []
     spec = solve_cfg.spec
     if spec.family == "log_power":
-        verdict = dg.nonexistence_verdict(spec.alpha, spec.mu, spec.p_exp, spec.dim)
+        verdict = dg.nonexistence_verdict(spec)
         if verdict == dg.UNBOUNDED_BELOW:
             notes.append(f"analytic verdict: {verdict} "
-                         f"((g3) fails: mu > 0 and p > 2 + 4/N = {2 + 4 / spec.dim:.6g})")
+                         f"((g3) fails: mu > 0 and p > 2 + 4/N = {spec.mass_critical_exp:.6g})")
         elif verdict == dg.MASS_CRITICAL:
             value, holds = dg.mass_condition(spec, solve_cfg.rho)
             notes.append(f"analytic verdict: {verdict} (mu > 0 and p = 2 + 4/N: "
@@ -280,7 +280,7 @@ def cmd_check(args) -> int:
             "gtilde_max": None if math.isinf(tr.gtilde_max) else tr.gtilde_max,
             "g4_holds": tr.g4_holds,
             "eta": tr.eta,
-            "verdict": dg.nonexistence_verdict(spec.alpha, spec.mu, spec.p_exp, spec.dim),
+            "verdict": dg.nonexistence_verdict(spec),
         }
     nfun = build_nfunction(cfg)
     orlicz_failed = False
@@ -338,16 +338,14 @@ def cmd_gn(args) -> int:
 
 def cmd_threshold(args) -> int:
     try:
+        # the spec checks alpha, mu, p and dim, with or without --mu
+        spec = nl.log_power(args.alpha, args.mu or 0.0, args.p, dim=args.dim)
         lines = [f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = "
                  f"{nl.mu_threshold(args.alpha, args.p):.15g}"]
-        dim = 3 if args.dim is None else args.dim
-        if dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {dim}")
         if args.mu is not None:
             if args.mu < 0:
                 lines.append(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
-            verdict = dg.nonexistence_verdict(args.alpha, args.mu, args.p, dim)
-            lines.append(f"verdict = {verdict}")
+            lines.append(f"verdict = {dg.nonexistence_verdict(spec)}")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -393,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--alpha", type=float, required=True)
     p_thr.add_argument("--p", type=float, required=True)
     p_thr.add_argument("--mu", type=float, default=None)
-    p_thr.add_argument("--dim", type=int, default=None)
+    p_thr.add_argument("--dim", type=int, default=3)
     p_thr.set_defaults(func=cmd_threshold)
     return parser
 

@@ -128,31 +128,25 @@ UNBOUNDED_BELOW = "unbounded_below"
 MASS_CRITICAL = "mass_critical"
 
 
-def nonexistence_verdict(alpha: float, mu: float, p: float, dim: int) -> str:
-    """Analytic verdict for the log + power family.  For mu > 0 it is
+def nonexistence_verdict(spec: nl.NonlinearitySpec) -> str:
+    """Analytic verdict for a log_power spec.  For mu > 0 it is
     mass_critical when p = 2 + 4/N within 1e-12 relative (whether a
     solution exists then depends on rho, see mass_condition) and
     unbounded_below when p > 2 + 4/N (a mass-supercritical positive power,
     so (g3) fails and the energy is unbounded below on every sphere);
     otherwise mu is compared with the threshold -alpha p/(p-2) e^(-p/2)
-    within 1e-12.  dim must be an integer >= 2."""
-    if dim < 2 or int(dim) != dim:
-        raise ValueError(f"dim must be an integer >= 2, got {dim}")
-    if dim >= 3:
-        two_star = 2.0 * dim / (dim - 2.0)
-        if not (2.0 < p <= two_star):
-            raise ValueError(f"need 2 < p <= {two_star} for dim={dim}")
-    elif not p > 2.0:
-        raise ValueError("need p > 2")
-    if mu > 0.0 and nl.is_mass_critical(p, dim):
+    within 1e-12."""
+    if spec.family != "log_power":
+        raise ValueError("nonexistence verdict applies to the log_power family")
+    if spec.mu > 0.0 and spec.mass_critical:
         return MASS_CRITICAL
-    if mu > 0.0 and p > 2.0 + 4.0 / dim:
+    if spec.mu > 0.0 and spec.p_exp > spec.mass_critical_exp:
         return UNBOUNDED_BELOW
-    mu_star = nl.mu_threshold(alpha, p)
+    mu_star = nl.mu_threshold(spec.alpha, spec.p_exp)
     tol = 1e-12 * max(1.0, abs(mu_star))
-    if mu > mu_star + tol:
+    if spec.mu > mu_star + tol:
         return EXISTS_LARGE_RHO
-    if mu < mu_star - tol:
+    if spec.mu < mu_star - tol:
         return NO_NONTRIVIAL
     return BOUNDARY
 

@@ -215,8 +215,8 @@ def gn_constant(dim: int, p: float) -> GNEstimate:
         two_star = 2.0 * dim / (dim - 2.0)
         if not (2.0 < p < two_star):
             raise ValueError(f"need 2 < p < {two_star} for dim={dim}")
-    elif not p > 2.0:
-        raise ValueError("need p > 2")
+    elif not 2.0 < p < math.inf:
+        raise ValueError("need a finite p > 2")
     theta = dim * (0.5 - 1.0 / p)
     grid = RadialGrid(dim, 16.0, 800)
     vals = np.exp(-grid.r**2 / 2.0)

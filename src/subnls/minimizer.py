@@ -120,9 +120,9 @@ class SolveConfig:
             raise ValueError("eps values must lie in (0, 1)")
         if any(b <= a for a, b in zip(sched[1:], sched[:-1])):
             raise ValueError("eps schedule must be strictly decreasing")
-        # a KKT residual is never below a tolerance <= 0
-        if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+        # a KKT residual is never below a tolerance <= 0, and always below inf
+        if not 0.0 < self.tol_grad < math.inf:
+            raise ValueError("tol_grad must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.multistarts < 1:

@@ -59,8 +59,11 @@ class NonlinearitySpec:
     g_func: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.dim < 2 or int(self.dim) != self.dim:
-            raise ValueError("dim must be an integer >= 2")
+        if not 2 <= self.dim < math.inf or int(self.dim) != self.dim:
+            raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
+        if not all(map(math.isfinite, (self.alpha, self.mu, self.p_exp, self.omega))):
+            raise ValueError(f"alpha, mu, p and omega must be finite, got {self.alpha}, "
+                             f"{self.mu}, {self.p_exp}, {self.omega}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         _FAMILIES[self.family].check(self)
@@ -68,6 +71,17 @@ class NonlinearitySpec:
     @property
     def mass_critical_exp(self) -> float:
         return 2.0 + 4.0 / self.dim
+
+    @property
+    def mass_critical(self) -> bool:
+        """p_exp = 2 + 4/N within 1e-12 relative: 10/3 and 2 + 4/3 are adjacent doubles."""
+        pc = self.mass_critical_exp
+        return abs(self.p_exp - pc) <= 1e-12 * pc
+
+    @property
+    def sobolev_critical_exp(self) -> float:
+        """2* = 2N/(N-2), infinite for N = 2."""
+        return 2.0 * self.dim / (self.dim - 2.0) if self.dim >= 3 else math.inf
 
 
 def logarithmic(alpha: float = 1.0, *, dim: int) -> NonlinearitySpec:
@@ -216,19 +230,12 @@ def _log_roots(spec):
     return (r1, r2)
 
 
-def is_mass_critical(p: float, dim: int) -> bool:
-    """Whether p is the mass-critical exponent 2 + 4/N, within 1e-12
-    relative: 10/3 and 2 + 4/3 are adjacent doubles."""
-    pc = 2.0 + 4.0 / dim
-    return abs(p - pc) <= 1e-12 * pc
-
-
 def _power_eta(spec):
     # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
     # and mu = 0 in every other built-in family
     if spec.mu <= 0:
         return EtaEstimate(0.0, sampled=False)
-    if is_mass_critical(spec.p_exp, spec.dim):
+    if spec.mass_critical:
         return EtaEstimate(spec.mu / spec.p_exp, sampled=False)
     return EtaEstimate(0.0 if spec.p_exp < spec.mass_critical_exp else math.inf, sampled=False)
 
@@ -240,7 +247,7 @@ def _check_log(spec):
 
 def _check_log_power(spec):
     _check_log(spec)
-    top = 2.0 * spec.dim / (spec.dim - 2.0) if spec.dim >= 3 else math.inf
+    top = spec.sobolev_critical_exp
     if not 2.0 < spec.p_exp <= top:
         raise ValueError(f"log_power needs 2 < p <= {top} for dim={spec.dim}")
 
@@ -570,10 +577,10 @@ def G_eps(spec: NonlinearitySpec, s, eps: float):
 def mu_threshold(alpha: float, p: float) -> float:
     """Coefficient below which no finite-action normalized solution exists:
     -alpha*p/(p-2) * exp(-p/2)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not p > 2:
-        raise ValueError("p must exceed 2")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and exceed 2")
     return -alpha * p / (p - 2.0) * math.exp(-p / 2.0)
 
 
@@ -583,12 +590,12 @@ def gtilde_max(alpha: float, mu: float, p: float) -> float:
     Its sign decides whether the primitive is ever positive; it vanishes
     exactly at mu = mu_threshold(alpha, p).
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not p > 2:
-        raise ValueError("p must exceed 2")
-    if not mu < 0:
-        raise ValueError("gtilde_max is defined for mu < 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and exceed 2")
+    if not -math.inf < mu < 0:
+        raise ValueError("gtilde_max is defined for finite mu < 0")
     x = alpha * p / (mu * (2.0 - p))
     return alpha / 2.0 * (2.0 / (p - 2.0) * math.log(x) - 1.0) - alpha / (p - 2.0)
 
@@ -693,8 +700,8 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     details["g1_ratio_near0"] = float(near0)
 
     if spec.dim >= 3:
-        two_star = 2.0 * spec.dim / (spec.dim - 2.0)
-        growth = np.abs(np.atleast_1d(g_value(spec, big))) / big ** (two_star - 1.0)
+        growth = (np.abs(np.atleast_1d(g_value(spec, big)))
+                  / big ** (spec.sobolev_critical_exp - 1.0))
         g2 = HOLDS if growth[-1] <= max(10.0 * growth[0], 1e3) else FAILS
         details["g2_growth_tail"] = float(growth[-1])
     else:

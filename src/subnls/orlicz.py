@@ -47,16 +47,16 @@ class NFunction:
 
     def __post_init__(self):
         if self.family == "log_matched":
-            if not self.alpha > 0:
-                raise ValueError("log_matched needs alpha > 0")
+            if not 0 < self.alpha < math.inf:
+                raise ValueError("log_matched needs a finite alpha > 0")
         elif self.family == "log_matched_power_tail":
-            if not (self.alpha > 0 and self.p_exp > 2):
-                raise ValueError("log_matched_power_tail needs alpha > 0 and p > 2")
+            if not (0 < self.alpha < math.inf and 2 < self.p_exp < math.inf):
+                raise ValueError("log_matched_power_tail needs finite alpha > 0 and p > 2")
         elif self.family == "pure_q":
-            # the natural range here is 1 < q < 2, but any q > 1 is a valid
-            # N-function and the quadratic case is useful for testing
-            if not self.q_exp > 1:
-                raise ValueError("pure_q needs q > 1")
+            # the natural range here is 1 < q < 2, but any finite q > 1 is a
+            # valid N-function and the quadratic case is useful for testing
+            if not 1 < self.q_exp < math.inf:
+                raise ValueError("pure_q needs a finite q > 1")
         elif self.family == "custom":
             if self.A_func is None or self.a_func is None:
                 raise ValueError("custom needs A and its derivative")

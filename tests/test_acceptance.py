@@ -165,8 +165,8 @@ def test_acceptance_4_energy_map_properties(tmp_path):
 
 def test_acceptance_5_nonexistence_consistency():
     mu = 2.0 * nl.mu_threshold(1.0, 4.0)
-    verdict = dg.nonexistence_verdict(1.0, mu, 4.0, 3)
     spec = nl.log_power(1.0, mu, 4.0, dim=3)
+    verdict = dg.nonexistence_verdict(spec)
     cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=1200,
                          eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000,
                          multistarts=5)

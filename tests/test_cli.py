@@ -184,6 +184,21 @@ def test_sweep_prints_why_a_check_found_nothing(tmp_path, capsys):
     assert "no in-grid triple" in out and "no grid point near rho_max/sqrt(2)" in out
 
 
+def test_sweep_without_three_converged_points_exits_two(tmp_path, capsys):
+    # max_iter = 1 ends every first stage before it converges, so no radius
+    # has a limit and the property checks have nothing to compare
+    text = QUICK.replace("n = 500", "n = 200")
+    text = text.replace("[solver]\n", "[solver]\nmax_iter = 1\n")
+    rc = cli.main(["sweep-rho", "--config", write_config(tmp_path, text), "18", "36", "3",
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == cli.EXIT_NOCONV
+    err = capsys.readouterr().err
+    assert err == "property checks skipped: need at least 3 converged points\n"
+    rows = (tmp_path / "sweep" / "energy_map.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",false") for row in rows)
+    assert not (tmp_path / "sweep" / "energy_map_properties.json").exists()
+
+
 def test_readme_sweep_example_is_sqrt2_spaced():
     # the radii of the README's sweep must give every property check points
     # to compare; Gausson energies stand in for a solve
@@ -228,6 +243,10 @@ def test_check_with_orlicz_section(tmp_path):
 
 def test_gn_command(capsys):
     assert cli.main(["gn", "3", "7"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+    # the plane has no 2*, but p must still be finite: one line, no warning
+    assert cli.main(["gn", "2", "inf"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: need a finite p > 2\n"
     assert cli.main(["gn", "3", str(10.0 / 3.0)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "C_{3," in out
@@ -255,6 +274,37 @@ def test_threshold_command(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"usage error: dim must be an integer >= 2, got {dim}\n"
+    # the spec is built with or without --mu, so p = 7 is refused without it
+    # too, and so is a non-finite alpha, mu or p: one line, no traceback
+    for argv in (["--alpha", "1", "--p", "7"],
+                 ["--alpha", "1", "--p", "inf"],
+                 ["--alpha", "inf", "--p", "4"],
+                 ["--alpha", "1", "--p", "4", "--mu", "nan"],
+                 ["--alpha", "1", "--p", "4", "--mu=-inf"],
+                 ["--alpha", "1", "--p", "inf", "--mu", "0.1", "--dim", "2"]):
+        assert cli.main(["threshold", *argv]) == cli.EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("edits", [{"mu = 0.0": "mu = nan"},
+                                   {"mu = 0.0": "mu = inf"},
+                                   {"alpha = 1.0": "alpha = inf"},
+                                   {"p = 4.0": "p = inf", "dim = 3": "dim = 2"},
+                                   {"family = log_power": "family = cubic"}],
+                         ids=["mu_nan", "mu_inf", "alpha_inf", "p_inf_dim2", "unknown_family"])
+def test_bad_model_parameters_exit_one(tmp_path, capsys, command, edits):
+    text = QUICK
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    assert cli.main([command, "--config", write_config(tmp_path, text)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
@@ -291,9 +341,12 @@ def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
                                      ("[solver]\n", "[solver]\ntol_grad = 0\n"),
                                      ("[solver]\n", "[solver]\ntol_grad = -1e-8\n"),
                                      ("r_max = 14.0", "r_max = inf"),
-                                     ("rho = 20.0", "rho = inf")],
+                                     ("rho = 20.0", "rho = inf"),
+                                     ("[solver]\n", "[solver]\ntol_grad = inf\n"),
+                                     ("n = 500", "n = abc")],
                          ids=["n", "r_max", "max_iter", "multistarts", "tol_grad_0",
-                              "tol_grad_negative", "r_max_inf", "rho_inf"])
+                              "tol_grad_negative", "r_max_inf", "rho_inf", "tol_grad_inf",
+                              "n_not_int"])
 def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK.replace(old, new))])
     assert rc == cli.EXIT_USAGE
@@ -412,7 +465,11 @@ def test_mass_critical_verdict_is_printed_and_explained(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("orlicz_section", ["family = pure_q\nq = 0.5\n",
-                                            "family = log_matched_power_tail\nalpha = 1.0\n"])
+                                            "family = log_matched_power_tail\nalpha = 1.0\n",
+                                            "family = log_matched\nalpha = inf\n",
+                                            "family = pure_q\nq = inf\n",
+                                            "family = log_matched_power_tail\np = inf\n",
+                                            "family = cubic\n"])
 def test_check_bad_orlicz_parameters_are_config_errors(tmp_path, capsys, orlicz_section):
     cfg = tmp_path / "orl.ini"
     cfg.write_text("[nonlinearity]\nfamily = log\n[grid]\ndim = 3\n[solver]\nrho = 1.0\n"

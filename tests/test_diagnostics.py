@@ -116,19 +116,23 @@ def test_mass_condition_infinite_eta():
 
 
 def test_nonexistence_verdict_examples():
-    assert dg.nonexistence_verdict(1.0, 0.0, 4.0, 3) == dg.EXISTS_LARGE_RHO
-    assert dg.nonexistence_verdict(1.0, -2 * math.exp(-2), 4.0, 3) == dg.BOUNDARY
-    assert dg.nonexistence_verdict(1.0, -1.0, 4.0, 3) == dg.NO_NONTRIVIAL
+    verdict, spec = dg.nonexistence_verdict, nl.log_power
+    assert verdict(spec(1.0, 0.0, 4.0, dim=3)) == dg.EXISTS_LARGE_RHO
+    assert verdict(spec(1.0, -2 * math.exp(-2), 4.0, dim=3)) == dg.BOUNDARY
+    assert verdict(spec(1.0, -1.0, 4.0, dim=3)) == dg.NO_NONTRIVIAL
     # a positive power above the mass-critical 2 + 4/N: (g3) fails
-    assert dg.nonexistence_verdict(1.0, 0.1, 4.0, 3) == dg.UNBOUNDED_BELOW
-    assert dg.nonexistence_verdict(1.0, 2400.0, 4.0, 4) == dg.UNBOUNDED_BELOW
-    assert dg.nonexistence_verdict(1.0, 0.7, 3.0, 3) == dg.EXISTS_LARGE_RHO
+    assert verdict(spec(1.0, 0.1, 4.0, dim=3)) == dg.UNBOUNDED_BELOW
+    assert verdict(spec(1.0, 2400.0, 4.0, dim=4)) == dg.UNBOUNDED_BELOW
+    assert verdict(spec(1.0, 0.7, 3.0, dim=3)) == dg.EXISTS_LARGE_RHO
     # a positive power at the mass-critical 2 + 4/N: existence depends on rho
-    assert dg.nonexistence_verdict(1.0, 0.1, 10.0 / 3.0, 3) == dg.MASS_CRITICAL
-    assert dg.nonexistence_verdict(1.0, 0.1, 4.0, 2) == dg.MASS_CRITICAL
-    assert dg.nonexistence_verdict(1.0, 0.1, 3.0, 4) == dg.MASS_CRITICAL
+    assert verdict(spec(1.0, 0.1, 10.0 / 3.0, dim=3)) == dg.MASS_CRITICAL
+    assert verdict(spec(1.0, 0.1, 4.0, dim=2)) == dg.MASS_CRITICAL
+    assert verdict(spec(1.0, 0.1, 3.0, dim=4)) == dg.MASS_CRITICAL
     with pytest.raises(ValueError):
-        dg.nonexistence_verdict(1.0, 0.0, 7.0, 3)
+        verdict(spec(1.0, 0.0, 7.0, dim=3))
+    # the verdict is the log_power family's, as the threshold report is
+    with pytest.raises(ValueError, match="log_power"):
+        verdict(nl.logarithmic(1.0, dim=3))
 
 
 def test_nonexistence_verdict_scaling_invariance():
@@ -137,9 +141,9 @@ def test_nonexistence_verdict_scaling_invariance():
         alpha = rng.uniform(0.2, 5.0)
         p = rng.uniform(2.2, 5.5)
         mu = rng.uniform(-1.5, 0.5)
-        base = dg.nonexistence_verdict(alpha, mu, p, 2)
+        base = dg.nonexistence_verdict(nl.log_power(alpha, mu, p, dim=2))
         c = rng.uniform(0.5, 10.0)
-        assert dg.nonexistence_verdict(c * alpha, c * mu, p, 2) == base
+        assert dg.nonexistence_verdict(nl.log_power(c * alpha, c * mu, p, dim=2)) == base
 
 
 def _pts(rhos, cs, converged=True):

@@ -197,6 +197,8 @@ def test_gn_domain_errors():
         gr.gn_constant(3, 7.0)
     with pytest.raises(ValueError):
         gr.gn_constant(2, 1.5)
+    with pytest.raises(ValueError):
+        gr.gn_constant(2, math.inf)
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

@@ -336,6 +336,36 @@ def test_continuation_stops_at_the_first_stage_that_did_not_converge(log_spec3, 
     assert res.total_iterations == solved[0].iterations + 1
 
 
+def test_limit_falls_back_when_the_eps0_stage_leaves_the_branch(log_spec3, monkeypatch):
+    # an eps = 0 stage capped at one iteration does not end converged, so it
+    # is not the limit: the limit is the last eps-stage's point evaluated at
+    # eps = 0, with that stage's status and KKT residual, and counters summed
+    # over every stage solved, the eps = 0 stage's included
+    real = mz.solve_ground_state
+    solved = []
+
+    def capped(config, eps, **kwargs):
+        if eps == 0.0:
+            config = replace(config, max_iter=1)
+        solved.append(real(config, eps, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(mz, "solve_ground_state", capped)
+    cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=12.0, n=300,
+                         eps_schedule=(1e-1, 1e-2))
+    res = mz.continuation(cfg)
+    last, lim = res.stages[-1], res.limit
+    assert res.stages == solved[:2] and [s.eps for s in solved] == [1e-1, 1e-2, 0.0]
+    assert solved[-1].status == "max_iter" and solved[-1].iterations == 1
+    assert lim.limit_kind == "evaluated" and lim.eps == 0.0
+    assert lim.status == last.status == "converged"
+    assert lim.kkt_residual == last.kkt_residual
+    for key in ("iterations", "newton_steps") + mz._EVAL_COUNTS:
+        assert getattr(lim, key) == sum(getattr(s, key) for s in solved), key
+    assert res.total_iterations == lim.iterations
+    assert lim.energy == mz.energy_eps(last.u, log_spec3, 0.0)
+
+
 def test_energy_map_flags_and_values(log_spec3):
     cfg = mz.SolveConfig(spec=log_spec3, rho=20.0, r_max=16.0, n=600,
                          eps_schedule=(1e-1, 1e-2, 1e-3))

@@ -190,6 +190,18 @@ def test_check_assumptions_examples():
     assert all(v == nl.HOLDS for v in sat.verdicts().values())
 
 
+def test_check_assumptions_growth_verdicts():
+    # a positive power above 2 + 4/N: G_plus / s^(2+4/N) grows, so (g3) fails
+    # while the (g2) growth cap p <= 2* holds
+    supercritical = nl.check_assumptions(nl.log_power(1.0, 0.1, 4.0, dim=3))
+    assert supercritical.g3 == nl.FAILS and supercritical.g2 == nl.HOLDS
+    assert supercritical.any_fails
+    # N = 2 has no 2*: (g2) is the damped-tail (Trudinger-Moser) test
+    planar = nl.check_assumptions(nl.logarithmic(1.0, dim=2))
+    assert planar.g2 == nl.HOLDS and "g2_damped_tail" in planar.details
+    assert "g2_growth_tail" not in planar.details
+
+
 def test_check_assumptions_threshold_straddle():
     for alpha, p in [(1.0, 4.0), (2.0, 3.0), (0.5, 5.0)]:
         mu_star = nl.mu_threshold(alpha, p)
@@ -277,10 +289,36 @@ def test_spec_validation():
     nl.log_power(1.0, 0.0, 8.0, dim=2)      # fine in the plane
     with pytest.raises(ValueError):
         nl.power_sublinear(1.5, dim=3)
-    with pytest.raises(ValueError):
-        nl.logarithmic(1.0, dim=1)
+    for dim in (1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            nl.logarithmic(1.0, dim=dim)
     with pytest.raises(ValueError):
         nl.custom(lambda s: s + 1.0, dim=3)  # g(0) != 0
+
+
+@pytest.mark.parametrize("args,dim", [((math.inf, 0.0, 4.0), 3), ((math.nan, 0.0, 4.0), 3),
+                                      ((1.0, math.nan, 4.0), 3), ((1.0, -math.inf, 4.0), 3),
+                                      ((1.0, 0.1, math.inf), 2), ((1.0, 0.1, math.nan), 2)],
+                         ids=["alpha_inf", "alpha_nan", "mu_nan", "mu_minus_inf",
+                              "p_inf_plane", "p_nan_plane"])
+def test_log_power_needs_finite_parameters(args, dim):
+    with pytest.raises(ValueError):
+        nl.log_power(*args, dim=dim)
+    alpha, mu, p = args
+    if not (math.isfinite(alpha) and math.isfinite(p)):
+        with pytest.raises(ValueError):
+            nl.mu_threshold(alpha, p)
+    with pytest.raises(ValueError):
+        nl.gtilde_max(alpha, -abs(mu) or -0.1, p)
+
+
+def test_spec_exponents():
+    assert nl.logarithmic(dim=2).sobolev_critical_exp == math.inf
+    spec = nl.log_power(1.0, 0.1, 10.0 / 3.0, dim=3)
+    assert spec.sobolev_critical_exp == 6.0 and spec.mass_critical_exp == 2.0 + 4.0 / 3.0
+    assert spec.mass_critical  # 10/3 is the next double above 2 + 4/3
+    assert not nl.log_power(1.0, 0.1, 3.0, dim=3).mass_critical
+    assert nl.log_power(1.0, 0.1, 6.0, dim=3).p_exp == spec.sobolev_critical_exp
 
 
 def test_custom_needs_an_odd_g():
