@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -76,8 +76,6 @@ _SCHEMA = {
     "output": {"directory": (str, "out")},
 }
 
-_NONLINEARITY_KEYS = {"log", "log_power", "saturation", "power_sublinear"}
-
 
 @dataclass
 class RunConfig:
@@ -121,50 +119,35 @@ def load_config(path) -> RunConfig:
     return RunConfig(values=values, digest=digest)
 
 
-def build_spec(cfg: RunConfig) -> nl.NonlinearitySpec:
-    sec = cfg.values["nonlinearity"]
-    dim = cfg.values["grid"]["dim"]
-    family = sec["family"]
-    if family not in _NONLINEARITY_KEYS:
-        raise ConfigError(f"unknown nonlinearity family {family!r}")
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), the ValueError of a check it fails raised as a
+    ConfigError."""
     try:
-        if family == "log":
-            return nl.logarithmic(sec["alpha"], dim=dim)
-        if family == "log_power":
-            return nl.log_power(sec["alpha"], sec["mu"], sec["p"], dim=dim)
-        if family == "saturation":
-            return nl.saturation(dim=dim)
-        return nl.power_sublinear(sec["omega"], dim=dim)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def build_spec(cfg: RunConfig) -> nl.NonlinearitySpec:
+    sec = cfg.values["nonlinearity"]
+    return _checked(nl.NonlinearitySpec, sec["family"], cfg.values["grid"]["dim"],
+                    alpha=sec["alpha"], mu=sec["mu"], p_exp=sec["p"], omega=sec["omega"])
 
 
 def build_solve_config(cfg: RunConfig) -> mz.SolveConfig:
     spec = build_spec(cfg)
     g, s = cfg.values["grid"], cfg.values["solver"]
-    try:
-        config = mz.SolveConfig(spec=spec, r_max=g["r_max"], n=g["n"], **s)
-        config.make_grid()  # RadialGrid checks r_max and n
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _checked(mz.SolveConfig, spec=spec, r_max=g["r_max"], n=g["n"], **s)
+    _checked(config.make_grid)  # RadialGrid checks r_max and n
     return config
 
 
 def build_nfunction(cfg: RunConfig):
     sec = cfg.values["orlicz"]
-    family = sec["family"]
-    if not family:
+    if not sec["family"]:
         return None
-    try:
-        if family == "log_matched":
-            return orlicz.log_matched(sec["alpha"])
-        if family == "log_matched_power_tail":
-            return orlicz.log_matched_power_tail(sec["alpha"], sec["p"])
-        if family == "pure_q":
-            return orlicz.pure_q(sec["q"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown N-function family {family!r}")
+    return _checked(orlicz.NFunction, sec["family"], alpha=sec["alpha"], p_exp=sec["p"],
+                    q_exp=sec["q"])
 
 
 def _atomic_write(path, text):
@@ -235,11 +218,12 @@ def cmd_sweep_rho(args) -> int:
     if args.steps < 3:
         print("steps must be >= 3", file=sys.stderr)
         return EXIT_USAGE
-    if not (0 < args.rho_min < args.rho_max < math.inf):
-        print("need 0 < rho_min < rho_max < inf", file=sys.stderr)
+    if not 0 < args.rho_min < args.rho_max:
+        print("need 0 < rho_min < rho_max", file=sys.stderr)
         return EXIT_USAGE
     cfg = load_config(args.config)
     solve_cfg = build_solve_config(cfg)
+    _checked(replace, solve_cfg, rho=args.rho_max)  # SolveConfig's check, before any solve
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     points = mz.energy_map(solve_cfg, np.geomspace(args.rho_min, args.rho_max, args.steps))
@@ -292,7 +276,7 @@ def cmd_check(args) -> int:
             "c_nabla": growth.c_nabla,
             "sampled_range": list(growth.sampled_range),
         }
-        if nfun.family in ("log_matched", "log_matched_power_tail"):
+        if nfun.two_piece:
             val, der = orlicz.knot_mismatch(nfun)
             payload["orlicz"]["knot_mismatch"] = [val, der]
         orlicz_failed = not growth.holds

@@ -111,8 +111,9 @@ class SolveConfig:
     multistarts: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
+        # rho^2, the mass, must be finite too
+        if not (self.rho > 0.0 and self.rho * self.rho < math.inf):
+            raise ValueError(f"rho must be positive with a finite rho^2, got {self.rho}")
         sched = tuple(self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must be nonempty")
@@ -311,17 +312,14 @@ def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Sta
     each gradient evaluation.  The energy is summed in double precision: a
     stage ends on the Newton residual test, whose energy margin
     1e-12 (1 + |E|) lies far above that rounding.  A trial field that is not
-    finite raises ValueError, as RadialField does; the array is scanned only
-    when the energy is not finite."""
+    finite has an energy that is not finite, which the solver rejects
+    (status "nonfinite")."""
     kern = nl.bind_eps(spec, eps)
     w = grid.w
 
     def energy(x):
         dens = kern.G(x)
-        E = 0.5 * x.kinetic - float(np.dot(w, dens))
-        if not math.isfinite(E) and not np.isfinite(x.s).all():
-            raise ValueError("field values must be finite")
-        return E, dens
+        return 0.5 * x.kinetic - float(np.dot(w, dens)), dens
 
     return _Stage(energy, kern.g, kern.dg)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +47,8 @@ class NonlinearitySpec:
 
     Families: "log" (alpha*s*ln s^2), "log_power" (alpha*s*ln s^2 +
     mu*|s|^(p-2)*s), "saturation" (s^3/(1+s^2)), "power_sublinear"
-    (-|s|^(omega-1)*s), and "custom".
+    (-|s|^(omega-1)*s), and "custom".  A field that the family does not
+    read (_Family.params) must keep its default.
     """
 
     family: str
@@ -66,7 +67,11 @@ class NonlinearitySpec:
                              f"{self.mu}, {self.p_exp}, {self.omega}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        _FAMILIES[self.family].check(self)
+        fam = _FAMILIES[self.family]
+        for f in fields(self)[2:]:  # past family and dim
+            if f.name not in fam.params and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.family} does not take {f.name}")
+        fam.check(self)
 
     @property
     def mass_critical_exp(self) -> float:
@@ -141,12 +146,12 @@ class Point:
 
 
 # ---------------------------------------------------------------------------
-# half-line kernels (arguments are Points, read through |s|); every g is
-# odd, so the negative axis follows by symmetry.  Each family supplies g,
-# its derivative dg, the pair (G, P) with P(s) = int_0^s t g(t) dt, the
-# positive roots of g, its parameter check and its growth coefficient eta;
-# the built-ins take one log (or power) per node and kernel, and the log
-# families share theirs across the kernels evaluated at one Point.
+# half-line kernels (arguments are Points, read through |s|); every g is odd,
+# so the negative axis follows by symmetry.  Each family names the spec fields
+# it reads and supplies g, its derivative dg, the pair (G, P) with P(s) =
+# int_0^s t g(t) dt, the positive roots of g, its parameter check and its
+# growth coefficient eta; the built-ins take one log (or power) per node and
+# kernel, and the log families share theirs across the kernels at one Point.
 
 
 def _log_g(spec, x):
@@ -232,7 +237,7 @@ def _log_roots(spec):
 
 def _power_eta(spec):
     # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
-    # and mu = 0 in every other built-in family
+    # and the spec holds mu = 0 in every other family
     if spec.mu <= 0:
         return EtaEstimate(0.0, sampled=False)
     if spec.mass_critical:
@@ -320,6 +325,7 @@ def _sampled_eta(spec):
 
 
 class _Family(NamedTuple):
+    params: tuple    # the spec fields the family reads; the others keep their defaults
     g: Callable      # (spec, Point) -> g at |s|
     dg: Callable     # (spec, Point) -> g' at |s|
     prims: Callable  # (spec, Point) -> (G, P) at |s|
@@ -329,16 +335,16 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "log": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log, _power_eta),
-    "log_power": _Family(_log_g, _log_dg, _log_prims, _log_roots, _check_log_power,
-                         _power_eta),
-    "saturation": _Family(lambda spec, x: x.mag**3 / (1.0 + x.s2),
+    "log": _Family(("alpha",), _log_g, _log_dg, _log_prims, _log_roots, _check_log, _power_eta),
+    "log_power": _Family(("alpha", "mu", "p_exp"), _log_g, _log_dg, _log_prims, _log_roots,
+                         _check_log_power, _power_eta),
+    "saturation": _Family((), lambda spec, x: x.mag**3 / (1.0 + x.s2),
                           lambda spec, x: x.s2 * (3.0 + x.s2) / (1.0 + x.s2) ** 2,
                           _saturation_prims, lambda spec: (), lambda spec: None, _power_eta),
-    "power_sublinear": _Family(lambda spec, x: -(x.mag**spec.omega), _sublinear_dg,
-                               _sublinear_prims, lambda spec: (), _check_sublinear,
-                               _power_eta),
-    "custom": _Family(lambda spec, x: _custom_g(spec, x.mag),
+    "power_sublinear": _Family(("omega",), lambda spec, x: -(x.mag**spec.omega),
+                               _sublinear_dg, _sublinear_prims, lambda spec: (),
+                               _check_sublinear, _power_eta),
+    "custom": _Family(("g_func",), lambda spec, x: _custom_g(spec, x.mag),
                       lambda spec, x: _custom_dg(spec, x.mag),
                       lambda spec, x: _custom_prims(spec, x.mag), _custom_roots,
                       _check_custom, _sampled_eta),
@@ -723,7 +729,7 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     s4 = np.logspace(-6, 6, 3000)
     gmax = float(np.max(G_value(spec, s4)))
     roots = _sign_structure(spec).roots
-    if gmax > 0 and roots.size:
+    if roots.size:
         # G' = g, so between samples G can only peak at a root of g
         gmax = max(gmax, float(np.max(G_value(spec, roots))))
     xi0 = find_positive_level(spec)

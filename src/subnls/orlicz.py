@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,8 @@ class NFunction:
     A(s)/s -> 0 at 0 and -> infinity at infinity.
 
     Families: "log_matched" (log core, quadratic tail), "log_matched_power_tail"
-    (log core, |s|^p tail), "pure_q" (|s|^q/q, q > 1), "custom".
+    (log core, |s|^p tail), "pure_q" (|s|^q/q, q > 1), "custom".  A field
+    that the family does not read (_PARAMS) must keep its default.
     """
 
     family: str
@@ -46,13 +47,12 @@ class NFunction:
     a_func: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.family == "log_matched":
-            if not 0 < self.alpha < math.inf:
-                raise ValueError("log_matched needs a finite alpha > 0")
-        elif self.family == "log_matched_power_tail":
-            if not (0 < self.alpha < math.inf and 2 < self.p_exp < math.inf):
-                raise ValueError("log_matched_power_tail needs finite alpha > 0 and p > 2")
-        elif self.family == "pure_q":
+        if self.family not in _PARAMS:
+            raise ValueError(f"unknown N-function family {self.family!r}")
+        for f in fields(self)[1:]:  # past family
+            if f.name not in _PARAMS[self.family] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.family} does not take {f.name}")
+        if self.family == "pure_q":
             # the natural range here is 1 < q < 2, but any finite q > 1 is a
             # valid N-function and the quadratic case is useful for testing
             if not 1 < self.q_exp < math.inf:
@@ -60,14 +60,21 @@ class NFunction:
         elif self.family == "custom":
             if self.A_func is None or self.a_func is None:
                 raise ValueError("custom needs A and its derivative")
-        else:
-            raise ValueError(f"unknown N-function family {self.family!r}")
+        elif not 0 < self.alpha < math.inf:
+            raise ValueError(f"{self.family} needs a finite alpha > 0")
+        elif self.family == "log_matched_power_tail" and not 2 < self.p_exp < math.inf:
+            raise ValueError("log_matched_power_tail needs a finite p > 2")
+
+    @property
+    def two_piece(self) -> bool:
+        """A log core matched at KNOT to a tail (_TAILS)."""
+        return self.family in _TAILS
 
     def A(self, s):
         arr = np.abs(np.asarray(s, dtype=float))
         scalar = arr.ndim == 0
         x = np.atleast_1d(arr)
-        if self.family in _TAILS:
+        if self.two_piece:
             out = np.where(x < KNOT, _CORE[0](self, x), _TAILS[self.family][0](self, x))
         elif self.family == "pure_q":
             out = x**self.q_exp / self.q_exp
@@ -80,7 +87,7 @@ class NFunction:
         scalar = arr.ndim == 0
         x = np.atleast_1d(arr)
         mag = np.abs(x)
-        if self.family in _TAILS:
+        if self.two_piece:
             out = np.where(mag < KNOT, _CORE[1](self, mag), _TAILS[self.family][1](self, mag))
         elif self.family == "pure_q":
             out = mag ** (self.q_exp - 1.0)
@@ -88,6 +95,11 @@ class NFunction:
             out = np.asarray([abs(float(self.a_func(v))) for v in mag])
         out = out * np.sign(x)
         return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+# the fields each family reads; the others keep their defaults
+_PARAMS = {"log_matched": ("alpha",), "log_matched_power_tail": ("alpha", "p_exp"),
+           "pure_q": ("q_exp",), "custom": ("A_func", "a_func")}
 
 
 def _xlog(x):
@@ -199,7 +211,7 @@ def complementary_gap(A: NFunction, s: float) -> float:
 
 def knot_mismatch(A: NFunction) -> tuple:
     """(value jump, derivative jump) of the two branch formulas at |s| = e^-3."""
-    if A.family not in _TAILS:
+    if not A.two_piece:
         raise ValueError("knot check applies to the two-piece families")
     k = np.array([KNOT])
     return tuple(float(tail(A, k)[0] - core(A, k)[0])

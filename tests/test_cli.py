@@ -146,13 +146,15 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert cli.main(["sweep-rho", "--config", cfg, "-1.0", "2.0", "4"]) == cli.EXIT_USAGE
     assert cli.main(["sweep-rho", "--config", cfg, "3.0", "2.0", "4"]) == cli.EXIT_USAGE
     capsys.readouterr()
-    # an infinite rho_max is refused before any radius is solved: one line,
-    # no traceback
-    assert cli.main(["sweep-rho", "--config", cfg, "18", "inf", "3"]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "need 0 < rho_min < rho_max < inf\n"
-    assert not (tmp_path / "out").exists()
+    # a rho_max that SolveConfig refuses (infinite, or with an infinite
+    # rho^2) is refused before any radius is solved: one line, no traceback
+    for rho_max in ("inf", "1e200"):
+        assert cli.main(["sweep-rho", "--config", cfg, "18", rho_max, "3"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: rho must be positive with a finite rho^2, "
+                                f"got {float(rho_max)}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_sweep_outputs(tmp_path):
@@ -293,8 +295,16 @@ def test_threshold_command(capsys):
                                    {"mu = 0.0": "mu = inf"},
                                    {"alpha = 1.0": "alpha = inf"},
                                    {"p = 4.0": "p = inf", "dim = 3": "dim = 2"},
-                                   {"family = log_power": "family = cubic"}],
-                         ids=["mu_nan", "mu_inf", "alpha_inf", "p_inf_dim2", "unknown_family"])
+                                   {"family = log_power": "family = cubic"},
+                                   # a key that the family does not read must
+                                   # keep its default: log does not read p
+                                   {"family = log_power": "family = log"},
+                                   {"family = log_power": "family = saturation",
+                                    "p = 4.0": "p = 0.0", "alpha = 1.0": "alpha = 2.0"},
+                                   {"family = log_power\nalpha = 1.0\nmu = 0.0\np = 4.0":
+                                    "family = custom"}],
+                         ids=["mu_nan", "mu_inf", "alpha_inf", "p_inf_dim2", "unknown_family",
+                              "log_p", "saturation_alpha", "custom"])
 def test_bad_model_parameters_exit_one(tmp_path, capsys, command, edits):
     text = QUICK
     for old, new in edits.items():
@@ -316,6 +326,21 @@ def test_solve_every_start_failing_exits_two(tmp_path, monkeypatch, capsys):
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK)])
     assert rc == cli.EXIT_NOCONV
     assert "no start reached an eps = 0 limit" in capsys.readouterr().err
+
+
+def test_solve_overflowing_trial_exits_two(tmp_path, capsys):
+    # at rho = 1e153 (rho^2 finite) an Armijo trial overflows: its energy is
+    # not finite, the stage ends nonfinite and the only start has no limit
+    text = QUICK.replace("family = log_power\nalpha = 1.0\nmu = 0.0\np = 4.0",
+                         "family = log\nalpha = 1.0")
+    text = text.replace("r_max = 14.0\nn = 500", "r_max = 12.0\nn = 200")
+    text = text.replace("rho = 20.0\neps_schedule = 1e-1, 1e-2, 1e-3", "rho = 1e153")
+    assert "rho = 1e153" in text and "n = 200" in text and "family = log\n" in text
+    rc = cli.main(["solve", "--config", write_config(tmp_path, text)])
+    assert rc == cli.EXIT_NOCONV
+    err = capsys.readouterr().err
+    assert "no start reached an eps = 0 limit" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "result.json").exists()
 
 
 def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
@@ -343,10 +368,11 @@ def test_solve_stalled_stage_exits_two(tmp_path, capsys, caplog):
                                      ("r_max = 14.0", "r_max = inf"),
                                      ("rho = 20.0", "rho = inf"),
                                      ("[solver]\n", "[solver]\ntol_grad = inf\n"),
-                                     ("n = 500", "n = abc")],
+                                     ("n = 500", "n = abc"),
+                                     ("rho = 20.0", "rho = 1e200")],
                          ids=["n", "r_max", "max_iter", "multistarts", "tol_grad_0",
                               "tol_grad_negative", "r_max_inf", "rho_inf", "tol_grad_inf",
-                              "n_not_int"])
+                              "n_not_int", "rho_squared_overflows"])
 def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
     rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK.replace(old, new))])
     assert rc == cli.EXIT_USAGE
@@ -469,7 +495,10 @@ def test_mass_critical_verdict_is_printed_and_explained(tmp_path, capsys):
                                             "family = log_matched\nalpha = inf\n",
                                             "family = pure_q\nq = inf\n",
                                             "family = log_matched_power_tail\np = inf\n",
-                                            "family = cubic\n"])
+                                            "family = cubic\n",
+                                            # keys that the family does not read
+                                            "family = pure_q\nq = 1.5\nalpha = 3\n",
+                                            "family = log_matched\nq = 1.5\n"])
 def test_check_bad_orlicz_parameters_are_config_errors(tmp_path, capsys, orlicz_section):
     cfg = tmp_path / "orl.ini"
     cfg.write_text("[nonlinearity]\nfamily = log\n[grid]\ndim = 3\n[solver]\nrho = 1.0\n"
@@ -524,6 +553,18 @@ def test_config_doc_lists_the_schema(section):
             build = cli.build_spec if section == "nonlinearity" else cli.build_nfunction
             with pytest.raises(cli.ConfigError):
                 build(_schema_defaults(section, NOT_SET_READERS[section, key]))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", [*sorted(ROOT.glob("configs/*.ini")),
+                                  ROOT / "perfbench" / "sweep.ini"], ids=lambda path: path.name)
+def test_shipped_configs_build(path):
+    # each shipped key is one that its family reads, or keeps its default
+    cfg = cli.load_config(str(path))
+    cli.build_solve_config(cfg)
+    cli.build_nfunction(cfg)
 
 
 def test_config_doc_lists_the_result_keys(tmp_path):

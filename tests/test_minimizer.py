@@ -204,6 +204,8 @@ def test_solve_config_validation(log_spec3):
     with pytest.raises(ValueError):
         mz.SolveConfig(spec=log_spec3, rho=-1.0)
     with pytest.raises(ValueError):
+        mz.SolveConfig(spec=log_spec3, rho=1e200)  # rho^2 overflows
+    with pytest.raises(ValueError):
         mz.SolveConfig(spec=log_spec3, rho=1.0, eps_schedule=(0.1, 0.2))
     with pytest.raises(ValueError):
         mz.SolveConfig(spec=log_spec3, rho=1.0, eps_schedule=(1.5, 0.1))

@@ -200,6 +200,14 @@ def test_check_assumptions_growth_verdicts():
     planar = nl.check_assumptions(nl.logarithmic(1.0, dim=2))
     assert planar.g2 == nl.HOLDS and "g2_damped_tail" in planar.details
     assert "g2_growth_tail" not in planar.details
+    # just above mu*, G is positive only on a window between the (g4)
+    # samples: the root of g inside it shows max G > 0, so (g4) is not
+    # "fails" (the samples alone find no witness, so it is inconclusive)
+    for p, rel in [(4.0, 1e-8), (4.0, 2e-7), (3.0, 1e-6)]:
+        mu_star = nl.mu_threshold(1.0, p)
+        near = nl.check_assumptions(nl.log_power(1.0, mu_star + rel * abs(mu_star), p, dim=3))
+        assert near.g4 == nl.INCONCLUSIVE and near.details["g4_max"] > 0, (p, rel)
+        assert not near.any_fails
 
 
 def test_check_assumptions_threshold_straddle():
@@ -294,6 +302,10 @@ def test_spec_validation():
             nl.logarithmic(1.0, dim=dim)
     with pytest.raises(ValueError):
         nl.custom(lambda s: s + 1.0, dim=3)  # g(0) != 0
+    # a field that the family does not read must keep its default: the log
+    # kernels would read this mu
+    with pytest.raises(ValueError, match="log does not take mu"):
+        nl.NonlinearitySpec("log", 3, mu=0.5)
 
 
 @pytest.mark.parametrize("args,dim", [((math.inf, 0.0, 4.0), 3), ((math.nan, 0.0, 4.0), 3),

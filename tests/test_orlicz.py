@@ -193,6 +193,9 @@ def test_nfunction_validation():
         ox.log_matched_power_tail(1.0, 2.0)
     with pytest.raises(ValueError):
         ox.NFunction("custom")
+    # a field that the family does not read must keep its default
+    with pytest.raises(ValueError, match="pure_q does not take alpha"):
+        ox.NFunction("pure_q", alpha=5.0, q_exp=1.5)
 
 
 def test_complementary_gap_bound_is_checked_without_assert(monkeypatch):
