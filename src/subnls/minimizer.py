@@ -36,7 +36,10 @@ interior Newton steps finish the collapse to the zero field in a number of
 iterations that does not grow with n.  How a stage ended is data, never an
 exception: SolverResult.status, converged only for "converged" and
 "collapsed".  A continuation stops at its first stage that did not converge
-and returns it last, without a limit (ContinuationResult).  Its limit is
+and returns it last, without a limit (ContinuationResult).  It also stops
+at its first stage that collapsed: G_minus^eps grows pointwise as eps
+falls, so E_eps' >= E_eps for eps' < eps, and every later stage would end
+on the collapse test at its first check, on the same array.  Its limit is
 the eps = 0 stage when the last stage converged on the sphere with a
 positive multiplier and the eps = 0 stage converges on the sphere
 (limit_kind "eps0_stage"); otherwise, a collapse for one, it is the last
@@ -216,8 +219,10 @@ class EnergyMapPoint:
 
 @dataclass
 class ContinuationResult:
-    """The stages of one continuation, ending with the stage that ended it,
-    and the eps = 0 limit, None when that stage did not converge."""
+    """The stages of one continuation, ending with the stage that ended it
+    (the last of the schedule, the first that did not converge or the first
+    that collapsed), and the eps = 0 limit, None when that stage did not
+    converge."""
 
     stages: list
     limit: Optional[SolverResult]
@@ -377,12 +382,13 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     wins.  Without a positive level (so no negative-energy seed exists) a
     Gaussian of mass rho^2 is returned with a warning.
     """
-    return RadialField(grid, _guess(_bind_stage(grid, spec, eps), grid, spec, rho, rng).s)
+    return RadialField(grid, _guess(_bind_stage(grid, spec, eps), grid, spec, rho, rng)[0].s)
 
 
 def _guess(stage, grid, spec, rho, rng):
-    """initial_guess's winner as an evaluated point (_At) on grid, its
-    candidates scored by the stage's energy."""
+    """initial_guess's winner as an evaluated point (_At) on grid and its
+    score, the pair (E_eps, density) of the stage's energy, by which every
+    candidate is scored."""
     widths = [0.7, 1.0, 1.5]
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
@@ -396,13 +402,13 @@ def _guess(stage, grid, spec, rho, rng):
     else:
         for lv in (level * 1.5, max(level * 1.5, amp)):
             candidates.append(_witness(grid, rho, lv))
-    best = best_energy = None
+    best = None
     for vals in candidates:
         x = _At(vals, grid)
-        energy = stage.energy(x)[0]
+        scored = stage.energy(x)
         # the first of equal energies wins, as with min()
-        if best is None or energy < best_energy:
-            best, best_energy = x, energy
+        if best is None or scored[0] < best[1][0]:
+            best = x, scored
     return best
 
 
@@ -470,6 +476,7 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
 _EVAL_COUNTS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ground_state(config: SolveConfig, eps: float,
                        u0: Optional[RadialField] = None,
                        grid: Optional[RadialGrid] = None,
@@ -505,7 +512,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
     as converged), "stalled" (steps at rounding level), and, when 60
     halvings find no Armijo decrease, "nonfinite" if the last trial energy
     is not finite and "backtrack_exhausted" otherwise; "max_iter" ends an
-    exhausted budget.  No numerical ending raises.
+    exhausted budget.  No numerical ending raises, and none warns: numpy's
+    overflow and invalid-value warnings are off inside a stage, whose
+    non-finite trials end it "nonfinite".
     config.rearrange_every is accepted and ignored (SolveConfig).
 
     The stage's kernels are bound once (_bind_stage).  Each trial is one
@@ -515,8 +524,9 @@ def solve_ground_state(config: SolveConfig, eps: float,
     stage starts from start, an evaluated point on grid (continuation hands
     on the last stage's SolverResult.at), else from u0, else from
     initial_guess's winner; a start that lies in the disc is kept as it is,
-    so a stage that starts where the last one ended reuses its
-    evaluations.  The stage record reuses the last point's energy, density,
+    so a stage that starts where the last one ended reuses its evaluations,
+    and a winner kept as it is counts its score as the stage's first energy
+    evaluation.  The stage record reuses the last point's energy, density,
     g_eps and kinetic term and carries the point itself (see _result), and
     counts the evaluations made.
     """
@@ -525,8 +535,12 @@ def solve_ground_state(config: SolveConfig, eps: float,
         grid = config.make_grid()
     w = grid.w
     stage = _bind_stage(grid, spec, eps)
+    seed = None  # initial_guess's score of its winner under this stage
     if start is None:
-        start = _guess(stage, grid, spec, rho, rng) if u0 is None else _At(u0.values, grid)
+        if u0 is None:
+            start, seed = _guess(stage, grid, spec, rho, rng)
+        else:
+            start = _At(u0.values, grid)
     solve_precond = None  # factored on the stage's first descent step
     rhs2 = np.empty((grid.n, 2), order="F")  # the sphere Newton step's right-hand sides
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
@@ -534,9 +548,10 @@ def solve_ground_state(config: SolveConfig, eps: float,
     def wdot(a, b):
         return float(np.dot(w, a * b))
 
-    def energy_of(x):
+    def energy_of(x, known=None):
+        # known: the (E_eps, density) of x already computed under stage
         counts["energy_evals"] += 1
-        return stage.energy(x)
+        return stage.energy(x) if known is None else known
 
     def grad_of(x):
         counts["grad_evals"] += 1
@@ -560,7 +575,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
 
     u, m_u = _rescale(w, start.s, rho)
     x = start if u is start.s else _At(u, grid)
-    E, dens = energy_of(x)
+    E, dens = energy_of(x, seed if x is start else None)
     g, lap, rhs = grad_of(x)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
     tau = STEP_INIT
@@ -672,10 +687,12 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     Stage 0 starts from initial_guess (jittered by rng) and each later stage
     from the evaluated point (SolverResult.at) the stage before it ended
     on.  The run stops at the first stage that does not converge; it is then
-    the last of the stages and the limit is None.  Otherwise the limit is
-    taken from the last stage (_limit).  Each stage, the eps = 0 one
-    included, is solved through the module attribute solve_ground_state, so
-    a wrapper set there sees every stage.
+    the last of the stages and the limit is None.  It also stops at the
+    first stage that collapsed, since E_eps only grows as eps falls: each
+    later stage would end at its first check on the same zero field.
+    Otherwise the limit is taken from the last stage (_limit).  Each stage,
+    the eps = 0 one included, is solved through the module attribute
+    solve_ground_state, so a wrapper set there sees every stage.
     """
     if grid is None:
         grid = config.make_grid()
@@ -686,12 +703,15 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
         stages.append(result)
         if not result.converged:
             return ContinuationResult(stages=stages, limit=None)
+        if result.status == "collapsed":
+            break
         start = result.at
     return ContinuationResult(stages=stages, limit=_limit(config, grid, stages))
 
 
 def _limit(config, grid, stages) -> SolverResult:
-    """The eps = 0 limit of stages, whose last one converged.
+    """The eps = 0 limit of stages, whose last one converged: on its KKT
+    test, or by a collapse, which continuation makes the last stage.
 
     When that stage converged on the sphere with a positive multiplier, the
     eps = 0 stage is solved from its point (SolverResult.at), through the
@@ -703,8 +723,10 @@ def _limit(config, grid, stages) -> SolverResult:
     carried (limit_kind "evaluated"): the unregularized energy and the
     multiplier recomputed from the unregularized Nehari quotient, so its
     identity residuals are measured against the true nonlinearity, with the
-    last stage's status and KKT residual.  Either way the counters are the
-    sums over every stage solved, the eps = 0 stage's included."""
+    last stage's status and KKT residual: after a collapse, the collapsed
+    stage's, since the stages continuation skips would hand its array on
+    unmoved.  Either way the counters are the sums over every stage solved,
+    the eps = 0 stage's included."""
     last = stages[-1]
     solved = list(stages)
     if _on_branch(last) and last.lam > 0.0:

@@ -663,14 +663,20 @@ class AssumptionReport:
 
 @functools.lru_cache(maxsize=128)
 def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
-    """Smallest sampled |s| where the primitive G is safely positive; cached
-    per spec, since every solver start seeds from it."""
-    s = np.logspace(-6, 6, 3000)
-    G = np.atleast_1d(G_value(spec, s))
-    ok = G > 1e-14 * (1.0 + s**2)
-    if not ok.any():
-        return None
-    return float(s[np.argmax(ok)])
+    """Smallest |s|, among 3000 samples and the roots of g, where the
+    primitive G is safely positive; cached per spec, since every solver
+    start seeds from it.  G' = g, so G peaks only at a root of g, and just
+    above mu* its positive window is a neighbourhood of the larger root
+    that the samples miss."""
+    levels = []
+    # each set in its own call: a custom G's rounding depends on the points
+    # of its call, so the samples' values stay those of the samples alone
+    for s in (np.logspace(-6, 6, 3000), _sign_structure(spec).roots):
+        if s.size:
+            ok = np.atleast_1d(G_value(spec, s)) > 1e-14 * (1.0 + s**2)
+            if ok.any():
+                levels.append(float(s[np.argmax(ok)]))
+    return min(levels, default=None)
 
 
 def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:

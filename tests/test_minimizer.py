@@ -796,19 +796,74 @@ def test_collapse_stage_iterations_flat_in_n():
     # below the threshold the flow collapses into the disc, where Newton
     # steps on the positive-definite Hessian finish the first stage in a
     # count independent of the grid: 13 at n = 500, 2000 and 8000, against
-    # 36, 30 and 41 for the descent alone
+    # 36, 30 and 41 for the descent alone.  The collapse ends the
+    # seven-stage schedule there.
     spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     first = set()
     for n in (500, 2000, 8000):
         cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=20.0, n=n, eps_schedule=SEVEN_STAGES)
         res = mz.continuation(cfg)
-        stages = res.stages
-        assert len(stages) == len(SEVEN_STAGES) and res.limit.limit_kind == "evaluated"
-        for s in stages:
-            assert s.status == "collapsed" and s.mass <= 1e-10 * cfg.rho ** 2
-        assert stages[0].newton_steps > 0
-        first.add(stages[0].iterations)
+        (stage,) = res.stages
+        assert res.limit.limit_kind == "evaluated" and res.limit.status == "collapsed"
+        assert stage.status == "collapsed" and stage.mass <= 1e-10 * cfg.rho ** 2
+        assert stage.newton_steps > 0
+        first.add(stage.iterations)
     assert len(first) == 1 and first.pop() <= 15
+
+
+# (spec, rho, r_max) of two runs that collapse: log_power below mu*, and
+# power_sublinear, whose G is negative everywhere
+COLLAPSES = {
+    "log_power_below_mu_star": (nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),
+                                10.0, 16.0),
+    "power_sublinear": (nl.power_sublinear(0.5, dim=2), 3.0, 12.0),
+}
+
+
+@pytest.mark.parametrize("schedule", [(1e-1, 1e-2), (1e-1, 1e-2, 1e-3), SEVEN_STAGES],
+                         ids=["2_stages", "3_stages", "7_stages"])
+@pytest.mark.parametrize("name", list(COLLAPSES))
+def test_collapse_ends_the_schedule(name, schedule):
+    # E_eps only grows as eps falls, so each stage after a collapse would be
+    # handed its zero field and end at its first check without moving it:
+    # the continuation stops at the collapse, and its limit is, field for
+    # field, the one built by running the full schedule stage by stage
+    spec, rho, r_max = COLLAPSES[name]
+    cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=120, eps_schedule=schedule,
+                         max_iter=60000)
+    grid = cfg.make_grid()
+    res = mz.continuation(cfg, grid=grid)
+    (stage,) = res.stages
+    assert stage.status == "collapsed" and stage.eps == schedule[0]
+    full, start = [], None
+    for eps in schedule:
+        full.append(mz.solve_ground_state(cfg, eps, grid=grid, start=start))
+        start = full[-1].at
+    assert full[0].to_json_dict() == stage.to_json_dict()
+    for s in full[1:]:
+        assert s.status == "collapsed" and s.iterations == 1
+        assert s.u.values is full[0].u.values
+    ref, lim = mz._limit(cfg, grid, full), res.limit
+    assert lim.limit_kind == ref.limit_kind == "evaluated"
+    for k in ("energy", "lam", "mass", "kinetic"):
+        assert getattr(lim, k) == getattr(ref, k), k
+    assert lim.u.values.tobytes() == ref.u.values.tobytes()
+    assert lim.bundle == ref.bundle
+    # what moves: the limit's status and KKT residual are the collapsed
+    # stage's, and each stage skipped is one iteration, one energy and one
+    # gradient evaluation less
+    assert lim.status == "collapsed" and lim.kkt_residual == stage.kkt_residual
+    skipped = len(schedule) - 1
+    for k in ("iterations", "energy_evals", "grad_evals"):
+        assert getattr(ref, k) - getattr(lim, k) == skipped, k
+    for k in ("newton_steps", "backtracks", "precond_solves"):
+        assert getattr(ref, k) == getattr(lim, k), k
+
+
+def test_converged_stages_run_the_whole_schedule(quick_run):
+    # no stage of a run on the sphere collapses, so it keeps every stage
+    assert [s.eps for s in quick_run.stages] == [1e-1, 1e-2, 1e-3]
+    assert all(s.status == "converged" and s.on_sphere for s in quick_run.stages)
 
 
 def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):

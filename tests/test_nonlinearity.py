@@ -201,12 +201,15 @@ def test_check_assumptions_growth_verdicts():
     assert planar.g2 == nl.HOLDS and "g2_damped_tail" in planar.details
     assert "g2_growth_tail" not in planar.details
     # just above mu*, G is positive only on a window between the (g4)
-    # samples: the root of g inside it shows max G > 0, so (g4) is not
-    # "fails" (the samples alone find no witness, so it is inconclusive)
+    # samples around the larger root of g, where G peaks: that root is the
+    # witness xi0, so (g4) holds
     for p, rel in [(4.0, 1e-8), (4.0, 2e-7), (3.0, 1e-6)]:
         mu_star = nl.mu_threshold(1.0, p)
-        near = nl.check_assumptions(nl.log_power(1.0, mu_star + rel * abs(mu_star), p, dim=3))
-        assert near.g4 == nl.INCONCLUSIVE and near.details["g4_max"] > 0, (p, rel)
+        spec = nl.log_power(1.0, mu_star + rel * abs(mu_star), p, dim=3)
+        near = nl.check_assumptions(spec)
+        larger = nl._sign_structure(spec).roots[-1]
+        assert near.g4 == nl.HOLDS and near.details["g4_max"] > 0, (p, rel)
+        assert near.xi0 == nl.find_positive_level(spec) == larger, (p, rel)
         assert not near.any_fails
 
 

@@ -139,18 +139,24 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     # lists hold every array, so no id is reused), and each gradient
     # evaluation builds its Laplacian from those differences
     seen = spy_computations(monkeypatch)
-    energies = []
-    real_bind = mz._bind_stage
+    energies, winners = [], []  # (eps, array) of each energy; the seed's winner
+    real_bind, real_guess = mz._bind_stage, mz._guess
 
     def bind(grid, spec, eps):
         stage = real_bind(grid, spec, eps)
 
         def energy(x):
-            energies.append(x.s)
+            energies.append((eps, x.s))
             return stage.energy(x)
         return stage._replace(energy=energy)
 
+    def guess(*args):
+        out = real_guess(*args)
+        winners.append(out[0].s)
+        return out
+
     monkeypatch.setattr(mz, "_bind_stage", bind)
+    monkeypatch.setattr(mz, "_guess", guess)
     spec = nl.log_power(1.0, mu, 4.0, dim=3)
     cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3))
@@ -164,21 +170,30 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     # next stage's start, and the last stage's array is evaluated again by
     # the eps = 0 limit stage it starts or by the evaluated limit: each is
     # evaluated twice.  Every stage's field, the limit stage's included, is
-    # computed once.
+    # computed once.  A collapse ends the schedule at its first stage, so
+    # the collapse run hands no array on.
     finals = [s.u.values for s in res.stages]
     w = res.limit.u.grid.w
     handed_on = [vals for vals in finals[:-1] if float(np.dot(w, vals * vals)) <= rho * rho]
-    assert handed_on
     twice = handed_on + finals[-1:]
     if mu == 0.0:
+        assert handed_on
         assert res.limit.limit_kind == "eps0_stage"
         assert not any(res.limit.u.values is vals for vals in finals)
         finals.append(res.limit.u.values)
     else:
+        assert len(finals) == 1 and not handed_on
         assert res.limit.limit_kind == "evaluated"
         assert res.limit.u.values is finals[-1]
     for vals in twice:
-        assert sum(a is vals for a in energies) >= 2
+        assert sum(a is vals for _, a in energies) >= 2
+    # the seed's winner is evaluated once at the first stage's eps, when it
+    # is scored: a winner in the disc (the collapse run's, with this jitter)
+    # is the start and its score the start's energy, and one a rounding
+    # outside (the ground state's) is rescaled into a new start array
+    (winner,) = winners
+    assert (float(np.dot(w, winner * winner)) <= rho * rho) == (mu != 0.0)
+    assert sum(e == res.stages[0].eps and a is winner for e, a in energies) == 1
     for vals in finals:
         for name in ("ln_s2", "differences", "kinetic"):
             assert sum(a is vals for a in seen[name]) == 1, name
