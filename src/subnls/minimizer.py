@@ -22,11 +22,13 @@ On the sphere with a positive multiplier it solves the KKT system
 F(u, lambda) = 0, the Hessian bordered by W u (one LAPACK gtsv solve).
 Inside the disc the constraint is inactive, lambda = 0, and it solves the
 unbordered system when the Hessian is positive definite (one LAPACK
-pttrf/pttrs); where it is not, the iteration descends.  A Newton step that
-does not halve the residual, or raises the energy, is rejected and the
-descent carries on until the residual has fallen another decade.  The
-preconditioner is factored only when a stage first descends.  A stage ends
-on its KKT test.
+pttrf/pttrs); where it is not, the iteration descends.  The energy
+globalizes the Newton step: it is kept when it lowers the energy beyond
+rounding, or halves the residual without raising the energy beyond
+rounding; otherwise it is rejected and the descent carries on until the
+residual has fallen another decade.  The descent's first trial step is the
+unit step in the metric of P.  The preconditioner is factored only when a
+stage first descends.  A stage ends on its KKT test.
 
 Minimizing over the disc rather than the sphere is deliberate: the disc is
 weakly closed, a minimizer with positive multiplier is automatically pushed
@@ -86,8 +88,9 @@ DEFAULT_EPS_SCHEDULE = (1e-1,)
 # Dirichlet eigenvalue, about 1e3 at r_max = 100
 SOBOLEV_SHIFT = 1.0
 STEP_MAX = 1e4
-# first step proposal, backtracking factor and Armijo constant
-STEP_INIT = 1e-3
+# first step proposal (the unit step in the metric of P), backtracking
+# factor and Armijo constant
+STEP_INIT = 1.0
 BACKTRACK = 0.5
 ARMIJO = 1e-4
 # relative tolerance on the mass for a field to count as on the sphere
@@ -329,13 +332,13 @@ def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Sta
     return _Stage(energy, kern.g, kern.dg)
 
 
-def _rescale(w, vals, rho, sphere=False):
+def _rescale(w, vals, rho, sphere=False, slack=0.0):
     """Nodal values rescaled radially to mass rho^2 under quadrature weights
     w: onto the sphere when sphere is set (the zero field stays zero), else
-    onto the disc {mass <= rho^2} (identity inside, rescale outside).
-    Returns (values, mass)."""
+    onto the disc {mass <= rho^2 (1 + slack)} (identity inside, rescale
+    outside).  Returns (values, mass)."""
     m = float(np.dot(w, vals * vals))
-    if m <= (0.0 if sphere else rho * rho):
+    if m <= (0.0 if sphere else rho * rho * (1.0 + slack)):
         return vals, m
     return vals * (rho / math.sqrt(m)), rho * rho
 
@@ -497,9 +500,13 @@ def solve_ground_state(config: SolveConfig, eps: float,
     on the sphere with lambda_hat > 0, and on the gradient while it is
     strictly inside the disc and nonzero.  Inside, a Hessian that is not
     positive definite gives no step, and the same iteration descends.  A
-    step is accepted when it at least halves the residual without raising
-    E_eps beyond rounding; otherwise the iterate stays, and the descent runs
-    until the residual has fallen by another decade before the next try.
+    step is accepted when it lowers E_eps beyond rounding,
+    E_v < E - 1e-12 (1 + |E|), or when it at least halves the residual
+    without raising E_eps beyond rounding; otherwise the iterate stays, and
+    the descent runs until the residual has fallen by another decade before
+    the next try.  So E_eps never rises over a stage.  The descent's first
+    trial step is STEP_INIT, the unit step in the metric of P, and Armijo
+    backtracking guards it.
     A Newton trial, accepted or rejected, is one iteration with one energy
     and one gradient evaluation, so max_iter bounds the work.  The
     preconditioner is factored on the stage's first descent step, so a
@@ -523,12 +530,13 @@ def solve_ground_state(config: SolveConfig, eps: float,
     and one set of face differences, and the accepted point is kept.  The
     stage starts from start, an evaluated point on grid (continuation hands
     on the last stage's SolverResult.at), else from u0, else from
-    initial_guess's winner; a start that lies in the disc is kept as it is,
-    so a stage that starts where the last one ended reuses its evaluations,
-    and a winner kept as it is counts its score as the stage's first energy
-    evaluation.  The stage record reuses the last point's energy, density,
-    g_eps and kinetic term and carries the point itself (see _result), and
-    counts the evaluations made.
+    initial_guess's winner; a start that lies in the disc, or within
+    1e-12 relative outside it (where a sphere rescale can land), is kept as
+    it is, so a stage that starts where the last one ended reuses its
+    evaluations, and a winner kept as it is counts its score as the stage's
+    first energy evaluation.  The stage record reuses the last point's
+    energy, density, g_eps and kinetic term and carries the point itself
+    (see _result), and counts the evaluations made.
     """
     spec, rho = config.spec, config.rho
     if grid is None:
@@ -573,7 +581,11 @@ def solve_ground_state(config: SolveConfig, eps: float,
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary
 
-    u, m_u = _rescale(w, start.s, rho)
+    # a sphere rescale lands within rounding of rho^2, on either side, so a
+    # start that far outside the disc is kept as it is, not copied.  The
+    # descent's projection keeps no slack: a trial kept outside the disc
+    # would lie below every projected trial in energy, and Armijo would stall
+    u, m_u = _rescale(w, start.s, rho, slack=1e-12)
     x = start if u is start.s else _At(u, grid)
     E, dens = energy_of(x, seed if x is start else None)
     g, lap, rhs = grad_of(x)
@@ -601,7 +613,10 @@ def solve_ground_state(config: SolveConfig, eps: float,
                 E_v, dens_v = energy_of(x_v)
                 g_v, lap_v, rhs_v = grad_of(x_v)
                 kkt_v = kkt(v, m_v, g_v, lap_v, rhs_v)
-                if E_v <= E + 1e-12 * (1.0 + abs(E)) and kkt_v[0] <= 0.5 * rel:
+                # kept when it lowers E_eps beyond rounding, or halves the
+                # residual without raising E_eps beyond rounding
+                tol_E = 1e-12 * (1.0 + abs(E))
+                if E_v < E - tol_E or (E_v <= E + tol_E and kkt_v[0] <= 0.5 * rel):
                     x, u, m_u, E, dens, g, lap, rhs = x_v, v, m_v, E_v, dens_v, g_v, lap_v, rhs_v
                     rel, res, lam_hat, on_boundary = kkt_v
                     newton_steps += 1

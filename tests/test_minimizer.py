@@ -795,9 +795,9 @@ def test_newton_from_the_first_iterate_on_the_sphere(log_spec3, monkeypatch):
 def test_collapse_stage_iterations_flat_in_n():
     # below the threshold the flow collapses into the disc, where Newton
     # steps on the positive-definite Hessian finish the first stage in a
-    # count independent of the grid: 13 at n = 500, 2000 and 8000, against
-    # 36, 30 and 41 for the descent alone.  The collapse ends the
-    # seven-stage schedule there.
+    # count independent of the grid: 11 at n = 500, 2000 and 8000, against
+    # 43 for the descent alone.  The collapse ends the seven-stage schedule
+    # there.
     spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     first = set()
     for n in (500, 2000, 8000):
@@ -808,7 +808,7 @@ def test_collapse_stage_iterations_flat_in_n():
         assert stage.status == "collapsed" and stage.mass <= 1e-10 * cfg.rho ** 2
         assert stage.newton_steps > 0
         first.add(stage.iterations)
-    assert len(first) == 1 and first.pop() <= 15
+    assert len(first) == 1 and first.pop() <= 12
 
 
 # (spec, rho, r_max) of two runs that collapse: log_power below mu*, and
@@ -903,10 +903,61 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
         assert b.energy == pytest.approx(a.energy, rel=1e-9, abs=0.0)
 
 
+def test_newton_trial_that_lowers_the_energy_is_kept():
+    # the perfbench collapse configuration from default_rng([1, 0]): the
+    # first iteration descends into the disc, and the second is an interior
+    # Newton trial that takes E_eps from 11.6 to 1.29 while the residual
+    # falls only from 0.916 to 0.900.  Lowering the energy is enough to keep
+    # it; the stage then collapses in 10 iterations
+    spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
+    cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120,
+                         eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
+    grid = cfg.make_grid()
+
+    def after(k):
+        # the stage's record after its first k iterations
+        return mz.solve_ground_state(replace(cfg, max_iter=k), 0.1, grid=grid,
+                                     rng=np.random.default_rng([1, 0]))
+
+    before, trial = after(1), after(2)
+    assert before.status == trial.status == "max_iter"
+    assert before.newton_steps == 0 and before.precond_solves == 1
+    assert not before.on_sphere and before.mass < cfg.rho ** 2
+    assert trial.newton_steps == 1 and trial.precond_solves == 1
+    assert trial.energy < before.energy - 1.0
+    assert 0.5 * before.kkt_residual < trial.kkt_residual < before.kkt_residual
+    full = after(cfg.max_iter)
+    assert full.status == "collapsed" and full.iterations == 10
+    assert full.mass <= 1e-10 * cfg.rho ** 2
+
+
+def test_slow_gausson_starts_take_no_descent_step():
+    # the perfbench Gausson starts from default_rng([1, 0]) and [1, 4] (log,
+    # rho = 20, n = 1000): every Newton trial lowers E_eps, so both the
+    # eps-stage (6 and 7 iterations) and the eps = 0 stage finish on Newton
+    # steps alone and never factor the preconditioner
+    cfg = mz.SolveConfig(spec=nl.log_power(1.0, 0.0, 4.0, dim=3), rho=20.0, r_max=20.0,
+                         n=1000)
+    grid = cfg.make_grid()
+    for seed in ([1, 0], [1, 4]):
+        res = mz.continuation(cfg, grid=grid, rng=np.random.default_rng(seed))
+        (stage,) = res.stages
+        assert stage.status == "converged" and stage.iterations <= 8, seed
+        limit = res.limit
+        assert limit.limit_kind == "eps0_stage" and limit.status == "converged"
+        assert limit.precond_solves == limit.backtracks == 0, seed
+        # each of the two stages ends on its KKT check after its Newton steps
+        assert stage.iterations == stage.newton_steps + 1
+        assert limit.iterations == limit.newton_steps + 2
+
+
 COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 
 
-@pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
+# the collapse run is log_power at 1.5 mu*, rho = 12, whose stage both
+# backtracks and rejects a Newton trial (at 2 mu*, rho = 10 it does
+# neither: every Newton trial there is kept)
+@pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (1.5 * nl.mu_threshold(1.0, 4.0), 12.0)],
                          ids=["newton_finish", "collapse"])
 def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
     # each iteration but the last makes one Newton trial or one descent

@@ -129,9 +129,14 @@ def spy_computations(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (2.0 * nl.mu_threshold(1.0, 4.0), 10.0)],
-                         ids=["newton_finish", "collapse"])
-def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
+# (mu, rho, jitter seed, whether the seed's winner lands a rounding above
+# rho^2); the ground state's first two stages also end a rounding above it
+@pytest.mark.parametrize("mu, rho, seed, above", [
+    (0.0, 20.0, 2, True),
+    (2.0 * nl.mu_threshold(1.0, 4.0), 10.0, 3, False),
+    (2.0 * nl.mu_threshold(1.0, 4.0), 10.0, 1, True),
+], ids=["newton_finish", "collapse", "collapse_seed_above"])
+def test_each_array_is_evaluated_once_per_continuation(mu, rho, seed, above, monkeypatch):
     # evaluated points are handed on through a continuation: the trials,
     # the seeds, the stage records, the next stage's start (the eps = 0
     # limit stage's included) and an evaluated limit compute ln s^2, the face
@@ -139,7 +144,8 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     # lists hold every array, so no id is reused), and each gradient
     # evaluation builds its Laplacian from those differences
     seen = spy_computations(monkeypatch)
-    energies, winners = [], []  # (eps, array) of each energy; the seed's winner
+    # (eps, array) of each energy; the seed's winner and its candidates' count
+    energies, winners, scored = [], [], []
     real_bind, real_guess = mz._bind_stage, mz._guess
 
     def bind(grid, spec, eps):
@@ -151,8 +157,10 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
         return stage._replace(energy=energy)
 
     def guess(*args):
+        before = len(energies)
         out = real_guess(*args)
         winners.append(out[0].s)
+        scored.append(len(energies) - before)
         return out
 
     monkeypatch.setattr(mz, "_bind_stage", bind)
@@ -160,24 +168,25 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
     spec = nl.log_power(1.0, mu, 4.0, dim=3)
     cfg = mz.SolveConfig(spec=spec, rho=rho, r_max=16.0, n=300,
                          eps_schedule=(1e-1, 1e-2, 1e-3))
-    res = mz.continuation(cfg, rng=np.random.default_rng(3))
+    res = mz.continuation(cfg, rng=np.random.default_rng(seed))
     for name in ("ln_s2", "differences", "kinetic"):
         arrays = seen[name]
         assert len({id(a) for a in arrays}) == len(arrays), name
     assert len(seen["laplacian"]) == res.limit.grad_evals
     assert all(seen["laplacian_given_differences"])
-    # a stage whose field lies in the disc hands that very array on as the
-    # next stage's start, and the last stage's array is evaluated again by
-    # the eps = 0 limit stage it starts or by the evaluated limit: each is
-    # evaluated twice.  Every stage's field, the limit stage's included, is
-    # computed once.  A collapse ends the schedule at its first stage, so
-    # the collapse run hands no array on.
+    # each stage hands its very array on as the next stage's start, also
+    # one that a sphere rescale left a rounding above rho^2, and the last
+    # stage's array is evaluated again by the eps = 0 limit stage it starts
+    # or by the evaluated limit: each is evaluated twice.  Every stage's
+    # field, the limit stage's included, is computed once.  A collapse ends
+    # the schedule at its first stage, so the collapse run hands no array on.
     finals = [s.u.values for s in res.stages]
     w = res.limit.u.grid.w
-    handed_on = [vals for vals in finals[:-1] if float(np.dot(w, vals * vals)) <= rho * rho]
+    handed_on = finals[:-1]
     twice = handed_on + finals[-1:]
     if mu == 0.0:
         assert handed_on
+        assert all(float(np.dot(w, vals * vals)) > rho * rho for vals in handed_on)
         assert res.limit.limit_kind == "eps0_stage"
         assert not any(res.limit.u.values is vals for vals in finals)
         finals.append(res.limit.u.values)
@@ -187,13 +196,15 @@ def test_each_array_is_evaluated_once_per_continuation(mu, rho, monkeypatch):
         assert res.limit.u.values is finals[-1]
     for vals in twice:
         assert sum(a is vals for _, a in energies) >= 2
-    # the seed's winner is evaluated once at the first stage's eps, when it
-    # is scored: a winner in the disc (the collapse run's, with this jitter)
-    # is the start and its score the start's energy, and one a rounding
-    # outside (the ground state's) is rescaled into a new start array
+    # the seed's winner is the first stage's start, also when it lies a
+    # rounding above rho^2, and is evaluated once at that stage's eps, when
+    # it is scored: its score is the start's energy, so the stage's energy
+    # evaluations there are the candidates' and its own less that one
     (winner,) = winners
-    assert (float(np.dot(w, winner * winner)) <= rho * rho) == (mu != 0.0)
-    assert sum(e == res.stages[0].eps and a is winner for e, a in energies) == 1
+    assert (float(np.dot(w, winner * winner)) > rho * rho) == above
+    first = res.stages[0]
+    assert sum(e == first.eps and a is winner for e, a in energies) == 1
+    assert sum(e == first.eps for e, _ in energies) == scored[0] + first.energy_evals - 1
     for vals in finals:
         for name in ("ln_s2", "differences", "kinetic"):
             assert sum(a is vals for a in seen[name]) == 1, name
