@@ -22,13 +22,12 @@ On the sphere with a positive multiplier it solves the KKT system
 F(u, lambda) = 0, the Hessian bordered by W u (one LAPACK gtsv solve).
 Inside the disc the constraint is inactive, lambda = 0, and it solves the
 unbordered system when the Hessian is positive definite (one LAPACK
-pttrf/pttrs); where it is not, the iteration descends.  The energy
-globalizes the Newton step: it is kept when it lowers the energy beyond
-rounding, or halves the residual without raising the energy beyond
-rounding; otherwise it is rejected and the descent carries on until the
-residual has fallen another decade.  The descent's first trial step is the
-unit step in the metric of P.  The preconditioner is factored only when a
-stage first descends.  A stage ends on its KKT test.
+pttrf/pttrs).  The energy globalizes the Newton step: it is kept when it
+lowers the energy beyond rounding, or halves the residual without raising
+the energy beyond rounding; a trial that gives no step or is rejected
+leaves the iterate, and the same iteration descends.  The descent's first
+trial step is the unit step in the metric of P.  The preconditioner is
+factored only when a stage first descends.  A stage ends on its KKT test.
 
 Minimizing over the disc rather than the sphere is deliberate: the disc is
 weakly closed, a minimizer with positive multiplier is automatically pushed
@@ -403,7 +402,8 @@ def _guess(stage, grid, spec, rho, rng):
         log.warning("no level with positive primitive: falling back to a "
                     "Gaussian seed of mass rho^2 (no negative-energy start)")
     else:
-        for lv in (level * 1.5, max(level * 1.5, amp)):
+        # the two levels coincide when amp <= 1.5 level: score that seed once
+        for lv in dict.fromkeys((level * 1.5, max(level * 1.5, amp))):
             candidates.append(_witness(grid, rho, lv))
     best = None
     for vals in candidates:
@@ -449,8 +449,8 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
     Inside the disc the constraint is inactive (lam = 0, res = g): LAPACK
     pttrf factors A exactly when it is positive definite, pttrs solves
     A x = W g, and u - x is projected onto the disc.  Returns the new values
-    and their mass, or None when A is singular (on the sphere) or not
-    positive definite (inside), or the step is not finite.
+    and their mass, or None when there is no step: A or <W u, A^-1 W u>
+    singular (sphere), A not positive definite (inside), v not finite.
     """
     w = grid.w
     k_diag, k_off = grid._kinetic_bands
@@ -460,10 +460,11 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
         np.multiply(w, res, out=rhs2[:, 0])
         rhs2[:, 1] = wu
         x, info = dgtsv(k_off, diag, k_off, rhs2, overwrite_d=1, overwrite_b=1)[3:]
-        if info != 0:
-            return None
         x1, x2 = x[:, 0], x[:, 1]
-        d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / float(np.dot(wu, x2))
+        den = float(np.dot(wu, x2))
+        if info != 0 or den == 0.0:
+            return None
+        d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / den
         v = u - x1 - d_lam * x2
     else:
         d_fac, e_fac, info = dpttrf(diag, k_off)
@@ -498,19 +499,18 @@ def solve_ground_state(config: SolveConfig, eps: float,
     Newton finish: from a stage's first iterate on, each iteration tries
     one Newton step (_newton_step), on the KKT system while the iterate is
     on the sphere with lambda_hat > 0, and on the gradient while it is
-    strictly inside the disc and nonzero.  Inside, a Hessian that is not
-    positive definite gives no step, and the same iteration descends.  A
-    step is accepted when it lowers E_eps beyond rounding,
-    E_v < E - 1e-12 (1 + |E|), or when it at least halves the residual
-    without raising E_eps beyond rounding; otherwise the iterate stays, and
-    the descent runs until the residual has fallen by another decade before
-    the next try.  So E_eps never rises over a stage.  The descent's first
-    trial step is STEP_INIT, the unit step in the metric of P, and Armijo
-    backtracking guards it.
-    A Newton trial, accepted or rejected, is one iteration with one energy
-    and one gradient evaluation, so max_iter bounds the work.  The
-    preconditioner is factored on the stage's first descent step, so a
-    stage of Newton steps alone never factors it.
+    strictly inside the disc and nonzero.  A step is accepted when it
+    lowers E_eps beyond rounding, E_v < E - 1e-12 (1 + |E|), or when it at
+    least halves the residual without raising E_eps beyond rounding.  A
+    trial that gives no step or is rejected leaves the iterate where it
+    is, and the same iteration descends, so E_eps never rises over a
+    stage.  The descent's first trial step is STEP_INIT, the unit step in
+    the metric of P, and Armijo backtracking guards it.  An accepted
+    Newton step is one iteration with one energy and one gradient
+    evaluation, and a rejected trial adds those two to its iteration's
+    descent step, so max_iter bounds the work.  The preconditioner is
+    factored on the stage's first descent step, so a stage of Newton steps
+    alone never factors it.
 
     Stops (status "converged") when the KKT residual  g + lambda_hat * u
     (lambda_hat the Nehari quotient on the sphere, 0 inside) drops below
@@ -591,7 +591,6 @@ def solve_ground_state(config: SolveConfig, eps: float,
     g, lap, rhs = grad_of(x)
     rel, res, lam_hat, on_boundary = kkt(u, m_u, g, lap, rhs)
     tau = STEP_INIT
-    newton_gate = math.inf
     newton_steps = 0
     status = None
     for it in range(1, config.max_iter + 1):
@@ -604,7 +603,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
             status = "collapsed"
             break
 
-        if rel <= newton_gate and (lam_hat > 0.0 if on_boundary else m_u > 0.0):
+        if lam_hat > 0.0 if on_boundary else m_u > 0.0:
             step = _newton_step(grid, u, m_u, res, lam_hat, rho, on_boundary, stage.dg(x),
                                 rhs2)
             if step is not None:
@@ -621,13 +620,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
                     rel, res, lam_hat, on_boundary = kkt_v
                     newton_steps += 1
                     continue
-            if on_boundary or step is not None:
-                # rejected: the descent carries on until the residual has
-                # fallen by another decade
-                newton_gate = 0.1 * rel
-                continue
-            # inside the disc with a Hessian that is not positive definite:
-            # descend in this iteration and leave the gate alone
+            # no step, or a rejected one: descend in this iteration
 
         d = precond(g)
         if on_boundary:

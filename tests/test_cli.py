@@ -202,6 +202,39 @@ def test_sweep_without_three_converged_points_exits_two(tmp_path, capsys):
     assert not (tmp_path / "sweep" / "energy_map_properties.json").exists()
 
 
+def test_sweep_with_a_point_that_did_not_converge_exits_two(tmp_path, capsys, monkeypatch):
+    # the first of four radii gets no limit; the other three converge, so
+    # the property checks run, and the sweep still exits 2 for that point
+    real = mz.continuation
+
+    def first_fails(config, grid=None, rng=None):
+        if config.rho == 18.0:
+            ended = SimpleNamespace(eps=1e-1, status="max_iter", iterations=1)
+            return mz.ContinuationResult(stages=[ended], limit=None)
+        return real(config, grid=grid, rng=rng)
+
+    monkeypatch.setattr(mz, "continuation", first_fails)
+    text = QUICK.replace("n = 500", "n = 200")
+    rc = cli.main(["sweep-rho", "--config", write_config(tmp_path, text), "18",
+                   str(18 * 2 ** 1.5), "4", "--out", str(tmp_path / "sweep")])
+    assert rc == cli.EXIT_NOCONV
+    assert capsys.readouterr().err == "1 point(s) did not converge\n"
+    rows = (tmp_path / "sweep" / "energy_map.csv").read_text().strip().splitlines()[1:]
+    assert [row.endswith(",true") for row in rows] == [False, True, True, True]
+    assert (tmp_path / "sweep" / "energy_map_properties.json").exists()
+
+
+def test_solve_output_below_a_regular_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = cli.main(["solve", "--config", write_config(tmp_path, QUICK),
+                   "--out", str(blocker / "out")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_sweep_example_is_sqrt2_spaced():
     # the radii of the README's sweep must give every property check points
     # to compare; Gausson energies stand in for a solve

@@ -147,6 +147,24 @@ def test_initial_guess_fallback_warning(caplog):
     assert gr.mass(u0) == pytest.approx(25.0, rel=1e-8)
 
 
+def test_initial_guess_scores_each_witness_once(log_spec3, monkeypatch):
+    # the witness levels are 1.5 level and max(1.5 level, amp): for log in
+    # N = 3 they coincide below rho ~= 5.85, and the seed is built once
+    levels = []
+    real = mz._witness
+
+    def spy(grid, rho, level):
+        levels.append(level)
+        return real(grid, rho, level)
+
+    monkeypatch.setattr(mz, "_witness", spy)
+    grid = gr.RadialGrid(3, 16.0, 200)
+    for rho, built in ((3.0, 1), (5.0, 1), (20.0, 2)):
+        levels.clear()
+        mz.initial_guess(log_spec3, grid, rho, 0.1)
+        assert len(levels) == len(set(levels)) == built, rho
+
+
 def test_dilated_witness_kinetic_scaling():
     # along the dilated family the gradient term scales like rho^(2-4/N)
     grid = gr.RadialGrid(3, 40.0, 2400)
@@ -903,6 +921,35 @@ def test_newton_rejection_falls_back_to_the_descent(log_spec3, monkeypatch):
         assert b.energy == pytest.approx(a.energy, rel=1e-9, abs=0.0)
 
 
+def test_rejected_newton_trial_descends_in_the_same_iteration():
+    # start 1 of log_power mu = 0.7: the first sphere Newton trial of the
+    # eps = 0.1 stage raises E_eps and is rejected, and the same iteration
+    # descends.  The next iterate's trial is kept, and Newton steps finish
+    # the stage in 7 iterations at the same limit energy
+    spec = nl.log_power(1.0, 0.7, 3.0, dim=3)
+    cfg = mz.SolveConfig(spec=spec, rho=20.0, r_max=16.0, n=200,
+                         eps_schedule=(1e-1, 1e-2, 1e-3))
+    res = mz.continuation(cfg, rng=np.random.default_rng(1))
+    first = res.stages[0]
+    assert first.status == "converged" and first.on_sphere
+    assert first.iterations <= 8 and first.precond_solves > 0
+    assert res.limit.limit_kind == "eps0_stage"
+    assert res.limit.energy == pytest.approx(-820.620971956088, rel=1e-12, abs=0.0)
+
+
+def test_newton_step_with_a_zero_border_pivot_gives_no_step():
+    # g_eps' = -inf makes every diagonal entry of A infinite, so
+    # <W u, A^-1 W u> = 0: the bordered system has no step, and the solver
+    # descends instead of dividing by zero
+    grid = gr.RadialGrid(3, 10.0, 50)
+    u = np.exp(-grid.r ** 2)
+    m_u = gr.mass(gr.RadialField(grid, u))
+    rhs2 = np.empty((grid.n, 2), order="F")
+    step = mz._newton_step(grid, u, m_u, np.zeros(grid.n), 1.0, math.sqrt(m_u), True,
+                           np.full(grid.n, -np.inf), rhs2)
+    assert step is None
+
+
 def test_newton_trial_that_lowers_the_energy_is_kept():
     # the perfbench collapse configuration from default_rng([1, 0]): the
     # first iteration descends into the disc, and the second is an interior
@@ -960,13 +1007,14 @@ COUNTERS = ("energy_evals", "grad_evals", "backtracks", "precond_solves")
 @pytest.mark.parametrize("mu, rho", [(0.0, 20.0), (1.5 * nl.mu_threshold(1.0, 4.0), 12.0)],
                          ids=["newton_finish", "collapse"])
 def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
-    # each iteration but the last makes one Newton trial or one descent
-    # step.  A Newton trial, accepted or rejected, is one energy and one
-    # gradient evaluation; a descent step is one energy per Armijo trial,
-    # one gradient and one or two preconditioner solves.
-    # Spies count each stage's Newton trials (a step that returns None is
-    # no trial: inside the disc the descent runs in the same iteration) and
-    # keep every stage record, the eps = 0 limit stage's included.
+    # each iteration but the last takes one Newton step or one descent
+    # step, and a rejected Newton trial shares its iteration with the
+    # descent step that follows it.  A Newton trial, accepted or rejected,
+    # is one energy and one gradient evaluation; a descent step is one
+    # energy per Armijo trial, one gradient and one or two preconditioner
+    # solves.  Spies count each stage's Newton trials (a step that returns
+    # None is no trial: the descent runs in the same iteration) and keep
+    # every stage record, the eps = 0 limit stage's included.
     trials, solved = [], []
     real_solve = mz.solve_ground_state
 
@@ -997,10 +1045,11 @@ def test_solver_counters_are_deterministic_and_consistent(mu, rho, monkeypatch):
     for s, tried in zip(solved[:ran], trials):
         assert s.status in ("converged", "collapsed")
         assert all(type(getattr(s, k)) is int for k in COUNTERS)
-        assert s.grad_evals == s.iterations
-        assert s.energy_evals == s.iterations + s.backtracks
-        assert s.newton_steps <= tried
-        descent = s.iterations - 1 - tried
+        rejected = tried - s.newton_steps
+        assert rejected >= 0
+        assert s.grad_evals == s.iterations + rejected
+        assert s.energy_evals == s.iterations + s.backtracks + rejected
+        descent = s.iterations - 1 - s.newton_steps
         assert descent <= s.precond_solves <= 2 * descent
         assert all(s.to_json_dict()[k] == getattr(s, k) for k in COUNTERS)
     for k in COUNTERS + ("iterations", "newton_steps"):
