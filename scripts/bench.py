@@ -22,6 +22,12 @@ Run from the root of a source checkout.  The record holds:
   N = 3, r_max 20, n = 2000, default schedule, rho_k = 18 * 2^(k/2)), its
   median wall time over SOLVE_RUNS runs and each point's c, status and
   iterations;
+* ``cli``: in this process, the median wall time over CLI_RUNS repeated
+  ``cli.main`` calls, each command first called once to warm up (the first
+  call builds the parser and pays argparse's own first use): ``threshold
+  --alpha 1 --p 4``, and a 3-radius ``sweep-rho`` from 18 to 36 on
+  configs/quick.ini into a temporary directory, with each command's exit
+  code; their standard output is discarded;
 * ``fingerprint``: the digest of scripts/stage_fingerprint.py and its work
   lines (per configuration and the total);
 * ``layers``: microseconds per call, the minimum over LAYER_REPEAT timeit
@@ -40,7 +46,9 @@ It adds no dependency and takes about 50 s on a 2-core machine, most of it
 in the three perfbench runs and the tier-1 suite.
 """
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import platform
@@ -48,6 +56,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 
@@ -57,6 +66,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
+from subnls import cli  # noqa: E402
 from subnls import grid as gr  # noqa: E402
 from subnls import minimizer as mz  # noqa: E402
 from subnls import nonlinearity as nl  # noqa: E402
@@ -64,6 +74,7 @@ from subnls import nonlinearity as nl  # noqa: E402
 PERFBENCH_ARGS = ("--seed", "301", "--seconds", "10", "--trace", "0")
 IMPORT_RUNS = 5
 SOLVE_RUNS = 5
+CLI_RUNS = 20
 COUNTERS = ("iterations", "newton_steps") + mz._EVAL_COUNTS
 LAYER_SIZES = (500, 2000, 8000)
 LAYER_REPEAT = 5
@@ -153,6 +164,26 @@ def sweep():
                         "iterations": p.iterations} for p in points]}
 
 
+def cli_calls():
+    def median_wall(argv):
+        walls = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+            for _ in range(CLI_RUNS):
+                start = time.perf_counter()
+                cli.main(argv)
+                walls.append(time.perf_counter() - start)
+        return statistics.median(walls), code
+
+    with tempfile.TemporaryDirectory() as tmp:
+        threshold_s, threshold_code = median_wall(["threshold", "--alpha", "1", "--p", "4"])
+        sweep_s, sweep_code = median_wall(["sweep-rho", "--config",
+                                           os.path.join(ROOT, "configs", "quick.ini"),
+                                           "18", "36", "3", "--out", tmp])
+    return {"threshold_s": threshold_s, "threshold_exit": threshold_code,
+            "sweep_rho_s": sweep_s, "sweep_rho_exit": sweep_code, "runs": CLI_RUNS}
+
+
 def fingerprint():
     proc = run(["scripts/stage_fingerprint.py"])
     work = {}
@@ -228,7 +259,8 @@ def main(argv=None) -> int:
     # quiet the solver's seed warning on the collapse run
     mz.log.setLevel("ERROR")
     record = {"machine": machine(), "perfbench": perfbench(), "import": import_seconds(),
-              "solves": solves(), "sweep": sweep(), "fingerprint": fingerprint(),
+              "solves": solves(), "sweep": sweep(), "cli": cli_calls(),
+              "fingerprint": fingerprint(),
               "layers": layers(), "tier1": tier1()}
     record["bench_s"] = time.perf_counter() - started
     with open(argv[0], "w") as fh:

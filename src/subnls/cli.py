@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import logging
@@ -337,7 +338,13 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call (main's first, not
+    at import) and returned, unchanged, by every later call: parse_args
+    keeps no state between calls and returns a fresh namespace each time, so
+    main reuses one parser rather than paying for the set-up of six on every
+    call.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="subnls",
         description="normalized ground states for strongly sublinear "

@@ -335,9 +335,12 @@ def _rescale(w, vals, rho, sphere=False, slack=0.0):
     """Nodal values rescaled radially to mass rho^2 under quadrature weights
     w: onto the sphere when sphere is set (the zero field stays zero), else
     onto the disc {mass <= rho^2 (1 + slack)} (identity inside, rescale
-    outside).  Returns (values, mass)."""
+    outside).  Returns (values, mass).  A mass that is not finite (an
+    overflow or a non-finite value) is returned as it is, with the values
+    unscaled: scaling by rho/sqrt(m) would give the zero field, or nan, at a
+    mass rho^2 it does not have."""
     m = float(np.dot(w, vals * vals))
-    if m <= (0.0 if sphere else rho * rho * (1.0 + slack)):
+    if m <= (0.0 if sphere else rho * rho * (1.0 + slack)) or not math.isfinite(m):
         return vals, m
     return vals * (rho / math.sqrt(m)), rho * rho
 

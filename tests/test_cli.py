@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -632,3 +633,51 @@ def test_solve_has_no_format_option(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
     assert "subnls: error: unrecognized arguments: --format json" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+THRESHOLD = ["threshold", "--alpha", "1", "--p", "4"]
+
+
+def test_repeated_calls_carry_no_option_over(capsys):
+    # main keeps its parser for the process: an option given to one call is
+    # not seen by the next, and a usage error between two good calls changes
+    # neither of them
+    assert cli.main([*THRESHOLD, "--mu", "-0.1"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert cli.main(THRESHOLD) == cli.EXIT_OK
+    alone = capsys.readouterr()
+    assert alone.out.startswith("mu_star(alpha=1, p=4) = ") and alone.out.count("\n") == 1
+    assert alone.err == ""
+    assert cli.main(["threshold", "--alpha", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: the following arguments are required: --p\n")
+    assert cli.main(THRESHOLD) == cli.EXIT_OK
+    assert capsys.readouterr() == alone
+
+
+def test_sweep_without_out_after_one_with_out_writes_to_the_config_directory(tmp_path):
+    cfg = write_config(tmp_path, QUICK)
+    argv = ["sweep-rho", "--config", cfg, "18", str(18 * 2.0), "3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "given")]) == cli.EXIT_OK
+    assert not (tmp_path / "out").exists()
+    assert cli.main(argv) == cli.EXIT_OK
+    for name in ("energy_map.csv", "energy_map_properties.json"):
+        assert (tmp_path / "out" / name).read_text() == (tmp_path / "given" / name).read_text()
+
+
+def test_repeated_main_builds_no_parser(capsys, monkeypatch):
+    # the first call of the process builds the parser (it may be this one or
+    # an earlier test's), so only the second call is counted
+    assert cli.main(THRESHOLD) == cli.EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(THRESHOLD) == cli.EXIT_OK
+    assert built == []
+    assert capsys.readouterr().out.startswith("mu_star(alpha=1, p=4) = ")

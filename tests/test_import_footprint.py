@@ -6,7 +6,8 @@ run.  Solves with the Newton finish, a sweep (in this process, so even a
 huge --jobs starts no worker), `gn`, `check` (assumption verdicts and
 N-function growth), a Luxemburg norm and the Dirichlet eigenvalues load no
 further part of scipy: not scipy.linalg, not scipy.optimize, and not
-numpy.f2py.  When the file does not load, the same
+numpy.f2py.  Importing subnls.cli builds no argument parser: main builds
+it on its first call.  When the file does not load, the same
 routines come from scipy.linalg.lapack, with bit-identical answers."""
 
 import json
@@ -25,7 +26,15 @@ import subnls.minimizer as mz
 bound_at_import = all(callable(getattr(mz, name, None))
                       for name in ("dgtsv", "dpttrf", "dpttrs"))
 scipy_at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import argparse
+parser_init = argparse.ArgumentParser.__init__
+parsers_at_import = []
+def counting(self, *args, **kwargs):
+    parsers_at_import.append(kwargs.get("prog"))
+    parser_init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
 from subnls import cli, nonlinearity as nl
+argparse.ArgumentParser.__init__ = parser_init
 specs = [nl.logarithmic(1.0, dim=3),                 # mu = 0
          nl.log_power(1.0, 0.7, 3.0, dim=3),         # one root of g
          nl.log_power(1.0, -0.05, 3.0, dim=3)]       # two roots of g
@@ -55,6 +64,7 @@ forbidden = ("scipy.linalg", "scipy.linalg.lapack", "scipy._lib.array_api_compat
 loaded = [m for m in forbidden if m in sys.modules]
 import scipy.linalg.lapack
 print(json.dumps({"bound_at_import": bound_at_import, "scipy_at_import": scipy_at_import,
+                  "parsers_at_import": parsers_at_import,
                   "code": code, "sweep_code": sweep_code, "gn_code": gn_code,
                   "check_code": check_code, "newton_everywhere": all(k > 0 for k in newton),
                   "loaded": loaded,
@@ -108,6 +118,7 @@ def test_solve_path_imports_no_scipy_optimize(tmp_path):
     report = json.loads(_run(SCRIPT, str(tmp_path / "out")))
     assert report == {"bound_at_import": True,
                       "scipy_at_import": ["scipy.linalg._flapack"],
+                      "parsers_at_import": [],
                       "code": 0, "sweep_code": 0, "gn_code": 0, "check_code": 0,
                       "newton_everywhere": True, "loaded": [], "one_binary": True}
 

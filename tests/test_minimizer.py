@@ -130,6 +130,20 @@ def test_project_disc_nonexpansive(seed, rho):
     assert d_after <= d_before * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("sphere", [True, False])
+@pytest.mark.parametrize("first", [1e200, np.inf, np.nan])
+def test_rescale_keeps_a_field_of_non_finite_mass_as_it_is(sphere, first):
+    # a mass that overflows, or a value that is not finite, is returned as it
+    # is with the values unscaled, not as the zero field (or nan) at mass rho^2
+    vals = np.array([first, 1.0, 2.0])
+    with np.errstate(over="ignore"):
+        out, m = mz._rescale(np.ones(3), vals, 5.0, sphere=sphere)
+    assert out is vals and not math.isfinite(m)
+    # a large mass that is still finite is rescaled as before
+    out, m = mz._rescale(np.ones(3), np.array([1e150, 1.0, 2.0]), 5.0, sphere=sphere)
+    assert m == 25.0 and out[0] == pytest.approx(5.0, rel=1e-15, abs=0.0)
+
+
 def test_initial_guess_mass_and_negative_energy(log_spec3):
     grid = gr.RadialGrid(3, 16.0, 800)
     rho = 25.0
@@ -976,6 +990,35 @@ def test_newton_trial_that_lowers_the_energy_is_kept():
     full = after(cfg.max_iter)
     assert full.status == "collapsed" and full.iterations == 10
     assert full.mass <= 1e-10 * cfg.rho ** 2
+
+
+def test_newton_trial_of_overflowing_mass_is_rejected(monkeypatch):
+    # the perfbench collapse configuration from default_rng([11, 0]), with the
+    # first interior Newton trial scaled by 1e200: its mass overflows, so it
+    # keeps its values and an infinite mass, its energy is not finite, and it
+    # is rejected.  Rescaled, it was the zero field at a tracked mass rho^2,
+    # kept for its lower energy, and the stage record divided by its mass 0
+    spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
+    cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120,
+                         eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
+    newton_step = mz._newton_step
+    scaled = []
+
+    def overflowing_once(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
+        step = newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2)
+        if step is None or on_boundary or scaled:
+            return step
+        scaled.append(step)
+        return mz._rescale(grid.w, step[0] * 1e200, rho)
+
+    monkeypatch.setattr(mz, "_newton_step", overflowing_once)
+    res = mz.continuation(cfg, rng=np.random.default_rng([11, 0]))
+    assert len(scaled) == 1
+    for r in [*res.stages, res.limit]:
+        assert math.isfinite(r.mass) and math.isfinite(r.energy)
+        assert not (r.converged and r.on_sphere and not np.any(r.u.values))
+    assert res.stages[-1].status == "collapsed"
+    assert res.stages[-1].mass <= 1e-10 * cfg.rho ** 2
 
 
 def test_slow_gausson_starts_take_no_descent_step():
