@@ -16,12 +16,16 @@ Run from the root of a source checkout.  The record holds:
   r_max 20, default schedule) at n = 2000 and n = 8000 and the rho = 10
   collapse run (mu = 2 mu*, p = 4, n = 2000), each with its median wall time
   over SOLVE_RUNS runs, its limit's energy, lambda, status and limit_kind,
-  and the SolverResult counters of the limit (sums over every stage solved,
-  the eps = 0 limit stage's included);
+  the SolverResult counters of the limit (sums over every stage solved,
+  the eps = 0 limit stage's included) and the number of log records at
+  WARNING or above that one run creates;
 * ``sweep``: in this process, acceptance 4's 8-point energy_map (log,
   N = 3, r_max 20, n = 2000, default schedule, rho_k = 18 * 2^(k/2)), its
   median wall time over SOLVE_RUNS runs and each point's c, status and
   iterations;
+* ``sweep_down``: in this process, the decreasing energy_map (14, 10) (log,
+  N = 3, r_max 16, n = 400, default schedule), whose second radius lies
+  below the branch's lambda = 0 point: each point's status and iterations;
 * ``cli``: in this process, the median wall time over CLI_RUNS repeated
   ``cli.main`` calls, each command first called once to warm up (the first
   call builds the parser and pays argparse's own first use): ``threshold
@@ -50,6 +54,7 @@ import contextlib
 import importlib.metadata
 import io
 import json
+import logging
 import os
 import platform
 import re
@@ -125,17 +130,32 @@ def import_seconds():
     return {"subnls.cli_s": statistics.median(times), "runs": IMPORT_RUNS}
 
 
+class RecordCount(logging.Handler):
+    """Counts the records that reach it."""
+
+    def __init__(self, level):
+        super().__init__(level)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
 def solve_record(config):
     grid = config.make_grid()
     walls = []
+    warnings = RecordCount(logging.WARNING)
+    logging.getLogger("subnls").addHandler(warnings)
     for _ in range(SOLVE_RUNS):
+        warnings.count = 0
         start = time.perf_counter()
         res = mz.continuation(config, grid=grid)
         walls.append(time.perf_counter() - start)
+    logging.getLogger("subnls").removeHandler(warnings)
     lim = res.limit
     return {"wall_s": statistics.median(walls), "runs": SOLVE_RUNS,
             "energy": lim.energy, "lambda": lim.lam, "status": lim.status,
-            "limit_kind": lim.limit_kind,
+            "limit_kind": lim.limit_kind, "warning_records": warnings.count,
             **{k: getattr(lim, k) for k in COUNTERS}}
 
 
@@ -162,6 +182,13 @@ def sweep():
     return {"wall_s": statistics.median(walls), "runs": SOLVE_RUNS,
             "points": [{"rho": p.rho, "c": p.c_value, "status": p.status,
                         "iterations": p.iterations} for p in points]}
+
+
+def sweep_down():
+    config = mz.SolveConfig(spec=nl.log_power(1.0, 0.0, 4.0, dim=3), rho=14.0, r_max=16.0,
+                            n=400)
+    return {"points": [{"rho": p.rho, "status": p.status, "iterations": p.iterations}
+                       for p in mz.energy_map(config, [14.0, 10.0])]}
 
 
 def cli_calls():
@@ -256,10 +283,9 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     started = time.perf_counter()
-    # quiet the solver's seed warning on the collapse run
-    mz.log.setLevel("ERROR")
     record = {"machine": machine(), "perfbench": perfbench(), "import": import_seconds(),
-              "solves": solves(), "sweep": sweep(), "cli": cli_calls(),
+              "solves": solves(), "sweep": sweep(), "sweep_down": sweep_down(),
+              "cli": cli_calls(),
               "fingerprint": fingerprint(),
               "layers": layers(), "tier1": tier1()}
     record["bench_s"] = time.perf_counter() - started

@@ -140,7 +140,22 @@ def build_solve_config(cfg: RunConfig) -> mz.SolveConfig:
     g, s = cfg.values["grid"], cfg.values["solver"]
     config = _checked(mz.SolveConfig, spec=spec, r_max=g["r_max"], n=g["n"], **s)
     _checked(config.make_grid)  # RadialGrid checks r_max and n
+    # once per command: SolveConfig accepts the field silently, since a sweep
+    # builds one per radius
+    if config.rearrange_every:
+        log.warning("rearrange_every = %d is ignored: the solver no longer rearranges",
+                    config.rearrange_every)
     return config
+
+
+def _warn_without_positive_level(spec):
+    """Log once per command, before its first start, that every start of
+    spec seeds from a Gaussian: without a level where G > 0 there is no
+    negative-energy seed (minimizer._guess logs the fallback at INFO, once
+    per start)."""
+    if nl.find_positive_level(spec) is None:
+        log.warning("no level with positive primitive: every start falls back to a "
+                    "Gaussian seed of mass rho^2 (no negative-energy start)")
 
 
 def build_nfunction(cfg: RunConfig):
@@ -191,6 +206,7 @@ def cmd_solve(args) -> int:
         elif verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
                          f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")
+    _warn_without_positive_level(spec)
     limits = mz.multistart(solve_cfg)
     if not limits:
         # multistart has logged how each start ended
@@ -227,6 +243,7 @@ def cmd_sweep_rho(args) -> int:
     _checked(replace, solve_cfg, rho=args.rho_max)  # SolveConfig's check, before any solve
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
+    _warn_without_positive_level(solve_cfg.spec)
     points = mz.energy_map(solve_cfg, np.geomspace(args.rho_min, args.rho_max, args.steps))
     csv_path = os.path.join(out_dir, "energy_map.csv")
     lines = ["rho,c_value,eps,converged"]
@@ -388,10 +405,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # SUBNLS_LOG sets the level of the subnls loggers on every call, so no
+    # call inherits the last one's; the stderr handler goes on the root
+    # logger once, when it has none
     level = os.environ.get("SUBNLS_LOG", "warn").lower()
-    logging.basicConfig(
-        level={"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING))
+    logging.basicConfig()
+    logging.getLogger("subnls").setLevel(
+        {"error": logging.ERROR, "warn": logging.WARNING,
+         "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING))
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -110,8 +110,9 @@ class SolveConfig:
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     tol_grad: float = 1e-8
     max_iter: int = 20000
-    # accepted and ignored: the solver no longer rearranges, and the field
-    # goes once perfbench stops passing it
+    # accepted and ignored, silently: the solver no longer rearranges, and
+    # the field goes once perfbench stops passing it (cli.build_solve_config
+    # warns about a nonzero INI value)
     rearrange_every: int = 0
     multistarts: int = 1
 
@@ -134,9 +135,6 @@ class SolveConfig:
         if self.multistarts < 1:
             raise ValueError("multistarts must be at least 1")
         self.eps_schedule = sched
-        if self.rearrange_every:
-            log.warning("rearrange_every = %d is ignored: the solver no longer "
-                        "rearranges", self.rearrange_every)
 
     def make_grid(self) -> RadialGrid:
         return RadialGrid(self.spec.dim, self.r_max, self.n)
@@ -385,7 +383,9 @@ def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
     Candidates: the dilated plateau witness at a level where G > 0, plus
     amplitude-matched Gaussians of a few widths; the lowest-energy candidate
     wins.  Without a positive level (so no negative-energy seed exists) a
-    Gaussian of mass rho^2 is returned with a warning.
+    Gaussian of mass rho^2 is returned, and the fallback is logged at INFO:
+    every start of such a spec takes it, so the commands that start solves
+    (cli.cmd_solve, cli.cmd_sweep_rho) report it once, at WARNING.
     """
     return RadialField(grid, _guess(_bind_stage(grid, spec, eps), grid, spec, rho, rng)[0].s)
 
@@ -402,8 +402,8 @@ def _guess(stage, grid, spec, rho, rng):
                   for wdt in widths]
     level = nl.find_positive_level(spec)
     if level is None:
-        log.warning("no level with positive primitive: falling back to a "
-                    "Gaussian seed of mass rho^2 (no negative-energy start)")
+        log.info("no level with positive primitive: falling back to a "
+                 "Gaussian seed of mass rho^2 (no negative-energy start)")
     else:
         # the two levels coincide when amp <= 1.5 level: score that seed once
         for lv in dict.fromkeys((level * 1.5, max(level * 1.5, amp))):
@@ -809,9 +809,9 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
         cfg = replace(config, rho=rho)
         res, iterations = None, 0
         if known:
-            start, lam = _predict(grid.w, known, rho)
+            start, lam = _predict(grid, config.spec, known, rho)
             if lam > 0.0:
-                stage = solve_ground_state(cfg, 0.0, grid=grid, start=_At(start, grid))
+                stage = solve_ground_state(cfg, 0.0, grid=grid, start=start)
                 iterations = stage.iterations
                 if _on_branch(stage):
                     res = ContinuationResult(stages=[stage], limit=stage)
@@ -839,16 +839,26 @@ def energy_map(config: SolveConfig, rho_list: Sequence[float]) -> list:
     return points
 
 
-def _predict(w, known, rho):
-    """The corrector's start at rho and its predicted multiplier, from
-    known, the (rho, values, lambda) of one or two neighbouring points on
-    the branch, newest last.  With two at distinct radii: the secant through
-    their values, rescaled onto the sphere of radius rho, and the secant
-    through their multipliers in ln rho^2 (exact for log, where lambda is
-    affine in ln rho^2).  With one: its values rescaled and its multiplier."""
+def _predict(grid, spec, known, rho):
+    """The corrector's start at rho, as an evaluated point (_At), and its
+    predicted multiplier, from known, the (rho, values, lambda) of one or
+    two neighbouring points on the branch, newest last.  With two at
+    distinct radii: the secant through their values, rescaled onto the
+    sphere of radius rho, and the secant through their multipliers in
+    ln rho^2 (exact for log, where lambda is affine in ln rho^2).  With one:
+    its values rescaled and the Nehari quotient of that start at eps = 0
+    (exact for log too: lambda(k u) = lambda(u) + 2 alpha ln k), from the
+    g(|s|) and kinetic term the corrector's first evaluation then reuses."""
     rho1, u1, lam1 = known[-1]
-    if len(known) == 2 and known[0][0] != rho1:
+    two = len(known) == 2 and known[0][0] != rho1
+    if two:
         rho0, u0, lam0 = known[0]
         u1 = u1 + (rho - rho1) / (rho1 - rho0) * (u1 - u0)
         lam1 = lam1 + math.log(rho / rho1) / math.log(rho1 / rho0) * (lam1 - lam0)
-    return _rescale(w, u1, rho, sphere=True)[0], lam1
+    vals, m = _rescale(grid.w, u1, rho, sphere=True)
+    x = _At(vals, grid)
+    if not two:
+        # extract_lambda's quotient
+        pairing = float(np.dot(grid.w, nl.bind_eps(spec, 0.0).g(x) * vals))
+        lam1 = (pairing - x.kinetic) / m
+    return x, lam1

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 import warnings
 from dataclasses import MISSING
@@ -681,3 +682,56 @@ def test_repeated_main_builds_no_parser(capsys, monkeypatch):
     assert cli.main(THRESHOLD) == cli.EXIT_OK
     assert built == []
     assert capsys.readouterr().out.startswith("mu_star(alpha=1, p=4) = ")
+
+
+@pytest.fixture
+def subnls_level():
+    # main sets the level of the subnls loggers: put it back after the test
+    logger = logging.getLogger("subnls")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+FALLBACK = "no level with positive primitive"
+
+
+def test_solve_without_positive_level_warns_once(tmp_path, monkeypatch, caplog, subnls_level):
+    # every one of the three starts seeds from the Gaussian fallback; the
+    # command says so once, before the first start
+    monkeypatch.delenv("SUBNLS_LOG", raising=False)
+    cfg = write_config(tmp_path, NONEXIST.replace("[solver]\n", "[solver]\nmultistarts = 3\n"))
+    assert cli.main(["solve", "--config", cfg]) == cli.EXIT_NOCONV
+    fallback = [r for r in caplog.records if FALLBACK in r.getMessage()]
+    assert [(r.name, r.levelno) for r in fallback] == [("subnls.cli", logging.WARNING)]
+
+
+def test_subnls_log_applies_to_each_call(tmp_path, monkeypatch, caplog, subnls_level):
+    # one process, three calls: each takes the level SUBNLS_LOG has when it
+    # starts, not the first call's
+    cfg = write_config(tmp_path, NONEXIST)
+    seen = []
+    for level in ("error", "debug", "warn"):
+        monkeypatch.setenv("SUBNLS_LOG", level)
+        caplog.clear()
+        assert cli.main(["solve", "--config", cfg]) == cli.EXIT_NOCONV
+        seen.append({(r.name, r.levelname) for r in caplog.records if FALLBACK in r.getMessage()})
+        if level == "debug":
+            assert any(r.getMessage().startswith("stage eps=") for r in caplog.records)
+    assert seen == [set(),
+                    {("subnls.cli", "WARNING"), ("subnls.minimizer", "INFO")},
+                    {("subnls.cli", "WARNING")}]
+
+
+def test_ignored_rearrange_every_warns_once_per_command(tmp_path, monkeypatch, caplog,
+                                                        subnls_level):
+    # a sweep builds a SolveConfig per radius and one for the rho_max check;
+    # the key is reported once, where the config is read
+    monkeypatch.delenv("SUBNLS_LOG", raising=False)
+    cfg = write_config(tmp_path, QUICK.replace("[solver]\n", "[solver]\nrearrange_every = 25\n"))
+    rc = cli.main(["sweep-rho", "--config", cfg, "18", str(18 * 2.0), "3",
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == cli.EXIT_OK
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("subnls.cli", logging.WARNING,
+         "rearrange_every = 25 is ignored: the solver no longer rearranges")]

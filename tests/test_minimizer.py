@@ -153,12 +153,29 @@ def test_initial_guess_mass_and_negative_energy(log_spec3):
 
 
 def test_initial_guess_fallback_warning(caplog):
+    # logged at INFO, once per seed: the commands warn once (test_cli.py)
     spec = nl.log_power(1.0, 2 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     grid = gr.RadialGrid(3, 10.0, 200)
-    with caplog.at_level(logging.WARNING, logger="subnls.minimizer"):
+    with caplog.at_level(logging.INFO, logger="subnls.minimizer"):
         u0 = mz.initial_guess(spec, grid, 5.0, 0.1)
-    assert "falling back" in caplog.text
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "no level with positive primitive: falling back to a Gaussian seed "
+                       "of mass rho^2 (no negative-energy start)")]
     assert gr.mass(u0) == pytest.approx(25.0, rel=1e-8)
+
+
+def test_collapse_continuations_log_no_warning(caplog):
+    # the perfbench nonexistence batch: 24 starts without a positive level,
+    # each seeding from the Gaussian fallback, create no record at WARNING
+    spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
+    cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120,
+                         eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
+    grid = cfg.make_grid()
+    with caplog.at_level(logging.INFO, logger="subnls"):
+        for rep in range(24):
+            assert mz.continuation(cfg, grid=grid, rng=np.random.default_rng([7, rep])).limit
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert sum("falling back" in r.getMessage() for r in caplog.records) == 24
 
 
 def test_initial_guess_scores_each_witness_once(log_spec3, monkeypatch):
@@ -267,14 +284,14 @@ def test_single_stage_descent_and_feasibility(log_spec3):
 
 def test_rearrange_every_is_accepted_and_ignored(caplog):
     # the collapse stage, where a rearrangement every iteration would cost
-    # energy evaluations and move the answer: the setting warns once and
-    # changes nothing
+    # energy evaluations and move the answer: the library accepts the
+    # setting silently (the CLI warns once per command, test_cli.py) and
+    # it changes nothing
     spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     off = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120)
-    with caplog.at_level(logging.WARNING, logger="subnls.minimizer"):
+    with caplog.at_level(logging.DEBUG, logger="subnls"):
         on = replace(off, rearrange_every=1)
-    assert [r.getMessage() for r in caplog.records] == [
-        "rearrange_every = 1 is ignored: the solver no longer rearranges"]
+    assert caplog.records == []
     a, b = mz.solve_ground_state(off, 0.1), mz.solve_ground_state(on, 0.1)
     assert b.energy == a.energy
     assert b.u.values.tobytes() == a.u.values.tobytes()
@@ -526,10 +543,10 @@ def test_energy_map_collapsed_sweep_runs_no_corrector(monkeypatch):
 
 def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     # rho = 18 aborts on max_iter in its last stage after two completed
-    # ones, and rho = 10 (below the negativity threshold 17.44), corrected
-    # from rho = 25, collapses and falls back to a continuation that
-    # collapses off the sphere; the point after each is bit-identical to its
-    # standalone run
+    # ones, and rho = 10 (below the negativity threshold 17.44), whose
+    # multiplier predicted from rho = 25 is negative, runs a continuation
+    # that collapses off the sphere; the point after each is bit-identical
+    # to its standalone run
     cfg = sweep_config()
     real_solve, real_continuation = mz.solve_ground_state, mz.continuation
 
@@ -545,15 +562,12 @@ def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     assert [p.status for p in pts] == ["max_iter", "converged", "collapsed", "converged"]
     assert pts[0].eps == cfg.eps_schedule[1]
     assert all(s.status == "collapsed" and not s.on_sphere for s in runs[10.0].stages)
-    # the one corrector stage, an eps = 0 stage at rho = 10, counts towards
-    # its point; the other stages outside the runs' stage lists are the
-    # eps = 0 limit stages of the runs at rho = 25 and 20
+    # no corrector is solved: the stages outside the runs' stage lists are
+    # the eps = 0 limit stages of the runs at rho = 25 and 20
     rest = [s for s in solved if not any(s is t for r in runs.values() for t in r.stages)]
-    (corrector,) = [s for s in rest if s.rho == 10.0]
-    assert corrector.eps == 0.0 and not corrector.on_sphere
-    assert pts[2].iterations == corrector.iterations + runs[10.0].total_iterations
-    assert sorted(s.rho for s in rest if s is not corrector) == [20.0, 25.0]
-    assert all(s.eps == 0.0 and s.at is runs[s.rho].limit.at for s in rest if s is not corrector)
+    assert pts[2].iterations == runs[10.0].total_iterations
+    assert sorted(s.rho for s in rest) == [20.0, 25.0]
+    assert all(s.eps == 0.0 and s.at is runs[s.rho].limit.at for s in rest)
     assert runs[10.0].limit.limit_kind == "evaluated"
 
     def fingerprint(res):
@@ -563,6 +577,26 @@ def test_energy_map_failed_or_collapsed_point_seeds_nothing(monkeypatch):
     for rho, res in alone.items():
         assert fingerprint(res) == fingerprint(runs[rho])
         assert res.limit.energy == runs[rho].limit.energy
+
+
+def test_energy_map_collapsed_corrector_falls_back(monkeypatch):
+    # a prediction that reports a positive multiplier at rho = 10 lets the
+    # corrector from rho = 25 run: it collapses, and the point falls back to
+    # the continuation, which collapses off the sphere too; the point costs
+    # both
+    cfg = sweep_config()
+    real_predict = mz._predict
+    monkeypatch.setattr(mz, "_predict",
+                        lambda *args: (real_predict(*args)[0], 1.0))
+    runs, solved = record_sweep(monkeypatch)
+    pts = mz.energy_map(cfg, [25.0, 10.0])
+    assert list(runs) == [25.0, 10.0]
+    rest = [s for s in solved if not any(s is t for r in runs.values() for t in r.stages)]
+    (corrector,) = [s for s in rest if s.rho == 10.0]
+    assert corrector.eps == 0.0 and corrector.status == "collapsed" and not corrector.on_sphere
+    assert pts[1].iterations == corrector.iterations + runs[10.0].total_iterations
+    assert pts[1].status == "collapsed" and runs[10.0].limit.limit_kind == "evaluated"
+    assert pts[1].c_value == mz.continuation(replace(cfg, rho=10.0)).limit.energy
 
 
 def test_disc_feasibility_every_iteration(log_spec3):
@@ -1154,6 +1188,22 @@ def test_default_schedule_iteration_budget(log_spec3):
     assert res.limit.limit_kind == "eps0_stage"
     assert res.total_iterations == res.limit.iterations <= 15
     assert res.limit.iterations > res.stages[0].iterations
+
+
+def test_energy_map_second_radius_below_the_zero_multiplier_runs_cold(log_spec3, monkeypatch):
+    # with one known neighbour the multiplier is predicted by the Nehari
+    # quotient of the rescaled start: from rho = 14 it is negative at
+    # rho = 10, so no corrector runs and the point costs exactly its
+    # standalone iterations
+    cfg = mz.SolveConfig(spec=log_spec3, rho=14.0, r_max=16.0, n=400)
+    runs, solved = record_sweep(monkeypatch)
+    pts = mz.energy_map(cfg, [14.0, 10.0])
+    assert list(runs) == [14.0, 10.0]
+    assert [s.rho for s in solved if s.rho == 10.0] == [s.rho for s in runs[10.0].stages]
+    monkeypatch.undo()
+    alone = mz.continuation(replace(cfg, rho=10.0))
+    assert pts[1].iterations == alone.total_iterations
+    assert pts[1].status == "collapsed" and pts[1].c_value == alone.limit.energy
 
 
 def test_energy_map_point_below_the_zero_multiplier_runs_cold(log_spec3, monkeypatch):
