@@ -28,9 +28,11 @@ from . import diagnostics as dg
 from . import minimizer as mz
 from . import nonlinearity as nl
 from . import orlicz
-from .grid import RadialGrid, _gn_quotient, gn_constant, save_field
+from .grid import GN_REL_UNCERTAINTY, RadialGrid, _gn_quotient, gn_constant, save_field
 
 log = logging.getLogger("subnls.cli")
+_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
+               "info": logging.INFO, "debug": logging.DEBUG}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,12 +278,14 @@ def cmd_check(args) -> int:
     payload = {"assumptions": report.verdicts(), "xi0": report.xi0,
                "details": report.details}
     if spec.family == "log_power":
-        tr = nl.threshold_report(spec)
+        mu_star = nl.mu_threshold(spec.alpha, spec.p_exp)
+        # G(s)/s^2 is unbounded unless mu < 0
+        gmax = nl.gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0 else math.inf
         payload["threshold"] = {
-            "mu_star": tr.mu_star,
-            "gtilde_max": None if math.isinf(tr.gtilde_max) else tr.gtilde_max,
-            "g4_holds": tr.g4_holds,
-            "eta": tr.eta,
+            "mu_star": mu_star,
+            "gtilde_max": None if math.isinf(gmax) else gmax,
+            "g4_holds": spec.mu > mu_star,
+            "eta": nl.eta_coefficient(spec),
             "verdict": dg.nonexistence_verdict(spec),
         }
     nfun = build_nfunction(cfg)
@@ -332,7 +336,7 @@ def cmd_gn(args) -> int:
         vals = rng.normal(size=grid.n) * np.exp(-grid.r / rng.uniform(0.5, 4.0))
         worst = max(worst, _gn_quotient(grid, vals, p, theta) - est.value)
     print(f"C_{{{dim},{p:g}}} ~= {est.value:.8g} "
-          f"(+/- {est.rel_uncertainty:.0%}, estimate from {est.iterations} ascent steps)")
+          f"(+/- {GN_REL_UNCERTAINTY:.0%}, estimate from {est.iterations} ascent steps)")
     print(f"validation: worst quotient excess over estimate on 1000 random fields: "
           f"{worst:.3e}")
     return EXIT_OK if worst <= 1e-10 else EXIT_NOCONV
@@ -408,11 +412,12 @@ def main(argv=None) -> int:
     # SUBNLS_LOG sets the level of the subnls loggers on every call, so no
     # call inherits the last one's; the stderr handler goes on the root
     # logger once, when it has none
-    level = os.environ.get("SUBNLS_LOG", "warn").lower()
+    value = os.environ.get("SUBNLS_LOG") or "warn"
     logging.basicConfig()
-    logging.getLogger("subnls").setLevel(
-        {"error": logging.ERROR, "warn": logging.WARNING,
-         "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING))
+    logging.getLogger("subnls").setLevel(_LOG_LEVELS.get(value.lower(), logging.WARNING))
+    if value.lower() not in _LOG_LEVELS:
+        log.warning("unknown SUBNLS_LOG value %r: logging at warn (accepted values: %s)",
+                    value, ", ".join(_LOG_LEVELS))
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import RadialField, kinetic, mass
+from .grid import RadialField, gn_constant, kinetic, mass
 
 _FLOOR = 1e-30
 
@@ -107,9 +107,7 @@ def mass_condition(spec: nl.NonlinearitySpec, rho: float, gn_est=None) -> tuple:
     """Left side of the smallness condition 2 eta C^(2+4/N) rho^(4/N) < 1
     and whether it holds; eta is the mass-critical growth coefficient and C
     the Gagliardo-Nirenberg estimate at the critical exponent."""
-    from .grid import gn_constant
-
-    eta = nl.eta_coefficient(spec).value
+    eta = nl.eta_coefficient(spec)
     if eta == 0.0:
         return 0.0, True
     if math.isinf(eta):

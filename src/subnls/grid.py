@@ -61,10 +61,15 @@ class RadialGrid:
         if not (0.0 < self.r_max < math.inf and self.n >= 3):
             raise ValueError("need a finite r_max > 0 and n >= 3")
         h = self.r_max / (self.n + 1)
-        r = h * np.arange(1, self.n + 1)
-        rpow = r ** (self.dim - 1)
         area = sphere_area(self.dim)
-        w = area * rpow * h
+        with np.errstate(over="ignore"):
+            r = h * np.arange(1, self.n + 1)
+            rpow = r ** (self.dim - 1)
+            w = area * rpow * h
+        # w increases with r: its ends bound every weight
+        if not (0.0 < h * h < math.inf and 0.0 < w[0] <= w[-1] < math.inf):
+            raise ValueError(f"r_max = {self.r_max:g} with n = {self.n}: the spacing squared "
+                             "or a quadrature weight is not finite and positive")
         # face j sits between node j and node j+1 (last face touches the
         # Dirichlet boundary); zero flux through r = 0 is implicit.
         face_r = h * (np.arange(1, self.n + 1) + 0.5)
@@ -186,12 +191,14 @@ def lowest_dirichlet_eigenvalue(grid: RadialGrid, k: int = 1) -> np.ndarray:
     return w[:m]
 
 
+# gn_constant's heuristic relative band: ascent stall + O(h^2) discretization
+GN_REL_UNCERTAINTY = 0.02
+
+
 @dataclass
 class GNEstimate:
     value: float
-    rel_uncertainty: float
     iterations: int
-    converged: bool
 
 
 def _gn_quotient(grid: RadialGrid, vals: np.ndarray, p: float, theta: float) -> float:
@@ -243,8 +250,7 @@ def gn_constant(dim: int, p: float) -> GNEstimate:
             step *= 0.5
             if step < 1e-12:
                 break
-    # heuristic band: ascent stall + O(h^2) discretization of the optimizer
-    return GNEstimate(value=q, rel_uncertainty=0.02, iterations=it, converged=step >= 1e-12)
+    return GNEstimate(value=q, iterations=it)
 
 
 CSV_FMT = ".17g"

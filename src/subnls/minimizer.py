@@ -73,6 +73,7 @@ from . import nonlinearity as nl
 # scipy's Fortran wrapper file alone (3-10 ms); only its fallback, all of
 # scipy.linalg.lapack, costs about 0.3 s of start-up
 from ._lapack import dgtsv, dpttrf, dpttrs
+from .diagnostics import bundle_from_parts, identity_parts
 from .grid import (RadialField, RadialGrid, face_differences, kinetic, kinetic_values,
                    laplacian_values, mass, sphere_area, wnorm)
 
@@ -189,8 +190,6 @@ class SolverResult:
         from parts on first access and kept; None without parts."""
         if self.parts is None:
             return None
-        from .diagnostics import bundle_from_parts
-
         return bundle_from_parts(self.u, self.lam, self.parts)
 
     def to_json_dict(self) -> dict:
@@ -677,8 +676,6 @@ def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResu
     residual bundle is built from the same parts on first access
     (SolverResult.bundle).  solver holds the iteration, Newton-step and
     evaluation counts and the final relative KKT residual."""
-    from .diagnostics import identity_parts
-
     rho = config.rho
     u = RadialField(at.grid, at.s)
     parts = identity_parts(u, at.kinetic, dens, g)

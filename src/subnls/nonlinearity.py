@@ -239,10 +239,10 @@ def _power_eta(spec):
     # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
     # and the spec holds mu = 0 in every other family
     if spec.mu <= 0:
-        return EtaEstimate(0.0, sampled=False)
+        return 0.0
     if spec.mass_critical:
-        return EtaEstimate(spec.mu / spec.p_exp, sampled=False)
-    return EtaEstimate(0.0 if spec.p_exp < spec.mass_critical_exp else math.inf, sampled=False)
+        return spec.mu / spec.p_exp
+    return 0.0 if spec.p_exp < spec.mass_critical_exp else math.inf
 
 
 def _check_log(spec):
@@ -321,7 +321,7 @@ def _check_custom(spec):
 def _sampled_eta(spec):
     s = 10.0 ** np.arange(6, 9)
     ratio = G_plus_value(spec, s) / s**spec.mass_critical_exp
-    return EtaEstimate(float(np.max(ratio)), sampled=True)
+    return float(np.max(ratio))
 
 
 class _Family(NamedTuple):
@@ -331,7 +331,7 @@ class _Family(NamedTuple):
     prims: Callable  # (spec, Point) -> (G, P) at |s|
     roots: Callable  # spec -> positive roots of g, ascending
     check: Callable  # spec -> None; raises ValueError on bad parameters
-    eta: Callable    # spec -> EtaEstimate
+    eta: Callable    # spec -> growth coefficient eta (eta_coefficient)
 
 
 _FAMILIES = {
@@ -606,33 +606,7 @@ def gtilde_max(alpha: float, mu: float, p: float) -> float:
     return alpha / 2.0 * (2.0 / (p - 2.0) * math.log(x) - 1.0) - alpha / (p - 2.0)
 
 
-@dataclass
-class ThresholdReport:
-    mu_star: float
-    gtilde_max: float
-    g4_holds: bool
-    xi0: Optional[float]
-    eta: float
-
-
-def threshold_report(spec: NonlinearitySpec) -> ThresholdReport:
-    if spec.family != "log_power":
-        raise ValueError("threshold report applies to the log_power family")
-    mu_star = mu_threshold(spec.alpha, spec.p_exp)
-    gmax = gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0 else math.inf
-    g4 = spec.mu > mu_star
-    xi0 = find_positive_level(spec) if g4 else None
-    return ThresholdReport(mu_star=mu_star, gtilde_max=gmax, g4_holds=g4,
-                           xi0=xi0, eta=eta_coefficient(spec).value)
-
-
-@dataclass
-class EtaEstimate:
-    value: float
-    sampled: bool
-
-
-def eta_coefficient(spec: NonlinearitySpec) -> EtaEstimate:
+def eta_coefficient(spec: NonlinearitySpec) -> float:
     """limsup at infinity of G_plus(s)/|s|^(2+4/N); exact for built-ins,
     sampled at |s| = 1e6, 1e7, 1e8 for the custom family."""
     return _FAMILIES[spec.family].eta(spec)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,16 +34,14 @@ class NFunction:
     A(s)/s -> 0 at 0 and -> infinity at infinity.
 
     Families: "log_matched" (log core, quadratic tail), "log_matched_power_tail"
-    (log core, |s|^p tail), "pure_q" (|s|^q/q, q > 1), "custom".  A field
-    that the family does not read (_PARAMS) must keep its default.
+    (log core, |s|^p tail) and "pure_q" (|s|^q/q, q > 1).  A field that the
+    family does not read (_PARAMS) must keep its default.
     """
 
     family: str
     alpha: float = 1.0
     p_exp: float = 0.0
     q_exp: float = 0.0
-    A_func: Optional[Callable] = None
-    a_func: Optional[Callable] = None
 
     def __post_init__(self):
         if self.family not in _PARAMS:
@@ -57,9 +54,6 @@ class NFunction:
             # valid N-function and the quadratic case is useful for testing
             if not 1 < self.q_exp < math.inf:
                 raise ValueError("pure_q needs a finite q > 1")
-        elif self.family == "custom":
-            if self.A_func is None or self.a_func is None:
-                raise ValueError("custom needs A and its derivative")
         elif not 0 < self.alpha < math.inf:
             raise ValueError(f"{self.family} needs a finite alpha > 0")
         elif self.family == "log_matched_power_tail" and not 2 < self.p_exp < math.inf:
@@ -76,10 +70,8 @@ class NFunction:
         x = np.atleast_1d(arr)
         if self.two_piece:
             out = np.where(x < KNOT, _CORE[0](self, x), _TAILS[self.family][0](self, x))
-        elif self.family == "pure_q":
-            out = x**self.q_exp / self.q_exp
         else:
-            out = np.asarray([float(self.A_func(v)) for v in x])
+            out = x**self.q_exp / self.q_exp
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def a(self, s):
@@ -89,17 +81,15 @@ class NFunction:
         mag = np.abs(x)
         if self.two_piece:
             out = np.where(mag < KNOT, _CORE[1](self, mag), _TAILS[self.family][1](self, mag))
-        elif self.family == "pure_q":
-            out = mag ** (self.q_exp - 1.0)
         else:
-            out = np.asarray([abs(float(self.a_func(v))) for v in mag])
+            out = mag ** (self.q_exp - 1.0)
         out = out * np.sign(x)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 # the fields each family reads; the others keep their defaults
 _PARAMS = {"log_matched": ("alpha",), "log_matched_power_tail": ("alpha", "p_exp"),
-           "pure_q": ("q_exp",), "custom": ("A_func", "a_func")}
+           "pure_q": ("q_exp",)}
 
 
 def _xlog(x):
@@ -142,10 +132,6 @@ def log_matched_power_tail(alpha: float, p: float) -> NFunction:
 
 def pure_q(q: float) -> NFunction:
     return NFunction("pure_q", q_exp=q)
-
-
-def custom(A: Callable, a: Callable) -> NFunction:
-    return NFunction("custom", A_func=A, a_func=a)
 
 
 def modular(field: RadialField, A: NFunction, kappa: float = 1.0) -> float:
@@ -196,17 +182,6 @@ def check_delta2_nabla2(A: NFunction) -> GrowthReport:
     ok = np.all(np.isfinite(ratio)) and c_nabla > 1.0
     return GrowthReport(holds=bool(ok), c_delta=c_delta, c_nabla=c_nabla,
                         sampled_range=SAMPLED_RANGE)
-
-
-def complementary_gap(A: NFunction, s: float) -> float:
-    """s a(s) - A(s), the complementary modular at a(s); bounded by
-    (C_delta - 1) A(s) under the sampled growth constant."""
-    gap = float(s * A.a(s) - A.A(s))
-    rep = check_delta2_nabla2(A)
-    bound = (rep.c_delta - 1.0) * float(A.A(s))
-    if not gap <= bound * (1.0 + 1e-9) + 1e-15:
-        raise ValueError(f"complementary gap {gap:g} exceeds the sampled bound {bound:g}")
-    return gap
 
 
 def knot_mismatch(A: NFunction) -> tuple:

@@ -420,6 +420,19 @@ def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["sweep-rho", "18", "36", "3"]])
+@pytest.mark.parametrize("r_max", ["1e300", "1e160", "1e-300"])
+def test_grid_it_cannot_represent_exits_one(tmp_path, capsys, command, r_max):
+    # h^2 overflowed into a traceback, or every weight was 0 and solve
+    # "converged" off the sphere (exit 2)
+    cfg = write_config(tmp_path, QUICK.replace("r_max = 14.0", f"r_max = {r_max}"))
+    assert cli.main([command[0], "--config", cfg, *command[1:]]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "not finite and positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_records_stage_status(tmp_path):
     cfg = write_config(tmp_path, QUICK)
     assert cli.main(["solve", "--config", cfg]) == cli.EXIT_OK
@@ -721,6 +734,24 @@ def test_subnls_log_applies_to_each_call(tmp_path, monkeypatch, caplog, subnls_l
     assert seen == [set(),
                     {("subnls.cli", "WARNING"), ("subnls.minimizer", "INFO")},
                     {("subnls.cli", "WARNING")}]
+
+
+def test_unknown_subnls_log_value_is_reported(monkeypatch, caplog, capsys, subnls_level):
+    # an unknown value runs at warn and says so, once; a known one in any
+    # case, and an empty one, say nothing
+    expected = {"verbose": [("subnls.cli", logging.WARNING,
+                             "unknown SUBNLS_LOG value 'verbose': logging at warn "
+                             "(accepted values: error, warn, info, debug)")],
+                "": [], "INFO": []}
+    for value, records in expected.items():
+        monkeypatch.setenv("SUBNLS_LOG", value)
+        caplog.clear()
+        assert cli.main(["threshold", "--alpha", "1", "--p", "4"]) == cli.EXIT_OK
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == records
+    assert logging.getLogger("subnls").level == logging.INFO
+    monkeypatch.setenv("SUBNLS_LOG", "verbose")
+    cli.main(["threshold", "--alpha", "1", "--p", "4"])
+    assert logging.getLogger("subnls").level == logging.WARNING
 
 
 def test_ignored_rearrange_every_warns_once_per_command(tmp_path, monkeypatch, caplog,

@@ -230,3 +230,18 @@ def test_field_validation(grid3):
     bad[0] = np.inf
     with pytest.raises(ValueError):
         gr.RadialField(grid3, bad)
+
+
+@pytest.mark.parametrize("dim,r_max", [(3, 1e300), (3, 1e160), (2, 1e160), (3, 1e-300),
+                                       (20, 1e-20)])
+def test_grid_refuses_what_it_cannot_represent(dim, r_max):
+    # h^2 overflows (or a weight does) above, and underflows to 0 below,
+    # where every weight would be 0 and each mass a "converged" 0
+    with pytest.raises(ValueError, match="not finite and positive"):
+        gr.RadialGrid(dim, r_max, 400)
+
+
+@pytest.mark.parametrize("dim,r_max,n", [(2, 1e100, 3), (3, 1e-100, 3), (3, 16.0, 800)])
+def test_grid_near_the_limits_still_builds(dim, r_max, n):
+    g = gr.RadialGrid(dim, r_max, n)
+    assert 0.0 < g.h**2 < math.inf and np.all(g.w > 0) and np.all(np.isfinite(g.w))

@@ -196,6 +196,17 @@ def test_initial_guess_scores_each_witness_once(log_spec3, monkeypatch):
         assert len(levels) == len(set(levels)) == built, rho
 
 
+def test_plateau_seed_finds_the_ground_state_near_mu_star():
+    # log_power mu = -0.2, just above mu* = -0.2707, at rho = 150 above
+    # rho_bar(-0.2) = 102.59: only the plateau candidates of initial_guess
+    # start in the basin of the ground state; from the best of the three
+    # Gaussians the flow collapses to the zero field
+    spec = nl.log_power(1.0, -0.2, 4.0, dim=3)
+    lim = mz.continuation(mz.SolveConfig(spec=spec, rho=150.0, r_max=40.0, n=200)).limit
+    assert lim.limit_kind == "eps0_stage" and lim.status == "converged" and lim.on_sphere
+    assert lim.energy == pytest.approx(-842.4163, rel=1e-6, abs=0.0) and lim.lam > 0
+
+
 def test_dilated_witness_kinetic_scaling():
     # along the dilated family the gradient term scales like rho^(2-4/N)
     grid = gr.RadialGrid(3, 40.0, 2400)

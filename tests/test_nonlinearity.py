@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from subnls import cli
 from subnls import nonlinearity as nl
 
 E = math.e
@@ -243,31 +245,39 @@ def test_eta_coefficient():
     dim = 3
     pc = 2 + 4 / dim
     crit = nl.eta_coefficient(nl.log_power(1.0, 0.6, pc, dim=dim))
-    assert crit.value == pytest.approx(0.6 / pc, rel=1e-14, abs=0.0) and not crit.sampled
+    assert crit == pytest.approx(0.6 / pc, rel=1e-14, abs=0.0)
     # 10/3 is the next double above 2 + 4/3 and still the critical exponent
     assert 10.0 / 3.0 != pc
     crit = nl.eta_coefficient(nl.log_power(1.0, 0.6, 10.0 / 3.0, dim=dim))
-    assert crit.value == pytest.approx(0.18, rel=1e-14, abs=0.0)
+    assert crit == pytest.approx(0.18, rel=1e-14, abs=0.0)
     sub = nl.eta_coefficient(nl.log_power(1.0, 0.6, 3.0, dim=dim))
-    assert sub.value == 0.0
-    assert nl.eta_coefficient(nl.logarithmic(1.0, dim=dim)).value == 0.0
-    assert math.isinf(nl.eta_coefficient(nl.log_power(1.0, 0.6, 4.0, dim=dim)).value)
+    assert sub == 0.0
+    assert nl.eta_coefficient(nl.logarithmic(1.0, dim=dim)) == 0.0
+    assert math.isinf(nl.eta_coefficient(nl.log_power(1.0, 0.6, 4.0, dim=dim)))
 
 
 def test_eta_sampled_for_custom():
     spec = nl.custom(lambda s: s**3 / (1 + s * s), dim=3)
     est = nl.eta_coefficient(spec)
-    assert est.sampled
-    assert est.value <= 1e-3
+    # the largest ratio G_plus(s)/s^(2+4/N) at the sampled s = 1e6, 1e7, 1e8
+    s = np.array([1e6, 1e7, 1e8])
+    assert est == float(np.max(nl.G_plus_value(spec, s) / s**spec.mass_critical_exp))
+    assert est <= 1e-3
 
 
-def test_threshold_report():
-    spec = nl.log_power(1.0, -0.1, 4.0, dim=3)
-    rep = nl.threshold_report(spec)
-    assert rep.mu_star == pytest.approx(-2 * math.exp(-2))
-    assert rep.g4_holds and rep.xi0 is not None
-    assert rep.gtilde_max > 0
-    assert rep.eta == 0.0
+def test_threshold_report(tmp_path):
+    # the threshold block of check.json for a log_power spec
+    cfg = tmp_path / "thr.ini"
+    cfg.write_text("[nonlinearity]\nfamily = log_power\nalpha = 1.0\nmu = -0.1\np = 4.0\n"
+                   "[grid]\ndim = 3\n[solver]\nrho = 1.0\n"
+                   f"[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    rep = payload["threshold"]
+    assert rep["mu_star"] == pytest.approx(-2 * math.exp(-2))
+    assert rep["g4_holds"] and payload["xi0"] is not None
+    assert rep["gtilde_max"] > 0
+    assert rep["eta"] == 0.0
 
 
 def test_custom_family_quadrature_and_split():
@@ -340,7 +350,8 @@ def test_custom_needs_an_odd_g():
     with pytest.raises(ValueError, match="odd"):
         nl.custom(lambda s: s * abs(s) ** 0.5 + 0.1 * s * s, dim=3)  # g(0) = 0, not odd
     spec = nl.custom(lambda s: s * abs(s) ** 0.5, dim=3)
-    assert nl.g_value(spec, -4.0) == -8.0 and nl.eta_coefficient(spec).sampled
+    # eta is sampled: about 0.4 s^(5/2 - 10/3) at s = 1e6
+    assert nl.g_value(spec, -4.0) == -8.0 and 0.0 < nl.eta_coefficient(spec) < 1e-5
 
 
 MU_STAR = nl.mu_threshold(1.0, 4.0)
