@@ -66,26 +66,32 @@ class RadialGrid:
             r = h * np.arange(1, self.n + 1)
             rpow = r ** (self.dim - 1)
             w = area * rpow * h
-        # w increases with r: its ends bound every weight
-        if not (0.0 < h * h < math.inf and 0.0 < w[0] <= w[-1] < math.inf):
-            raise ValueError(f"r_max = {self.r_max:g} with n = {self.n}: the spacing squared "
-                             "or a quadrature weight is not finite and positive")
-        # face j sits between node j and node j+1 (last face touches the
-        # Dirichlet boundary); zero flux through r = 0 is implicit.
-        face_r = h * (np.arange(1, self.n + 1) + 0.5)
-        face_coef = self.dim * h * np.cumsum(rpow) / face_r
+            # w increases with r: its ends bound every weight
+            ok = 0.0 < h * h < math.inf and 0.0 < w[0] <= w[-1] < math.inf
+            if ok:
+                # face j sits between node j and node j+1 (last face touches
+                # the Dirichlet boundary); zero flux through r = 0 is implicit.
+                face_r = h * (np.arange(1, self.n + 1) + 0.5)
+                face_coef = self.dim * h * np.cumsum(rpow) / face_r
+                lap_scale = rpow * h**2
+                c = area / h
+                diag = c * np.concatenate([face_coef[:1], face_coef[1:] + face_coef[:-1]])
+                # both increase with r, and |off-diagonal| <= diagonal: the
+                # ends bound every entry
+                ok = lap_scale[-1] < math.inf and 0.0 < diag[0] <= diag[-1] < math.inf
+        if not ok:
+            raise ValueError(f"r_max = {self.r_max:g} with n = {self.n}: the spacing squared, "
+                             "a quadrature weight or a Laplacian coefficient is not finite "
+                             "and positive")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "face_coef", face_coef)
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "_rpow", rpow)
-        object.__setattr__(self, "_area_h", area / h)
-        object.__setattr__(self, "_lap_scale", rpow * h**2)
-        c = area / h
-        object.__setattr__(self, "_kinetic_bands", (
-            c * np.concatenate([face_coef[:1], face_coef[1:] + face_coef[:-1]]),
-            -c * face_coef[:-1]))
+        object.__setattr__(self, "_area_h", c)
+        object.__setattr__(self, "_lap_scale", lap_scale)
+        object.__setattr__(self, "_kinetic_bands", (diag, -c * face_coef[:-1]))
 
 
 @dataclass

@@ -8,11 +8,9 @@ G_plus collects the increasing part of the primitive,
     G_plus(s) = int_s^0 max(-g, 0)     for s < 0,
 
 so G_plus, G_minus >= 0 while g_minus satisfies s*g_minus(s) >= 0 (it is
-negative on the negative half line).  Every family, custom included, is
-evaluated from the antiderivatives G and P = int t g split at the
-sign-change points of g, located once per spec and cached.  The built-in
-families have them in closed form, so no quadrature appears in their hot
-path; the custom family (odd g only) builds them by quadrature.  bind_eps
+negative on the negative half line).  Every family is evaluated from its
+closed-form g, g' and antiderivatives G and P = int t g, split at the
+sign-change points of g, located once per spec and cached.  bind_eps
 binds one (spec, eps) once and returns G_eps, g_eps and g_eps' as functions
 of a Point, which computes |s|, s^2, ln s^2 and the half-line g(|s|) once
 for every kernel evaluated there; the public functions of the same names
@@ -37,18 +35,14 @@ INCONCLUSIVE = "numerically-inconclusive"
 _TINY = 1e-150
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature for a custom nonlinearity failed to converge."""
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """A nonlinearity g with spatial dimension, immutable after construction.
 
     Families: "log" (alpha*s*ln s^2), "log_power" (alpha*s*ln s^2 +
     mu*|s|^(p-2)*s), "saturation" (s^3/(1+s^2)), "power_sublinear"
-    (-|s|^(omega-1)*s), and "custom".  A field that the family does not
-    read (_Family.params) must keep its default.
+    (-|s|^(omega-1)*s).  A field that the family does not read
+    (_Family.params) must keep its default.
     """
 
     family: str
@@ -57,7 +51,6 @@ class NonlinearitySpec:
     mu: float = 0.0
     p_exp: float = 0.0
     omega: float = 0.0
-    g_func: Optional[Callable] = None
 
     def __post_init__(self):
         if not 2 <= self.dim < math.inf or int(self.dim) != self.dim:
@@ -105,15 +98,6 @@ def power_sublinear(omega: float, *, dim: int) -> NonlinearitySpec:
     return NonlinearitySpec("power_sublinear", dim, omega=omega)
 
 
-def custom(g: Callable, *, dim: int) -> NonlinearitySpec:
-    """A general g, whose primitives G and P = int t g are built by
-    quadrature.  g must be odd, like every built-in, and is checked on
-    samples: it then shares the built-ins' half-line kernels and sign
-    structure.  A non-odd g would need each half line treated on its own
-    (the mirror t -> -g(-t)), a second code path that no caller needs."""
-    return NonlinearitySpec("custom", dim, g_func=g)
-
-
 class Point:
     """A float array s at which kernels are evaluated, with what the family
     kernels derive from it: |s|, s^2 = |s| |s| and, on first use,
@@ -149,9 +133,9 @@ class Point:
 # half-line kernels (arguments are Points, read through |s|); every g is odd,
 # so the negative axis follows by symmetry.  Each family names the spec fields
 # it reads and supplies g, its derivative dg, the pair (G, P) with P(s) =
-# int_0^s t g(t) dt, the positive roots of g, its parameter check and its
-# growth coefficient eta; the built-ins take one log (or power) per node and
-# kernel, and the log families share theirs across the kernels at one Point.
+# int_0^s t g(t) dt, the positive roots of g and its parameter check; each
+# takes one log (or power) per node and kernel, and the log families share
+# theirs across the kernels at one Point.
 
 
 def _log_g(spec, x):
@@ -215,6 +199,10 @@ def _bisect(f, lo, hi, maxiter=2200):
 
 
 def _log_roots(spec):
+    """Positive roots of g, ascending: the sign changes of h = g(t)/t, in
+    [1e-18, 1] for mu > 0 and on either side of the peak t_star of h for
+    mu < 0.  A root outside these brackets raises ValueError or
+    ArithmeticError, and _check_log_power refuses such a spec."""
     a, mu, p = spec.alpha, spec.mu, spec.p_exp
     if mu == 0.0:
         return (1.0,)
@@ -235,16 +223,6 @@ def _log_roots(spec):
     return (r1, r2)
 
 
-def _power_eta(spec):
-    # exact for the built-ins: only log_power has a power term mu |s|^(p-2) s,
-    # and the spec holds mu = 0 in every other family
-    if spec.mu <= 0:
-        return 0.0
-    if spec.mass_critical:
-        return spec.mu / spec.p_exp
-    return 0.0 if spec.p_exp < spec.mass_critical_exp else math.inf
-
-
 def _check_log(spec):
     if not spec.alpha > 0:
         raise ValueError(f"{spec.family} family needs alpha > 0")
@@ -255,6 +233,12 @@ def _check_log_power(spec):
     top = spec.sobolev_critical_exp
     if not 2.0 < spec.p_exp <= top:
         raise ValueError(f"log_power needs 2 < p <= {top} for dim={spec.dim}")
+    try:
+        _log_roots(spec)
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"log_power with alpha = {spec.alpha:g}, mu = {spec.mu:g} and "
+                         f"p = {spec.p_exp:g}: the roots of g lie outside the brackets of "
+                         "its root search") from None
 
 
 def _check_sublinear(spec):
@@ -280,50 +264,6 @@ def _sublinear_prims(spec, x):
     return sw1 / (w + 1.0), sw1 * s / (w + 2.0)
 
 
-def _custom_g(spec, s):
-    return np.vectorize(spec.g_func, otypes=[float])(s)
-
-
-def _custom_dg(spec, s):
-    # sampled, not exact: a central difference of g with a step relative to s
-    d = 6e-6 * np.maximum(s, _TINY)
-    return (_custom_g(spec, s + d) - _custom_g(spec, s - d)) / (2.0 * d)
-
-
-def _custom_prims(spec, s):
-    # one quadrature per gap between the sorted nodes, accumulated outward
-    nodes, inv = np.unique(s, return_inverse=True)
-    gaps = list(zip(np.concatenate([[0.0], nodes[:-1]]), nodes))
-    g = spec.g_func
-    P = np.cumsum([_quad(lambda t: t * g(t), a, b) for a, b in gaps])
-    G = np.cumsum([_quad(g, a, b) for a, b in gaps])
-    return G[inv].reshape(s.shape), P[inv].reshape(s.shape)
-
-
-def _custom_roots(spec):
-    # sign changes between samples on [1e-12, 1e8], refined; like the other
-    # custom-family verdicts this is sampled, not certified
-    t = np.logspace(-12, 8, 2001)
-    pos = _custom_g(spec, t) > 0.0
-    return tuple(_bisect(spec.g_func, t[i], t[i + 1])
-                 for i in np.flatnonzero(pos[:-1] != pos[1:]))
-
-
-def _check_custom(spec):
-    if spec.g_func is None:
-        raise ValueError("custom family needs g")
-    t = np.concatenate([[0.0], np.logspace(-8, 4, 13)])
-    g = _custom_g(spec, t)
-    if not np.all(np.abs(g + _custom_g(spec, -t)) <= 1e-14 + 1e-12 * np.abs(g)):
-        raise ValueError("custom family needs an odd g: g(-s) = -g(s), so g(0) = 0")
-
-
-def _sampled_eta(spec):
-    s = 10.0 ** np.arange(6, 9)
-    ratio = G_plus_value(spec, s) / s**spec.mass_critical_exp
-    return float(np.max(ratio))
-
-
 class _Family(NamedTuple):
     params: tuple    # the spec fields the family reads; the others keep their defaults
     g: Callable      # (spec, Point) -> g at |s|
@@ -331,40 +271,23 @@ class _Family(NamedTuple):
     prims: Callable  # (spec, Point) -> (G, P) at |s|
     roots: Callable  # spec -> positive roots of g, ascending
     check: Callable  # spec -> None; raises ValueError on bad parameters
-    eta: Callable    # spec -> growth coefficient eta (eta_coefficient)
 
 
 _FAMILIES = {
-    "log": _Family(("alpha",), _log_g, _log_dg, _log_prims, _log_roots, _check_log, _power_eta),
+    "log": _Family(("alpha",), _log_g, _log_dg, _log_prims, _log_roots, _check_log),
     "log_power": _Family(("alpha", "mu", "p_exp"), _log_g, _log_dg, _log_prims, _log_roots,
-                         _check_log_power, _power_eta),
+                         _check_log_power),
     "saturation": _Family((), lambda spec, x: x.mag**3 / (1.0 + x.s2),
                           lambda spec, x: x.s2 * (3.0 + x.s2) / (1.0 + x.s2) ** 2,
-                          _saturation_prims, lambda spec: (), lambda spec: None, _power_eta),
+                          _saturation_prims, lambda spec: (), lambda spec: None),
     "power_sublinear": _Family(("omega",), lambda spec, x: -(x.mag**spec.omega),
                                _sublinear_dg, _sublinear_prims, lambda spec: (),
-                               _check_sublinear, _power_eta),
-    "custom": _Family(("g_func",), lambda spec, x: _custom_g(spec, x.mag),
-                      lambda spec, x: _custom_dg(spec, x.mag),
-                      lambda spec, x: _custom_prims(spec, x.mag), _custom_roots,
-                      _check_custom, _sampled_eta),
+                               _check_sublinear),
 }
 
 
 def _positive_roots(spec):
     return _FAMILIES[spec.family].roots(spec)
-
-
-def _quad(f, a, b):
-    from scipy.integrate import quad
-
-    if a == b:
-        return 0.0
-    out = quad(f, a, b, epsabs=1e-10, epsrel=1e-8, limit=2**15, full_output=True)
-    val, info = out[0], out[2]
-    if info.get("last", 0) >= 2**15 or not np.isfinite(val):
-        raise QuadratureError(f"quadrature over [{a}, {b}] did not converge")
-    return val
 
 
 class _SignStructure(NamedTuple):
@@ -565,8 +488,7 @@ def g_eps(spec: NonlinearitySpec, s, eps: float):
 
 def g_eps_prime(spec: NonlinearitySpec, s, eps: float):
     """Derivative of g_eps in s (eps=0 gives g'), even in s: where g <= 0 and
-    |s| < eps it is g/eps + (|s|/eps) g', elsewhere g'.  Exact for the
-    built-in families, a sampled central difference for the custom one."""
+    |s| < eps it is g/eps + (|s|/eps) g', elsewhere g'."""
     return _apply(bind_eps(spec, eps).dg, s)
 
 
@@ -607,9 +529,14 @@ def gtilde_max(alpha: float, mu: float, p: float) -> float:
 
 
 def eta_coefficient(spec: NonlinearitySpec) -> float:
-    """limsup at infinity of G_plus(s)/|s|^(2+4/N); exact for built-ins,
-    sampled at |s| = 1e6, 1e7, 1e8 for the custom family."""
-    return _FAMILIES[spec.family].eta(spec)
+    """limsup at infinity of G_plus(s)/|s|^(2+4/N), exact for every family:
+    but for log_power's term mu |s|^p / p (mu = 0 in the other families),
+    G_plus grows at most like s^2 ln s^2."""
+    if spec.mu <= 0:
+        return 0.0
+    if spec.mass_critical:
+        return spec.mu / spec.p_exp
+    return 0.0 if spec.p_exp < spec.mass_critical_exp else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +569,9 @@ def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
     start seeds from it.  G' = g, so G peaks only at a root of g, and just
     above mu* its positive window is a neighbourhood of the larger root
     that the samples miss."""
-    levels = []
-    # each set in its own call: a custom G's rounding depends on the points
-    # of its call, so the samples' values stay those of the samples alone
-    for s in (np.logspace(-6, 6, 3000), _sign_structure(spec).roots):
-        if s.size:
-            ok = np.atleast_1d(G_value(spec, s)) > 1e-14 * (1.0 + s**2)
-            if ok.any():
-                levels.append(float(s[np.argmax(ok)]))
-    return min(levels, default=None)
+    s = np.concatenate([np.logspace(-6, 6, 3000), _sign_structure(spec).roots])
+    ok = G_value(spec, s) > 1e-14 * (1.0 + s**2)
+    return float(s[ok].min()) if ok.any() else None
 
 
 def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
@@ -663,7 +584,7 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     big = np.logspace(1, 8, 40)
 
     g_small = np.abs(np.atleast_1d(g_value(spec, small)))
-    # g(0) = 0 holds for every spec: g_value is odd, and custom g is checked
+    # g(0) = 0 holds for every spec: g_value is odd
     if g_small[0] <= 1e-5 or g_small[0] <= 0.02 * g_small[-1]:
         g0 = HOLDS
     elif g_small[0] >= 0.5 * g_small[-1] and g_small[0] > 1e-5:
@@ -706,12 +627,9 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
         g3 = INCONCLUSIVE
     details["g3_ratio_tail"] = float(last)
 
-    s4 = np.logspace(-6, 6, 3000)
+    # G' = g, so between samples G can only peak at a root of g
+    s4 = np.concatenate([np.logspace(-6, 6, 3000), _sign_structure(spec).roots])
     gmax = float(np.max(G_value(spec, s4)))
-    roots = _sign_structure(spec).roots
-    if roots.size:
-        # G' = g, so between samples G can only peak at a root of g
-        gmax = max(gmax, float(np.max(G_value(spec, roots))))
     xi0 = find_positive_level(spec)
     if gmax > 0 and xi0 is not None:
         g4 = HOLDS

@@ -338,9 +338,20 @@ def test_threshold_command(capsys):
                                    {"family = log_power": "family = saturation",
                                     "p = 4.0": "p = 0.0", "alpha = 1.0": "alpha = 2.0"},
                                    {"family = log_power\nalpha = 1.0\nmu = 0.0\np = 4.0":
-                                    "family = custom"}],
+                                    "family = custom"},
+                                   # roots of g beyond the brackets of _log_roots,
+                                   # which each ended in a traceback: a small
+                                   # root below 1e-18, and a peak t_star of
+                                   # g(t)/t that overflows or underflows
+                                   {"alpha = 1.0": "alpha = 2.0", "mu = 0.0": "mu = 1e300",
+                                    "dim = 3": "dim = 4"},
+                                   {"alpha = 1.0": "alpha = 1e300", "mu = 0.0": "mu = -0.3",
+                                    "p = 4.0": "p = 2.5"},
+                                   {"alpha = 1.0": "alpha = 1e-300", "mu = 0.0": "mu = -0.3",
+                                    "p = 4.0": "p = 2.5", "dim = 3": "dim = 5"}],
                          ids=["mu_nan", "mu_inf", "alpha_inf", "p_inf_dim2", "unknown_family",
-                              "log_p", "saturation_alpha", "custom"])
+                              "log_p", "saturation_alpha", "custom", "root_below_bracket",
+                              "t_star_overflows", "t_star_underflows"])
 def test_bad_model_parameters_exit_one(tmp_path, capsys, command, edits):
     text = QUICK
     for old, new in edits.items():
@@ -561,11 +572,12 @@ def test_check_bad_orlicz_parameters_are_config_errors(tmp_path, capsys, orlicz_
 
 
 def _doc_table(section):
-    """key -> default cell of the table under '## [section]' in docs/config.md."""
+    """key -> (default cell, meaning cell) of the table under '## [section]'
+    in docs/config.md."""
     text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
     body = text.split(f"## [{section}]", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1:-1] for line in body.splitlines() if line.startswith("| `")]
-    return {cells[0].strip().strip("`"): cells[2].strip() for cells in rows}
+    return {cells[0].strip().strip("`"): (cells[2].strip(), cells[3].strip()) for cells in rows}
 
 
 # the family that reads each key documented with default "—": the key's schema
@@ -593,7 +605,7 @@ def test_config_doc_lists_the_schema(section):
     documented = _doc_table(section)
     assert list(documented) == list(schema)
     for key, (parse, default) in schema.items():
-        cell = documented[key]
+        cell = documented[key][0]
         if default is MISSING:
             assert cell == "*required*", key
         elif cell != "—":
@@ -605,6 +617,10 @@ def test_config_doc_lists_the_schema(section):
             build = cli.build_spec if section == "nonlinearity" else cli.build_nfunction
             with pytest.raises(cli.ConfigError):
                 build(_schema_defaults(section, NOT_SET_READERS[section, key]))
+    if section == "nonlinearity":
+        # the family row names exactly the families a spec accepts
+        listed = [name.strip().strip("`") for name in documented["family"][1].split(",")]
+        assert listed == list(nl._FAMILIES)
 
 
 ROOT = Path(__file__).resolve().parents[1]

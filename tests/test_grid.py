@@ -232,13 +232,17 @@ def test_field_validation(grid3):
         gr.RadialField(grid3, bad)
 
 
-@pytest.mark.parametrize("dim,r_max", [(3, 1e300), (3, 1e160), (2, 1e160), (3, 1e-300),
-                                       (20, 1e-20)])
-def test_grid_refuses_what_it_cannot_represent(dim, r_max):
+@pytest.mark.parametrize("dim,r_max,n", [(3, 1e300, 400), (3, 1e160, 400), (2, 1e160, 400),
+                                         (3, 1e-300, 400), (20, 1e-20, 400), (2, 1e150, 3)],
+                         ids=["3-1e+300", "3-1e+160", "2-1e+160", "3-1e-300", "20-1e-20",
+                              "2-1e+150-3"])
+def test_grid_refuses_what_it_cannot_represent(dim, r_max, n):
     # h^2 overflows (or a weight does) above, and underflows to 0 below,
-    # where every weight would be 0 and each mass a "converged" 0
+    # where every weight would be 0 and each mass a "converged" 0; at
+    # (2, 1e150, 3) h^2 and every weight are finite but the Laplacian scale
+    # r^(N-1) h^2 overflows
     with pytest.raises(ValueError, match="not finite and positive"):
-        gr.RadialGrid(dim, r_max, 400)
+        gr.RadialGrid(dim, r_max, n)
 
 
 @pytest.mark.parametrize("dim,r_max,n", [(2, 1e100, 3), (3, 1e-100, 3), (3, 16.0, 800)])

@@ -224,9 +224,11 @@ def test_dilated_witness_kinetic_scaling():
 
 
 def test_extract_lambda_linear_eigenproblem(small_grid):
-    # g(s) = 2s makes lambda = 2 - kinetic/mass; on the lowest Dirichlet
-    # mode that is 2 minus the eigenvalue
-    spec = nl.custom(lambda s: 2.0 * s, dim=3)
+    # for g = alpha s ln s^2, lambda = alpha <u^2 ln u^2>_w / <u^2>_w -
+    # kinetic/mass; on the lowest Dirichlet mode kinetic/mass is the
+    # eigenvalue, so lambda is the log term minus the eigenvalue
+    alpha = 1.5
+    spec = nl.logarithmic(alpha, dim=3)
     from scipy.linalg import eigh_tridiagonal
 
     g = small_grid
@@ -238,12 +240,17 @@ def test_extract_lambda_linear_eigenproblem(small_grid):
     off = -a[:-1] / (np.sqrt(g.r[:-1] ** 2 * g.r[1:] ** 2) * g.h**2)
     lam1, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     mode = gr.RadialField(g, vec[:, 0] / g.r)  # undo the similarity transform
+
+    def log_term(u):
+        u2 = u.values**2
+        return alpha * np.dot(g.w, u2 * np.log(u2)) / np.dot(g.w, u2)
+
     lam = mz.extract_lambda(mode, spec, 0.0)
-    assert lam == pytest.approx(2.0 - lam1[0], rel=1e-10)
+    assert lam == pytest.approx(log_term(mode) - lam1[0], rel=1e-10)
     rng = np.random.default_rng(8)
     u = random_bump(g, rng)
     assert mz.extract_lambda(u, spec, 0.0) == pytest.approx(
-        2.0 - gr.kinetic(u) / gr.mass(u), rel=1e-12, abs=0.0)
+        log_term(u) - gr.kinetic(u) / gr.mass(u), rel=1e-12, abs=0.0)
 
 
 def test_extract_lambda_sign_flip(small_grid, log_spec3):

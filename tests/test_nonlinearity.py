@@ -228,12 +228,9 @@ def test_check_assumptions_threshold_straddle():
     nl.log_power(1.0, 0.999 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),  # two roots, near mu*
     nl.log_power(1.0, -0.05, 3.0, dim=3),                              # two roots
     nl.log_power(1.0, 0.7, 3.0, dim=3),                                # one root
-    nl.custom(lambda s: s * math.log(s * s) - 0.05 * s**3 if s else 0.0, dim=3),
-], ids=["log", "near_threshold", "two_roots", "one_root", "custom_two_roots"])
+], ids=["log", "near_threshold", "two_roots", "one_root"])
 def test_g4_max_over_samples_and_roots(spec):
-    # G' = g, so G peaks between the (g4) samples only at a root of g.  Each
-    # set is evaluated in one call: a custom G sums quadratures between the
-    # sorted points of its call, so its rounding depends on them
+    # G' = g, so G peaks between the (g4) samples only at a root of g
     at_samples = np.max(nl.G_value(spec, np.logspace(-6, 6, 3000)))
     at_roots = np.max(nl.G_value(spec, nl._sign_structure(spec).roots))
     report = nl.check_assumptions(spec)
@@ -256,15 +253,6 @@ def test_eta_coefficient():
     assert math.isinf(nl.eta_coefficient(nl.log_power(1.0, 0.6, 4.0, dim=dim)))
 
 
-def test_eta_sampled_for_custom():
-    spec = nl.custom(lambda s: s**3 / (1 + s * s), dim=3)
-    est = nl.eta_coefficient(spec)
-    # the largest ratio G_plus(s)/s^(2+4/N) at the sampled s = 1e6, 1e7, 1e8
-    s = np.array([1e6, 1e7, 1e8])
-    assert est == float(np.max(nl.G_plus_value(spec, s) / s**spec.mass_critical_exp))
-    assert est <= 1e-3
-
-
 def test_threshold_report(tmp_path):
     # the threshold block of check.json for a log_power spec
     cfg = tmp_path / "thr.ini"
@@ -280,30 +268,6 @@ def test_threshold_report(tmp_path):
     assert rep["eta"] == 0.0
 
 
-def test_custom_family_quadrature_and_split():
-    # sublinear custom nonlinearity without closed-form primitive
-    spec = nl.custom(lambda s: -math.copysign(abs(s) ** 0.5, s) * (1 + s * s), dim=3)
-    sv = nl.eval_split(spec, 0.7)
-    oracle = quad(lambda t: -(t**0.5) * (1 + t * t), 0, 0.7)[0]
-    assert sv.G == pytest.approx(oracle, abs=1e-9)
-    assert sv.G_plus == 0.0
-    assert sv.G_minus == pytest.approx(-oracle, abs=1e-9)
-
-
-def test_custom_inverse_log_small_s():
-    # g behaving like 1/ln s^2 near the origin is only reachable through
-    # the custom family; the split must still be consistent
-    def g(s):
-        if abs(s) < 1e-200 or abs(s) >= 0.5:
-            return -0.25 * math.copysign(1.0, s) / math.log(0.25) if abs(s) >= 0.5 else 0.0
-        return math.copysign(1.0, s) / math.log(s * s)
-
-    spec = nl.custom(g, dim=3)
-    sv = nl.eval_split(spec, 0.3)
-    assert sv.G < 0 and sv.G_plus == 0.0
-    assert abs(sv.G_plus - sv.G_minus - sv.G) <= 1e-8
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         nl.log_power(1.0, 0.0, 8.0, dim=3)  # beyond the Sobolev exponent
@@ -313,8 +277,6 @@ def test_spec_validation():
     for dim in (1, math.inf, math.nan):
         with pytest.raises(ValueError):
             nl.logarithmic(1.0, dim=dim)
-    with pytest.raises(ValueError):
-        nl.custom(lambda s: s + 1.0, dim=3)  # g(0) != 0
     # a field that the family does not read must keep its default: the log
     # kernels would read this mu
     with pytest.raises(ValueError, match="log does not take mu"):
@@ -346,14 +308,6 @@ def test_spec_exponents():
     assert nl.log_power(1.0, 0.1, 6.0, dim=3).p_exp == spec.sobolev_critical_exp
 
 
-def test_custom_needs_an_odd_g():
-    with pytest.raises(ValueError, match="odd"):
-        nl.custom(lambda s: s * abs(s) ** 0.5 + 0.1 * s * s, dim=3)  # g(0) = 0, not odd
-    spec = nl.custom(lambda s: s * abs(s) ** 0.5, dim=3)
-    # eta is sampled: about 0.4 s^(5/2 - 10/3) at s = 1e6
-    assert nl.g_value(spec, -4.0) == -8.0 and 0.0 < nl.eta_coefficient(spec) < 1e-5
-
-
 MU_STAR = nl.mu_threshold(1.0, 4.0)
 
 
@@ -376,14 +330,6 @@ FUSED_CASES = {
                              lambda t: _xlog(t) + 2400.0 * t**3),
     "saturation": (nl.saturation(dim=3), lambda t: t**3 / (1.0 + t * t)),
     "power_sublinear": (nl.power_sublinear(0.5, dim=3), lambda t: -math.sqrt(t)),
-    # the two-root case again, through quadrature and the sampled root scan
-    "custom_two_roots": (nl.custom(lambda s: s * math.log(s * s) - 0.05 * s**3 if s else 0.0,
-                                   dim=3),
-                         lambda t: _xlog(t) - 0.05 * t**3),
-    # no root, and g'(0) unbounded
-    "custom_sqrt": (nl.custom(lambda s: -math.copysign(math.sqrt(abs(s)), s) * (1 + s * s),
-                              dim=3),
-                    lambda t: -math.sqrt(t) * (1.0 + t * t)),
 }
 FUSED_S = [1e-5, 2e-4, 0.02, 0.04, 0.07, 0.3, 1.0, 1.5, 4.0, 9.0, 12.0]
 
@@ -464,18 +410,6 @@ def test_log_power_roots_to_the_last_double(a, mu, p, count):
         hr = h(r)
         below, above = h(np.nextafter(r, 0.0)), h(np.nextafter(r, np.inf))
         assert hr == 0.0 or (hr < 0.0) != (below < 0.0) or (hr < 0.0) != (above < 0.0), (r, hr)
-
-
-@pytest.mark.parametrize("a,mu,p", [(0.5, 2400.0, 2.5), (1.0, 0.7, 3.0),
-                                    (1.0, -0.2, 4.0), (1.0, -0.05, 3.0)])
-def test_custom_roots_match_built_in(a, mu, p):
-    h = _h_log_power(a, mu, p)
-    spec = nl.custom(lambda s: s * h(abs(s)) if s != 0.0 else 0.0, dim=3)
-    built_in = nl._positive_roots(nl.log_power(a, mu, p, dim=3))
-    roots = nl._positive_roots(spec)
-    assert len(roots) == len(built_in) in (1, 2)
-    for r, ref in zip(roots, built_in):
-        assert abs(r - ref) <= np.spacing(ref)
 
 
 def test_bisect_endpoints_signs_and_cap():
