@@ -1,7 +1,7 @@
 """The LAPACK routines subnls calls (dpttrf/dpttrs for the preconditioner,
-dgtsv for the Newton step, dstebz for the Dirichlet eigenvalues), bound from
-scipy's compiled Fortran wrapper file scipy/linalg/_flapack*.so without
-importing scipy.linalg.
+dgtsv and dptsv for the sphere and interior Newton steps, dstebz for the
+Dirichlet eigenvalues), bound from scipy's compiled Fortran wrapper file
+scipy/linalg/_flapack*.so without importing scipy.linalg.
 
 Importing scipy.linalg.lapack costs 0.2-0.3 s and about 19 MB, because it
 pulls in all of scipy.linalg and, through scipy._lib.array_api_compat,
@@ -53,6 +53,7 @@ if _flapack is None:
     from scipy.linalg import lapack as _flapack
 
 dgtsv = _flapack.dgtsv
+dptsv = _flapack.dptsv
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs
 dstebz = _flapack.dstebz

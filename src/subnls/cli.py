@@ -242,7 +242,9 @@ def cmd_sweep_rho(args) -> int:
         return EXIT_USAGE
     cfg = load_config(args.config)
     solve_cfg = build_solve_config(cfg)
-    _checked(replace, solve_cfg, rho=args.rho_max)  # SolveConfig's check, before any solve
+    # SolveConfig's check of both ends, so of every radius, before any solve
+    _checked(replace, solve_cfg, rho=args.rho_min)
+    _checked(replace, solve_cfg, rho=args.rho_max)
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     _warn_without_positive_level(solve_cfg.spec)

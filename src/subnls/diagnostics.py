@@ -51,8 +51,8 @@ def identity_parts(u: RadialField, kin: float, density: np.ndarray,
     """Parts of u from its kinetic term and its nodal G_eps(u) and g_eps(u);
     the solver passes its own evaluations, residual_bundle fresh ones."""
     w = u.grid.w
-    return IdentityParts(kin, mass(u), float(np.dot(w, density)),
-                         float(np.dot(w, g * u.values)))
+    return IdentityParts(kin, mass(u), float(w.dot(density)),
+                         float(w.dot(g * u.values)))
 
 
 def shape_check(u: RadialField) -> tuple:

@@ -78,7 +78,8 @@ class RadialGrid:
                 diag = c * np.concatenate([face_coef[:1], face_coef[1:] + face_coef[:-1]])
                 # both increase with r, and |off-diagonal| <= diagonal: the
                 # ends bound every entry
-                ok = lap_scale[-1] < math.inf and 0.0 < diag[0] <= diag[-1] < math.inf
+                ok = (0.0 < lap_scale[0] <= lap_scale[-1] < math.inf
+                      and 0.0 < diag[0] <= diag[-1] < math.inf)
         if not ok:
             raise ValueError(f"r_max = {self.r_max:g} with n = {self.n}: the spacing squared, "
                              "a quadrature weight or a Laplacian coefficient is not finite "
@@ -117,7 +118,7 @@ def from_function(grid: RadialGrid, f) -> RadialField:
 
 def mass(u: RadialField) -> float:
     """Discrete integral of |u|^2 over R^N."""
-    return float(np.dot(u.grid.w, u.values**2))
+    return float(u.grid.w.dot(u.values**2))
 
 
 def integrate(u: RadialField, h) -> float:
@@ -130,7 +131,7 @@ def inner(u: RadialField, v: RadialField) -> float:
 
 
 def wnorm(grid: RadialGrid, values: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(grid.w, values**2)))
+    return math.sqrt(float(grid.w.dot(values**2)))
 
 
 def kinetic(u: RadialField) -> float:
@@ -145,7 +146,7 @@ def face_differences(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     """u_{i+1} - u_i across every face, the last against the Dirichlet
     ghost 0 at r_max: what kinetic and the Laplacian are built from."""
     d = np.empty(grid.n)
-    d[:-1] = vals[1:] - vals[:-1]
+    np.subtract(vals[1:], vals[:-1], out=d[:-1])
     d[-1] = -vals[-1]
     return d
 
@@ -155,7 +156,7 @@ def kinetic_values(g: RadialGrid, vals: np.ndarray, d=None) -> float:
     is face_differences(g, vals)."""
     if d is None:
         d = face_differences(g, vals)
-    return float(g._area_h * np.dot(g.face_coef, d**2))
+    return float(g._area_h * g.face_coef.dot(d**2))
 
 
 def laplacian_values(grid: RadialGrid, vals: np.ndarray, d=None) -> np.ndarray:
@@ -166,8 +167,8 @@ def laplacian_values(grid: RadialGrid, vals: np.ndarray, d=None) -> np.ndarray:
     flux = grid.face_coef * d
     div = np.empty(grid.n)
     div[0] = flux[0]
-    div[1:] = flux[1:] - flux[:-1]
-    return div / grid._lap_scale
+    np.subtract(flux[1:], flux[:-1], out=div[1:])
+    return np.divide(div, grid._lap_scale, out=div)
 
 
 def laplacian_radial(u: RadialField) -> RadialField:

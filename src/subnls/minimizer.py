@@ -22,7 +22,7 @@ On the sphere with a positive multiplier it solves the KKT system
 F(u, lambda) = 0, the Hessian bordered by W u (one LAPACK gtsv solve).
 Inside the disc the constraint is inactive, lambda = 0, and it solves the
 unbordered system when the Hessian is positive definite (one LAPACK
-pttrf/pttrs).  The energy globalizes the Newton step: it is kept when it
+ptsv).  The energy globalizes the Newton step: it is kept when it
 lowers the energy beyond rounding, or halves the residual without raising
 the energy beyond rounding; a trial that gives no step or is rejected
 leaves the iterate, and the same iteration descends.  The descent's first
@@ -72,7 +72,7 @@ from . import nonlinearity as nl
 # missing or broken one fails the import instead of a run.  _lapack loads
 # scipy's Fortran wrapper file alone (3-10 ms); only its fallback, all of
 # scipy.linalg.lapack, costs about 0.3 s of start-up
-from ._lapack import dgtsv, dpttrf, dpttrs
+from ._lapack import dgtsv, dptsv, dpttrf, dpttrs
 from .diagnostics import bundle_from_parts, identity_parts
 from .grid import (RadialField, RadialGrid, face_differences, kinetic, kinetic_values,
                    laplacian_values, mass, sphere_area, wnorm)
@@ -118,9 +118,11 @@ class SolveConfig:
     multistarts: int = 1
 
     def __post_init__(self):
-        # rho^2, the mass, must be finite too
+        # rho^2, the mass, must be finite and positive too
         if not (self.rho > 0.0 and self.rho * self.rho < math.inf):
             raise ValueError(f"rho must be positive with a finite rho^2, got {self.rho}")
+        if self.rho * self.rho == 0.0:
+            raise ValueError(f"rho = {self.rho} has a mass rho^2 that underflows to 0")
         sched = tuple(self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must be nonempty")
@@ -323,7 +325,7 @@ def _bind_stage(grid: RadialGrid, spec: nl.NonlinearitySpec, eps: float) -> _Sta
 
     def energy(x):
         dens = kern.G(x)
-        return 0.5 * x.kinetic - float(np.dot(w, dens)), dens
+        return 0.5 * x.kinetic - float(w.dot(dens)), dens
 
     return _Stage(energy, kern.g, kern.dg)
 
@@ -336,7 +338,7 @@ def _rescale(w, vals, rho, sphere=False, slack=0.0):
     overflow or a non-finite value) is returned as it is, with the values
     unscaled: scaling by rho/sqrt(m) would give the zero field, or nan, at a
     mass rho^2 it does not have."""
-    m = float(np.dot(w, vals * vals))
+    m = float(w.dot(vals * vals))
     if m <= (0.0 if sphere else rho * rho * (1.0 + slack)) or not math.isfinite(m):
         return vals, m
     return vals * (rho / math.sqrt(m)), rho * rho
@@ -448,16 +450,18 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
     by W u, and one LAPACK gtsv solve of A [x1, x2] = [W res, W u]
     eliminates the border, in place in rhs2, a Fortran-ordered (n, 2)
     buffer of the caller's; the new values are rescaled onto the sphere.
-    Inside the disc the constraint is inactive (lam = 0, res = g): LAPACK
-    pttrf factors A exactly when it is positive definite, pttrs solves
-    A x = W g, and u - x is projected onto the disc.  Returns the new values
-    and their mass, or None when there is no step: A or <W u, A^-1 W u>
-    singular (sphere), A not positive definite (inside), v not finite.
+    Inside the disc the constraint is inactive (lam = 0, res = g): one
+    LAPACK ptsv solve factors A = K - W diag(g_eps'(u)), which succeeds
+    exactly when A is positive definite, solves A x = W g, and u - x is
+    projected onto the disc.  Returns the new values and their mass, or
+    None when there is no step: A or <W u, A^-1 W u> singular (sphere), A
+    not positive definite (inside), or a mass that is not finite, which
+    _rescale returns for values that are not finite or whose mass overflows.
     """
     w = grid.w
     k_diag, k_off = grid._kinetic_bands
-    diag = k_diag + w * (lam - dg)
     if on_boundary:
+        diag = k_diag + w * (lam - dg)
         wu = w * u
         np.multiply(w, res, out=rhs2[:, 0])
         rhs2[:, 1] = wu
@@ -469,13 +473,12 @@ def _newton_step(grid, u, m_u, res, lam, rho, on_boundary, dg, rhs2):
         d_lam = (0.5 * (m_u - rho * rho) - float(np.dot(wu, x1))) / den
         v = u - x1 - d_lam * x2
     else:
-        d_fac, e_fac, info = dpttrf(diag, k_off)
+        x, info = dptsv(k_diag - w * dg, k_off, w * res, overwrite_d=1, overwrite_b=1)[2:]
         if info != 0:
             return None
-        v = u - dpttrs(d_fac, e_fac, w * res)[0]
-    if not np.all(np.isfinite(v)):
-        return None
-    return _rescale(w, v, rho, sphere=on_boundary)
+        v = u - x
+    v, m_v = _rescale(w, v, rho, sphere=on_boundary)
+    return (v, m_v) if math.isfinite(m_v) else None
 
 
 # what a stage counts besides iterations and Newton steps (SolverResult)
@@ -556,7 +559,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
     counts = dict.fromkeys(_EVAL_COUNTS, 0)
 
     def wdot(a, b):
-        return float(np.dot(w, a * b))
+        return float(w.dot(a * b))
 
     def energy_of(x, known=None):
         # known: the (E_eps, density) of x already computed under stage
@@ -578,7 +581,7 @@ def solve_ground_state(config: SolveConfig, eps: float,
         # (relative KKT residual, its vector, lambda_hat, on the boundary)
         on_boundary = m_u >= rho * rho * (1.0 - 1e-12)
         lam_hat = max(0.0, -wdot(g, u) / m_u) if (on_boundary and m_u > 0) else 0.0
-        res = g + lam_hat * u
+        res = g if lam_hat == 0.0 else g + lam_hat * u
         scale = max(1.0, wnorm(grid, lap) + wnorm(grid, rhs)
                     + lam_hat * math.sqrt(max(m_u, 0.0)))
         return wnorm(grid, res) / scale, res, lam_hat, on_boundary

@@ -12,9 +12,9 @@ negative on the negative half line).  Every family is evaluated from its
 closed-form g, g' and antiderivatives G and P = int t g, split at the
 sign-change points of g, located once per spec and cached.  bind_eps
 binds one (spec, eps) once and returns G_eps, g_eps and g_eps' as functions
-of a Point, which computes |s|, s^2, ln s^2 and the half-line g(|s|) once
-for every kernel evaluated there; the public functions of the same names
-wrap it.
+of a Point, which computes |s|, s^2, ln s^2, the half-line g(|s|), the
+cutoff mask |s| < eps and the power s^(p-2) of log_power once for every
+kernel evaluated there; the public functions of the same names wrap it.
 """
 
 from __future__ import annotations
@@ -101,19 +101,21 @@ def power_sublinear(omega: float, *, dim: int) -> NonlinearitySpec:
 class Point:
     """A float array s at which kernels are evaluated, with what the family
     kernels derive from it: |s|, s^2 = |s| |s| and, on first use,
-    ln max(s^2, _TINY^2) and a spec's half-line g(|s|).  Every kernel
-    evaluated at the same Point shares them, with the arithmetic of
-    evaluating that kernel alone, so sharing changes no bit.  The array
-    must not be written to while the Point is in use."""
+    ln max(s^2, _TINY^2), a spec's half-line g(|s|), the mask |s| < eps of
+    a cutoff and a power (s^2)^k.  Every kernel evaluated at the same Point
+    shares them, with the arithmetic of evaluating that kernel alone, so
+    sharing changes no bit.  The array must not be written to while the
+    Point is in use."""
 
-    __slots__ = ("s", "mag", "s2", "_ln_s2", "_g", "_g_spec")
+    __slots__ = ("s", "mag", "s2", "_ln_s2", "_g", "_g_spec", "_below", "_below_eps",
+                 "_pow", "_pow_k")
 
     def __init__(self, s):
         self.s = s
         self.mag = np.abs(s)
         self.s2 = self.mag * self.mag
         self._ln_s2 = None
-        self._g_spec = None
+        self._g_spec = self._below_eps = self._pow_k = None
 
     @property
     def ln_s2(self):
@@ -128,6 +130,20 @@ class Point:
             self._g_spec = spec
         return self._g
 
+    def below(self, eps):
+        """The mask |s| < eps, kept for the last eps asked for."""
+        if self._below_eps != eps:
+            self._below = self.mag < eps
+            self._below_eps = eps
+        return self._below
+
+    def s2_pow(self, k):
+        """(s^2)^k, kept for the last exponent asked for."""
+        if self._pow_k != k:
+            self._pow = self.s2 ** k
+            self._pow_k = k
+        return self._pow
+
 
 # ---------------------------------------------------------------------------
 # half-line kernels (arguments are Points, read through |s|); every g is odd,
@@ -135,20 +151,20 @@ class Point:
 # it reads and supplies g, its derivative dg, the pair (G, P) with P(s) =
 # int_0^s t g(t) dt, the positive roots of g and its parameter check; each
 # takes one log (or power) per node and kernel, and the log families share
-# theirs across the kernels at one Point.
+# ln s^2 across the kernels at one Point, and g and g' share s^(p-2).
 
 
 def _log_g(spec, x):
     g = spec.alpha * x.ln_s2 * x.mag
     if spec.mu != 0.0:
-        g += spec.mu * x.s2 ** (0.5 * spec.p_exp - 1.0) * x.mag
+        g += spec.mu * x.s2_pow(0.5 * spec.p_exp - 1.0) * x.mag
     return g
 
 
 def _log_dg(spec, x):
     dg = spec.alpha * (x.ln_s2 + 2.0)
     if spec.mu != 0.0:
-        dg += spec.mu * (spec.p_exp - 1.0) * x.s2 ** (0.5 * spec.p_exp - 1.0)
+        dg += spec.mu * (spec.p_exp - 1.0) * x.s2_pow(0.5 * spec.p_exp - 1.0)
     return dg
 
 
@@ -426,7 +442,8 @@ def G_minus_eps(spec: NonlinearitySpec, s, eps: float):
 class EpsKernels(NamedTuple):
     """G_eps, g_eps and g_eps' of one (spec, eps) as functions of a Point
     over a float array of any shape (eps = 0 gives G, g and g').  Kernels
-    evaluated at the same Point share its |s|, s^2, ln s^2 and g(|s|)."""
+    evaluated at the same Point share its |s|, s^2, ln s^2, g(|s|), mask
+    |s| < eps and power (s^2)^k."""
     G: Callable
     g: Callable
     dg: Callable
@@ -451,15 +468,14 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
     neg0 = bool(st.neg[0])
 
     def G(x):
-        mag = x.mag
         Gm, P = fam.prims(spec, x)
         if split:
             # a root of g lies below eps, so the ramp spans several sign intervals
-            j = np.searchsorted(st.roots, mag, side="right")
+            j = np.searchsorted(st.roots, x.mag, side="right")
             low = c[j] + np.where(st.neg[j], P / eps, Gm)
         else:
             low = P / eps if neg0 else Gm  # c_0 = 0
-        return np.where(mag < eps, low, Gm + K)
+        return np.where(x.below(eps), low, Gm + K)
 
     def g(x):
         s, mag = x.s, x.mag
@@ -467,11 +483,10 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
         return np.where(s * gs > 0.0, gs, np.minimum(mag / eps, 1.0) * gs)
 
     def dg(x):
-        mag = x.mag
         out = fam.dg(spec, x)
         # the same branch as g: the ramp acts wherever s g(s) <= 0
         gm = x.half_g(spec)
-        return np.where((gm <= 0.0) & (mag < eps), (gm + mag * out) / eps, out)
+        return np.where((gm <= 0.0) & x.below(eps), (gm + x.mag * out) / eps, out)
 
     return EpsKernels(G, g, dg)
 
@@ -563,21 +578,26 @@ class AssumptionReport:
 
 
 @functools.lru_cache(maxsize=128)
+@np.errstate(over="ignore", invalid="ignore")
 def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
     """Smallest |s|, among 3000 samples and the roots of g, where the
     primitive G is safely positive; cached per spec, since every solver
     start seeds from it.  G' = g, so G peaks only at a root of g, and just
     above mu* its positive window is a neighbourhood of the larger root
-    that the samples miss."""
+    that the samples miss.  A sample where G overflows is a value, not a
+    warning."""
     s = np.concatenate([np.logspace(-6, 6, 3000), _sign_structure(spec).roots])
     ok = G_value(spec, s) > 1e-14 * (1.0 + s**2)
     return float(s[ok].min()) if ok.any() else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
     """Sampled verdicts for continuity at 0, quadratic smallness of G_plus
     at 0, growth caps at infinity, mass-subcriticality of G_plus, and
     positivity of G somewhere.  Inconclusive is a verdict, not an error.
+    A sample that overflows is a value, not a warning: a (g3) ratio that
+    is not finite counts as unbounded growth.
     """
     details = {}
     small = np.logspace(-8, -1, 40)
@@ -619,7 +639,9 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
 
     g3_ratio = np.atleast_1d(G_plus_value(spec, big)) / big**spec.mass_critical_exp
     first, last = g3_ratio[0], g3_ratio[-1]
-    if last <= 1e-6 * max(1.0, first) or last <= 1e-12:
+    if not math.isfinite(last):
+        g3 = FAILS
+    elif last <= 1e-6 * max(1.0, first) or last <= 1e-12:
         g3 = HOLDS
     elif last >= 0.5 * max(first, 1e-6) and last > 1e-6:
         g3 = FAILS

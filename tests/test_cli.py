@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnls import cli
 from subnls import diagnostics as dg
@@ -160,6 +162,22 @@ def test_sweep_usage_errors(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["sweep-rho", "1e-300", "18", "3"]])
+def test_rho_whose_mass_underflows_exits_one(tmp_path, capsys, command):
+    # rho^2 = 0 at rho = 1e-300: solve warned of a division by zero in the
+    # seed and exited 2, and a sweep from it (only rho_max was checked)
+    # raised ZeroDivisionError in its first corrector's prediction
+    cfg = write_config(tmp_path, QUICK.replace("rho = 20.0", "rho = 1e-300"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command[0], "--config", cfg, *command[1:]])
+    assert rc == cli.EXIT_USAGE
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == ("config error: rho = 1e-300 has a mass rho^2 that "
+                                       "underflows to 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_outputs(tmp_path):
     cfg = write_config(tmp_path, QUICK)
     rho_min, steps = 18.0, 3
@@ -265,6 +283,27 @@ def test_check_pass_and_fail(tmp_path):
     payload = json.loads((tmp_path / "o2" / "check.json").read_text())
     assert payload["assumptions"]["g4"] == "fails"
     assert payload["threshold"]["verdict"] == "no_nontrivial"
+
+
+def test_check_overflowing_g_plus_fails_g3(tmp_path, capsys):
+    # mu > 0 and p > 2 + 4/N: G_plus is unbounded in mass, and at p = 1e300
+    # it overflows to inf at every (g3) sample, where inf <= 1e-6 inf made
+    # (g3) "hold" beside an unbounded_below verdict, with two numpy overflow
+    # warnings and exit 0
+    cfg = tmp_path / "g3.ini"
+    cfg.write_text("[nonlinearity]\nfamily = log_power\nalpha = 100\nmu = 100\n"
+                   "p = 1e300\n[grid]\ndim = 2\n[solver]\nrho = 1.0\n"
+                   f"[output]\ndirectory = {tmp_path / 'o'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["check", "--config", str(cfg)])
+    assert rc == cli.EXIT_ASSUMPTION
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert "(g3) fails" in captured.out and "verdict = unbounded_below" in captured.out
+    assert "RuntimeWarning" not in captured.err
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    assert payload["assumptions"]["g3"] == "fails"
 
 
 def test_check_with_orlicz_section(tmp_path):
@@ -431,11 +470,60 @@ def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
     assert not (tmp_path / "out").exists()
 
 
+# the numbers a fuzzed config draws from, and for each key the members in
+# its domain, which it takes five times in six so that most examples reach
+# the solver
+NUMBERS = (0.0, 1.0, -1.0, 0.5, 3.0, 100.0, 1e-8, 1e300, -1e300, 1e-300,
+           math.nan, math.inf, -math.inf)
+IN_DOMAIN = {"alpha": (1.0, 0.5, 3.0, 100.0), "mu": (0.0, 1.0, -1.0, 0.5), "p": (3.0,),
+             "omega": (0.5,), "r_max": (1.0, 3.0, 100.0), "rho": (0.5, 1.0, 3.0, 100.0)}
+INI_KEY = {"alpha": "alpha", "mu": "mu", "p_exp": "p", "omega": "omega"}
+
+
+def _number(key):
+    return st.integers(0, 5).flatmap(
+        lambda k: st.sampled_from(NUMBERS if k == 5 else IN_DOMAIN[key]))
+
+
+@st.composite
+def _fuzzed_call(draw):
+    family = draw(st.sampled_from(sorted(nl._FAMILIES)))
+    lines = ["[nonlinearity]", f"family = {family}"]
+    # only the keys the family reads: any other is refused before a solve
+    lines += [f"{INI_KEY[f]} = {draw(_number(INI_KEY[f]))!r}"
+              for f in nl._FAMILIES[family].params]
+    rho = draw(_number("rho"))
+    lines += ["[grid]", f"dim = {draw(st.sampled_from([2, 3, 5]))}",
+              f"r_max = {draw(_number('r_max'))!r}", f"n = {draw(st.sampled_from([3, 8, 40]))}",
+              "[solver]", f"rho = {rho!r}", f"max_iter = {draw(st.integers(1, 40))}"]
+    command = draw(st.sampled_from(["solve", "check", "sweep-rho"]))
+    extra = [repr(rho), repr(2.0 * rho), "3"] if command == "sweep-rho" else []
+    return command, extra, "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fuzzed_call())
+def test_every_config_ends_in_a_documented_exit_code(tmp_path_factory, call):
+    # solve, check and sweep-rho on configs drawn across each family's keys,
+    # finite and not: each returns 0-3, raises nothing and warns of nothing
+    command, extra, text = call
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "run.ini"
+    cfg.write_text(f"{text}\n[output]\ndirectory = {tmp / 'out'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", str(cfg), *extra])
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NOCONV, cli.EXIT_ASSUMPTION)
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep-rho", "18", "36", "3"]])
-@pytest.mark.parametrize("r_max", ["1e300", "1e160", "1e-300"])
+@pytest.mark.parametrize("r_max", ["1e300", "1e160", "1e-300", "1e-100"])
 def test_grid_it_cannot_represent_exits_one(tmp_path, capsys, command, r_max):
     # h^2 overflowed into a traceback, or every weight was 0 and solve
-    # "converged" off the sphere (exit 2)
+    # "converged" off the sphere (exit 2); at 1e-100 h^2 and the weights are
+    # positive but the Laplacian scale r^2 h^2 underflowed to 0, and both
+    # commands warned of a division by zero and exited 2
     cfg = write_config(tmp_path, QUICK.replace("r_max = 14.0", f"r_max = {r_max}"))
     assert cli.main([command[0], "--config", cfg, *command[1:]]) == cli.EXIT_USAGE
     err = capsys.readouterr().err

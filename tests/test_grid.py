@@ -233,19 +233,22 @@ def test_field_validation(grid3):
 
 
 @pytest.mark.parametrize("dim,r_max,n", [(3, 1e300, 400), (3, 1e160, 400), (2, 1e160, 400),
-                                         (3, 1e-300, 400), (20, 1e-20, 400), (2, 1e150, 3)],
+                                         (3, 1e-300, 400), (20, 1e-20, 400), (2, 1e150, 3),
+                                         (3, 1e-100, 3)],
                          ids=["3-1e+300", "3-1e+160", "2-1e+160", "3-1e-300", "20-1e-20",
-                              "2-1e+150-3"])
+                              "2-1e+150-3", "3-1e-100-3"])
 def test_grid_refuses_what_it_cannot_represent(dim, r_max, n):
     # h^2 overflows (or a weight does) above, and underflows to 0 below,
     # where every weight would be 0 and each mass a "converged" 0; at
     # (2, 1e150, 3) h^2 and every weight are finite but the Laplacian scale
-    # r^(N-1) h^2 overflows
+    # r^(N-1) h^2 overflows; at (3, 1e-100, 3) it underflows to 0, which
+    # every Laplacian would divide by
     with pytest.raises(ValueError, match="not finite and positive"):
         gr.RadialGrid(dim, r_max, n)
 
 
-@pytest.mark.parametrize("dim,r_max,n", [(2, 1e100, 3), (3, 1e-100, 3), (3, 16.0, 800)])
+@pytest.mark.parametrize("dim,r_max,n", [(2, 1e100, 3), (3, 1e-70, 3), (3, 16.0, 800)])
 def test_grid_near_the_limits_still_builds(dim, r_max, n):
     g = gr.RadialGrid(dim, r_max, n)
     assert 0.0 < g.h**2 < math.inf and np.all(g.w > 0) and np.all(np.isfinite(g.w))
+    assert np.all(g._lap_scale > 0) and np.all(np.isfinite(g._lap_scale))

@@ -24,7 +24,7 @@ SCRIPT = """
 import json, sys
 import subnls.minimizer as mz
 bound_at_import = all(callable(getattr(mz, name, None))
-                      for name in ("dgtsv", "dpttrf", "dpttrs"))
+                      for name in ("dgtsv", "dptsv", "dpttrf", "dpttrs"))
 scipy_at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import argparse
 parser_init = argparse.ArgumentParser.__init__
@@ -69,7 +69,7 @@ print(json.dumps({"bound_at_import": bound_at_import, "scipy_at_import": scipy_a
                   "check_code": check_code, "newton_everywhere": all(k > 0 for k in newton),
                   "loaded": loaded,
                   "one_binary": all(getattr(mz, name) is getattr(scipy.linalg.lapack, name)
-                                    for name in ("dgtsv", "dpttrf", "dpttrs"))}))
+                                    for name in ("dgtsv", "dptsv", "dpttrf", "dpttrs"))}))
 """
 
 # argv[1] is "direct" or "fallback"; the fallback run makes the direct load
@@ -82,7 +82,7 @@ import subnls.minimizer as mz
 lapack_module = sys.modules.get("scipy.linalg.lapack")
 from_lapack = lapack_module is not None and all(
     getattr(mz, name) is getattr(lapack_module, name)
-    for name in ("dgtsv", "dpttrf", "dpttrs"))
+    for name in ("dgtsv", "dptsv", "dpttrf", "dpttrs"))
 from subnls import cli, grid
 res = mz.continuation(cli.build_solve_config(cli.load_config("configs/quick.ini")))
 stages = [[r.eps, r.energy.hex(), r.lam.hex(), r.iterations, r.newton_steps, r.status,
@@ -141,5 +141,5 @@ def test_without_lapack_the_import_fails():
 def test_direct_and_scipy_lapack_are_one_binary():
     import scipy.linalg.lapack
 
-    for name in ("dgtsv", "dpttrf", "dpttrs", "dstebz"):
+    for name in ("dgtsv", "dptsv", "dpttrf", "dpttrs", "dstebz"):
         assert getattr(_lapack, name) is getattr(scipy.linalg.lapack, name)

@@ -1016,6 +1016,26 @@ def test_newton_step_with_a_zero_border_pivot_gives_no_step():
     assert step is None
 
 
+def test_interior_newton_step_whose_mass_overflows_gives_no_step():
+    # A = K is positive definite and the solved step is finite, near 1e201,
+    # but its mass overflows: no step, where the trial used to be evaluated
+    # with its infinite mass and then rejected
+    grid = gr.RadialGrid(3, 10.0, 50)
+    u = np.exp(-grid.r ** 2)
+    m_u = gr.mass(gr.RadialField(grid, u))
+    res = np.full(grid.n, 1e200)
+    k_diag, k_off = grid._kinetic_bands
+    d_fac, e_fac, info = mz.dpttrf(k_diag, k_off)
+    x = mz.dpttrs(d_fac, e_fac, grid.w * res)[0]
+    assert info == 0 and np.all(np.isfinite(u - x))
+    rhs2 = np.empty((grid.n, 2), order="F")
+    # the solver calls the step with overflow warnings off
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(float(np.dot(grid.w, (u - x) ** 2)))
+        step = mz._newton_step(grid, u, m_u, res, 0.0, 20.0, False, np.zeros(grid.n), rhs2)
+    assert step is None
+
+
 def test_newton_trial_that_lowers_the_energy_is_kept():
     # the perfbench collapse configuration from default_rng([1, 0]): the
     # first iteration descends into the disc, and the second is an interior

@@ -451,3 +451,18 @@ def test_g_eps_prime_closed_forms():
                        -0.5 / np.sqrt(t), rtol=1e-14)
     for spec, _ in FUSED_CASES.values():
         assert nl.g_eps_prime(spec, 0.0, 1e-2) == 0.0
+
+
+def test_point_keeps_its_shared_values_per_eps_and_exponent():
+    # one Point evaluated under two cutoffs and under two exponents p: its
+    # kept mask |s| < eps and power (s^2)^(p/2 - 1) are keyed, so every
+    # value is the one a fresh Point gives, bit for bit
+    s = np.array([-0.5, -0.05, -0.005, 0.0, 0.005, 0.05, 0.5, 2.0])
+    shared = nl.Point(s)
+    specs = [nl.log_power(1.0, 0.7, 3.0, dim=3), nl.log_power(1.0, 0.7, 4.0, dim=3)]
+    for spec in specs:
+        for eps in (0.1, 0.01):
+            kern = nl.bind_eps(spec, eps)
+            for f in kern:
+                got, fresh = f(shared), f(nl.Point(s))
+                assert got.tobytes() == fresh.tobytes(), (spec.p_exp, eps, f)
