@@ -286,7 +286,7 @@ def cmd_check(args) -> int:
         payload["threshold"] = {
             "mu_star": mu_star,
             "gtilde_max": None if math.isinf(gmax) else gmax,
-            "g4_holds": spec.mu > mu_star,
+            "g4_holds": report.g4 == nl.HOLDS,
             "eta": nl.eta_coefficient(spec),
             "verdict": dg.nonexistence_verdict(spec),
         }

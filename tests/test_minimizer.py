@@ -1,12 +1,13 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import SEVEN_STAGES
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subnls import diagnostics as dg
@@ -1263,3 +1264,50 @@ def test_energy_map_point_below_the_zero_multiplier_runs_cold(log_spec3, monkeyp
     for p in pts[:-1]:
         assert p.converged and p.status == "converged" and p.eps == 0.0
         assert p.c_value == pytest.approx(alone[p.rho].limit.energy, rel=1e-9, abs=0.0)
+
+
+STAGE_STATUSES = {"converged", "collapsed", "stalled", "nonfinite", "backtrack_exhausted",
+                  "max_iter"}
+
+
+def _decade(lo, hi):
+    return st.integers(lo, hi).map(lambda k: 10.0 ** k)
+
+
+@st.composite
+def _extreme_continuation(draw):
+    # a finite spec and solve config drawn across many decades, each refused
+    # one skipped, and the seed of a jittered start (None: the plain start)
+    family = draw(st.sampled_from(sorted(nl._FAMILIES)))
+    draws = {"alpha": _decade(-300, 300),
+             "mu": st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), _decade(-300, 300)).map(
+                 lambda t: t[0] * t[1]),
+             "p_exp": st.sampled_from([2.000001, 2.5, 3.0, 10.0 / 3.0, 4.0, 6.0, 100.0, 1e300]),
+             "omega": st.sampled_from([1e-300, 1e-8, 0.05, 0.5, 0.9, 1.0 - 1e-16])}
+    kw = {f: draw(draws[f]) for f in nl._FAMILIES[family].params}
+    dim = draw(st.sampled_from([2, 3, 5]))
+    try:
+        config = mz.SolveConfig(spec=nl.NonlinearitySpec(family, dim, **kw),
+                                rho=draw(_decade(-150, 150)), r_max=draw(_decade(-50, 100)),
+                                n=draw(st.sampled_from([3, 8, 40])),
+                                max_iter=draw(st.integers(1, 40)))
+        config.make_grid()
+    except ValueError:
+        assume(False)
+    return config, draw(st.none() | st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_extreme_continuation())
+# rho^(omega+2) overflowed in the eps = 0 limit's primitive P, which it drops
+@example((mz.SolveConfig(spec=nl.power_sublinear(0.9, dim=3), rho=1e150, r_max=1.0, n=40,
+                         max_iter=40), None))
+def test_continuation_ends_in_a_documented_status(run):
+    # no exception and no numpy warning, whatever the spec, grid and start
+    config, seed = run
+    rng = None if seed is None else np.random.default_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = mz.continuation(config, rng=rng)
+    assert {s.status for s in res.stages} <= STAGE_STATUSES
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]

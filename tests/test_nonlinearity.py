@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import INI_KEY, fuzzed_spec
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -46,27 +47,6 @@ def test_split_at_zero_all_families():
     for spec in FAMILIES:
         sv = nl.eval_split(spec, 0.0)
         assert sv.g == sv.G == sv.G_plus == sv.G_minus == 0.0
-
-
-def test_phi_eps_values():
-    assert nl.phi_eps(0.25, 0.5) == 0.5
-    assert nl.phi_eps(0.5, 0.5) == 1.0
-    assert nl.phi_eps(-0.1, 0.4) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        nl.phi_eps(0.3, 1.5)
-    with pytest.raises(ValueError):
-        nl.phi_eps(0.3, 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-30, max_value=30, allow_nan=False),
-       st.floats(min_value=1e-6, max_value=0.999))
-def test_phi_eps_properties(s, eps):
-    v = nl.phi_eps(s, eps)
-    assert 0.0 <= v <= 1.0
-    assert v == nl.phi_eps(-s, eps)
-    if abs(s) >= eps:
-        assert v == 1.0
 
 
 def test_gme_power_sublinear_closed_form():
@@ -198,10 +178,10 @@ def test_check_assumptions_growth_verdicts():
     supercritical = nl.check_assumptions(nl.log_power(1.0, 0.1, 4.0, dim=3))
     assert supercritical.g3 == nl.FAILS and supercritical.g2 == nl.HOLDS
     assert supercritical.any_fails
-    # N = 2 has no 2*: (g2) is the damped-tail (Trudinger-Moser) test
+    # N = 2 has no 2*: (g2) holds for a subexponential growth, and details
+    # holds only the (g4) maximum
     planar = nl.check_assumptions(nl.logarithmic(1.0, dim=2))
-    assert planar.g2 == nl.HOLDS and "g2_damped_tail" in planar.details
-    assert "g2_growth_tail" not in planar.details
+    assert planar.g2 == nl.HOLDS and set(planar.details) == {"g4_max"}
     # just above mu*, G is positive only on a window between the (g4)
     # samples around the larger root of g, where G peaks: that root is the
     # witness xi0, so (g4) holds
@@ -236,6 +216,87 @@ def test_g4_max_over_samples_and_roots(spec):
     report = nl.check_assumptions(spec)
     assert report.details["g4_max"] == float(max(at_samples, at_roots))
     assert report.g4 == nl.HOLDS
+
+def _check_exit(tmp_path, spec):
+    keys = "".join(f"{INI_KEY[f]} = {getattr(spec, f)!r}\n"
+                   for f in nl._FAMILIES[spec.family].params)
+    cfg = tmp_path / "check.ini"
+    cfg.write_text(f"[nonlinearity]\nfamily = {spec.family}\n{keys}[grid]\ndim = {spec.dim}\n"
+                   f"[solver]\nrho = 1.0\n[output]\ndirectory = {tmp_path / 'o'}\n")
+    return cli.main(["check", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("spec, verdict, expect", [
+    # g and G_plus overflow at the old growth samples, which read that as growth
+    (nl.logarithmic(1e300, dim=3), "g3", nl.HOLDS),
+    (nl.logarithmic(1e300, dim=3), "g2", nl.HOLDS),
+    # G_plus / s^(2+4/N) decays like ln s^2 / s^(4/N): too slowly for 40 samples
+    (nl.logarithmic(1.0, dim=5), "g3", nl.HOLDS),
+    (nl.log_power(1.0, 0.7, 3.0, dim=3), "g3", nl.HOLDS),
+    # g_plus / s is large at the small samples but G_plus = 0 below the root of g
+    (nl.log_power(1.0, 1e8, 3.0, dim=3), "g1", nl.HOLDS),
+    # |g| = s^0.05 falls to 0 too slowly for a sampled ratio
+    (nl.power_sublinear(0.05, dim=3), "g0", nl.HOLDS),
+    # mass-critical mu > 0: eta = mu/p is not 0
+    (nl.log_power(1.0, 0.05, 10.0 / 3.0, dim=3), "g3", nl.FAILS),
+], ids=["log_huge_alpha_g3", "log_huge_alpha_g2", "log_N5", "log_power_mu0.7",
+        "log_power_mu1e8", "sublinear_omega0.05", "mass_critical"])
+def test_check_assumptions_exact_verdicts(spec, verdict, expect):
+    assert nl.check_assumptions(spec).verdicts()[verdict] == expect
+
+
+@pytest.mark.parametrize("spec, rc", [
+    (nl.logarithmic(1e300, dim=3), cli.EXIT_OK),
+    (nl.log_power(1.0, 0.05, 10.0 / 3.0, dim=3), cli.EXIT_ASSUMPTION),
+], ids=["log_huge_alpha", "mass_critical"])
+def test_check_exit_code_from_exact_verdicts(tmp_path, spec, rc):
+    assert _check_exit(tmp_path, spec) == rc
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    if rc == cli.EXIT_OK:
+        assert set(payload["assumptions"].values()) == {nl.HOLDS}
+    assert set(payload["details"]) == {"g4_max"}
+
+
+def test_threshold_g4_holds_is_the_g4_verdict(tmp_path):
+    # one double above mu*, G peaks at rounding level: (g4) is inconclusive,
+    # and so is the analytic verdict within its 1e-12 band
+    spec = nl.log_power(1.0, math.nextafter(nl.mu_threshold(1.0, 4.0), 0.0), 4.0, dim=3)
+    assert _check_exit(tmp_path, spec) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    assert payload["assumptions"]["g4"] == nl.INCONCLUSIVE
+    assert payload["threshold"]["g4_holds"] is False
+    assert payload["threshold"]["verdict"] == "boundary"
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fuzzed_spec())
+def test_check_assumptions_verdicts_are_exact(spec):
+    # (g0)-(g2) hold for every accepted spec, (g3) is eta = 0 and (g4) holds
+    # exactly when a witness xi0 is reported
+    assume(spec is not None)
+    report = nl.check_assumptions(spec)
+    assert report.g0 == report.g1 == report.g2 == nl.HOLDS
+    assert (report.g3 == nl.HOLDS) == (nl.eta_coefficient(spec) == 0.0)
+    assert report.g3 in (nl.HOLDS, nl.FAILS)
+    assert (report.g4 == nl.HOLDS) == (report.xi0 is not None)
+
+
+@pytest.mark.parametrize("spec", [
+    nl.logarithmic(1.0, dim=3),
+    nl.log_power(1.0, 0.7, 6.0, dim=3),  # p = 2*: the growth cap is sharp
+    nl.saturation(dim=3),
+    nl.power_sublinear(0.5, dim=3),
+], ids=["log", "log_power", "saturation", "power_sublinear"])
+def test_closed_form_verdicts_hold_numerically(spec):
+    # the facts behind (g0)-(g2) holding for every accepted spec
+    small = np.logspace(-1, -250, 250)  # descending to 0
+    g = np.abs(nl.g_value(spec, small))
+    assert np.all(np.diff(g) <= 0.0) and g[-1] < 1e-100               # g(s) -> 0
+    ratio = nl.G_plus_value(spec, small[:60]) / small[:60] ** 2
+    assert np.all(np.diff(ratio) <= 0.0) and ratio[-1] < 1e-100       # G_plus = o(s^2)
+    big = np.logspace(-3, 50, 600)
+    cap = np.abs(nl.g_value(spec, big)) / (1.0 + big ** (spec.sobolev_critical_exp - 1.0))
+    assert np.all(np.isfinite(cap))
+    assert cap[big >= 10.0].max() <= cap[big <= 10.0].max()           # |g| <= C(1 + s^(2*-1))
 
 
 def test_eta_coefficient():
