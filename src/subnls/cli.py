@@ -283,12 +283,14 @@ def cmd_check(args) -> int:
         mu_star = nl.mu_threshold(spec.alpha, spec.p_exp)
         # G(s)/s^2 is unbounded unless mu < 0
         gmax = nl.gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0 else math.inf
+        verdict = dg.nonexistence_verdict(spec)
         payload["threshold"] = {
             "mu_star": mu_star,
             "gtilde_max": None if math.isinf(gmax) else gmax,
-            "g4_holds": report.g4 == nl.HOLDS,
+            # (g4) holds exactly when mu > mu*, claimed beyond the verdict's band
+            "g4_holds": verdict not in (dg.BOUNDARY, dg.NO_NONTRIVIAL),
             "eta": nl.eta_coefficient(spec),
-            "verdict": dg.nonexistence_verdict(spec),
+            "verdict": verdict,
         }
     nfun = build_nfunction(cfg)
     orlicz_failed = False

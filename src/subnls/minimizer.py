@@ -720,6 +720,7 @@ def continuation(config: SolveConfig, grid: Optional[RadialGrid] = None,
     return ContinuationResult(stages=stages, limit=_limit(config, grid, stages))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _limit(config, grid, stages) -> SolverResult:
     """The eps = 0 limit of stages, whose last one converged: on its KKT
     test, or by a collapse, which continuation makes the last stage.

@@ -149,8 +149,7 @@ class Point:
 # half-line kernels (arguments are Points, read through |s|); every g is odd,
 # so the negative axis follows by symmetry.  Each family names the spec fields
 # it reads and supplies g, its derivative dg, the pair (G, P) with P(s) =
-# int_0^s t g(t) dt, G alone with the bits of the pair's G (the eps = 0
-# energy's kernel), the positive roots of g and its parameter check; each
+# int_0^s t g(t) dt, the positive roots of g and its parameter check; each
 # takes one log (or power) per node and kernel, and the log families share
 # ln s^2 across the kernels at one Point, and g and g' share s^(p-2).
 
@@ -169,27 +168,14 @@ def _log_dg(spec, x):
     return dg
 
 
-def _log_G0(spec, x):
-    # a s^2 (ln s^2 - 1) / 2, in place after the first operation, which
-    # copies the shared ln s^2: this is the inner loop of every energy
-    # evaluation
-    G = x.ln_s2 - 1.0
-    G *= x.s2
-    G *= 0.5 * spec.alpha
-    return G
-
-
-def _log_G(spec, x):
-    G = _log_G0(spec, x)
-    if spec.mu != 0.0:
-        G += spec.mu * x.s2 ** (0.5 * spec.p_exp) * (1.0 / spec.p_exp)  # mu*s^p/p
-    return G
-
-
 def _log_prims(spec, x):
+    # in place after the first operation, which copies the shared ln s^2:
+    # this is the inner loop of every energy evaluation
     s, s2 = x.mag, x.s2
     a = spec.alpha
-    G = _log_G0(spec, x)
+    G = x.ln_s2 - 1.0
+    G *= s2
+    G *= 0.5 * a  # a s^2 (ln s^2 - 1) / 2
     P = G * (2.0 / 3.0)
     P += s2 * (a / 9.0)
     P *= s  # a s^3 (ln s^2 / 3 - 2/9)
@@ -276,13 +262,9 @@ def _check_sublinear(spec):
         raise ValueError("power_sublinear needs 0 < omega < 1")
 
 
-def _saturation_G(spec, x):
-    return 0.5 * (x.s2 - np.log1p(x.s2))
-
-
 def _saturation_prims(spec, x):
-    s = x.mag
-    return _saturation_G(spec, x), s**3 / 3.0 - s + np.arctan(s)
+    s, s2 = x.mag, x.s2
+    return 0.5 * (s2 - np.log1p(s2)), s**3 / 3.0 - s + np.arctan(s)
 
 
 def _sublinear_dg(spec, x):
@@ -290,11 +272,6 @@ def _sublinear_dg(spec, x):
     # multiplies it by |s|/eps = 0
     w = spec.omega
     return -w * np.maximum(x.mag, _TINY) ** (w - 1.0)
-
-
-def _sublinear_G(spec, x):
-    w = spec.omega
-    return -(x.mag ** (w + 1.0)) / (w + 1.0)
 
 
 def _sublinear_prims(spec, x):
@@ -308,22 +285,20 @@ class _Family(NamedTuple):
     g: Callable      # (spec, Point) -> g at |s|
     dg: Callable     # (spec, Point) -> g' at |s|
     prims: Callable  # (spec, Point) -> (G, P) at |s|
-    G: Callable      # (spec, Point) -> G at |s|, bit-identical to prims' G
     roots: Callable  # spec -> positive roots of g, ascending
     check: Callable  # spec -> None; raises ValueError on bad parameters
 
 
 _FAMILIES = {
-    "log": _Family(("alpha",), _log_g, _log_dg, _log_prims, _log_G, _log_roots, _check_log),
-    "log_power": _Family(("alpha", "mu", "p_exp"), _log_g, _log_dg, _log_prims, _log_G,
-                         _log_roots, _check_log_power),
+    "log": _Family(("alpha",), _log_g, _log_dg, _log_prims, _log_roots, _check_log),
+    "log_power": _Family(("alpha", "mu", "p_exp"), _log_g, _log_dg, _log_prims, _log_roots,
+                         _check_log_power),
     "saturation": _Family((), lambda spec, x: x.mag**3 / (1.0 + x.s2),
                           lambda spec, x: x.s2 * (3.0 + x.s2) / (1.0 + x.s2) ** 2,
-                          _saturation_prims, _saturation_G, lambda spec: (),
-                          lambda spec: None),
+                          _saturation_prims, lambda spec: (), lambda spec: None),
     "power_sublinear": _Family(("omega",), lambda spec, x: -(x.mag**spec.omega),
-                               _sublinear_dg, _sublinear_prims, _sublinear_G,
-                               lambda spec: (), _check_sublinear),
+                               _sublinear_dg, _sublinear_prims, lambda spec: (),
+                               _check_sublinear),
 }
 
 
@@ -404,7 +379,7 @@ def G_plus_value(spec: NonlinearitySpec, s):
     mag = x.mag
     st = _sign_structure(spec)
     j = np.searchsorted(st.roots, mag, side="right")
-    G = _FAMILIES[spec.family].G(spec, x)
+    G = _FAMILIES[spec.family].prims(spec, x)[0]
     out = np.where(st.neg[j], st.gp_prefix[j], st.gp_prefix[j] - st.G_left[j] + G)
     return _shaped(out, arr, scalar)
 
@@ -476,7 +451,7 @@ def bind_eps(spec: NonlinearitySpec, eps: float) -> EpsKernels:
     g_eps_prime wrap them for scalars and arrays of any shape."""
     fam = _FAMILIES[spec.family]
     if eps == 0.0:
-        return EpsKernels(G=lambda x: fam.G(spec, x),
+        return EpsKernels(G=lambda x: fam.prims(spec, x)[0],
                           g=lambda x: np.sign(x.s) * x.half_g(spec),
                           dg=lambda x: fam.dg(spec, x))
     _check_eps(eps)

@@ -2,11 +2,8 @@
 independent shooting oracle for the planar cubic ground state, and the
 end-of-run echo of the acceptance criterion lines."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from subnls import grid as gr
 from subnls import minimizer as mz
@@ -22,33 +19,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
-
-
-# the numbers a fuzzed config draws from, and for each key the members in
-# its domain, which it takes five times in six so that most examples reach
-# the solver
-NUMBERS = (0.0, 1.0, -1.0, 0.5, 3.0, 100.0, 1e-8, 1e300, -1e300, 1e-300,
-           math.nan, math.inf, -math.inf)
-IN_DOMAIN = {"alpha": (1.0, 0.5, 3.0, 100.0), "mu": (0.0, 1.0, -1.0, 0.5), "p": (3.0,),
-             "omega": (0.5,), "r_max": (1.0, 3.0, 100.0), "rho": (0.5, 1.0, 3.0, 100.0)}
-INI_KEY = {"alpha": "alpha", "mu": "mu", "p_exp": "p", "omega": "omega"}
-
-
-def fuzz_number(key):
-    return st.integers(0, 5).flatmap(
-        lambda k: st.sampled_from(NUMBERS if k == 5 else IN_DOMAIN[key]))
-
-
-@st.composite
-def fuzzed_spec(draw):
-    """A spec drawn like the [nonlinearity] section of a fuzzed config, with
-    the keys its family reads and dim in {2, 3, 5}; None when it is refused."""
-    family = draw(st.sampled_from(sorted(nl._FAMILIES)))
-    kw = {f: draw(fuzz_number(INI_KEY[f])) for f in nl._FAMILIES[family].params}
-    try:
-        return nl.NonlinearitySpec(family, draw(st.sampled_from([2, 3, 5])), **kw)
-    except ValueError:
-        return None
 
 
 @pytest.fixture(scope="session")
