@@ -176,7 +176,10 @@ def _atomic_write(path, text):
 
 
 def _dump_json(payload, path):
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Standard JSON: a float that is not finite is written as null (read
+    back as None from the NaN and Infinity that json writes for it)."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def result_payload(result, cfg: RunConfig, profile_csv_path):
@@ -278,38 +281,26 @@ def cmd_check(args) -> int:
     spec = build_spec(cfg)
     report = nl.check_assumptions(spec)
     payload = {"assumptions": report.verdicts(), "xi0": report.xi0,
-               "details": report.details}
+               "config_digest": cfg.digest, "version": __version__}
     if spec.family == "log_power":
-        mu_star = nl.mu_threshold(spec.alpha, spec.p_exp)
-        # G(s)/s^2 is unbounded unless mu < 0
-        gmax = nl.gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0 else math.inf
-        verdict = dg.nonexistence_verdict(spec)
         payload["threshold"] = {
-            "mu_star": mu_star,
-            "gtilde_max": None if math.isinf(gmax) else gmax,
-            # (g4) holds exactly when mu > mu*, claimed beyond the verdict's band
-            "g4_holds": verdict not in (dg.BOUNDARY, dg.NO_NONTRIVIAL),
+            "mu_star": nl.mu_threshold(spec.alpha, spec.p_exp),
+            # G(s)/s^2 is unbounded (null) unless mu < 0
+            "gtilde_max": (nl.gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0
+                           else math.inf),
+            "g4_holds": report.g4 == nl.HOLDS,
             "eta": nl.eta_coefficient(spec),
-            "verdict": verdict,
+            "verdict": dg.nonexistence_verdict(spec),
         }
     nfun = build_nfunction(cfg)
-    orlicz_failed = False
     if nfun is not None:
         growth = orlicz.check_delta2_nabla2(nfun)
-        payload["orlicz"] = {
-            "delta2_nabla2_holds": growth.holds,
-            "c_delta": growth.c_delta,
-            "c_nabla": growth.c_nabla,
-            "sampled_range": list(growth.sampled_range),
-        }
+        payload["orlicz"] = {"delta2_nabla2_holds": growth.holds, "c_delta": growth.c_delta,
+                             "c_nabla": growth.c_nabla}
         if nfun.two_piece:
-            val, der = orlicz.knot_mismatch(nfun)
-            payload["orlicz"]["knot_mismatch"] = [val, der]
-        orlicz_failed = not growth.holds
+            payload["orlicz"]["knot_mismatch"] = list(orlicz.knot_mismatch(nfun))
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    payload["config_digest"] = cfg.digest
-    payload["version"] = __version__
     _dump_json(payload, os.path.join(out_dir, "check.json"))
     for name, verdict in report.verdicts().items():
         print(f"({name}) {verdict}")
@@ -319,10 +310,9 @@ def cmd_check(args) -> int:
         print(f"mu_star = {payload['threshold']['mu_star']:.12g} "
               f"verdict = {payload['threshold']['verdict']}")
     if nfun is not None:
-        print(f"N-function growth: holds={payload['orlicz']['delta2_nabla2_holds']} "
-              f"C_delta={payload['orlicz']['c_delta']:.6g} "
-              f"C_nabla={payload['orlicz']['c_nabla']:.6g}")
-    return EXIT_ASSUMPTION if (report.any_fails or orlicz_failed) else EXIT_OK
+        print(f"N-function growth: holds={growth.holds} C_delta={growth.c_delta:.6g} "
+              f"C_nabla={growth.c_nabla:.6g}")
+    return EXIT_ASSUMPTION if report.any_fails else EXIT_OK
 
 
 def cmd_gn(args) -> int:

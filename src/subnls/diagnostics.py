@@ -128,25 +128,19 @@ MASS_CRITICAL = "mass_critical"
 
 def nonexistence_verdict(spec: nl.NonlinearitySpec) -> str:
     """Analytic verdict for a log_power spec.  For mu > 0 it is
-    mass_critical when p = 2 + 4/N within 1e-12 relative (whether a
-    solution exists then depends on rho, see mass_condition) and
-    unbounded_below when p > 2 + 4/N (a mass-supercritical positive power,
-    so (g3) fails and the energy is unbounded below on every sphere);
-    otherwise mu is compared with the threshold -alpha p/(p-2) e^(-p/2)
-    within 1e-12."""
+    mass_critical at p = 2 + 4/N within 1e-12 relative (existence then
+    depends on rho, see mass_condition) and unbounded_below at p > 2 + 4/N
+    ((g3) fails; the energy is unbounded below on every sphere); otherwise
+    exists_large_rho, no_nontrivial or boundary where nl.g4_verdict holds,
+    fails or is inconclusive (it compares mu with mu_threshold)."""
     if spec.family != "log_power":
         raise ValueError("nonexistence verdict applies to the log_power family")
     if spec.mu > 0.0 and spec.mass_critical:
         return MASS_CRITICAL
     if spec.mu > 0.0 and spec.p_exp > spec.mass_critical_exp:
         return UNBOUNDED_BELOW
-    mu_star = nl.mu_threshold(spec.alpha, spec.p_exp)
-    tol = 1e-12 * max(1.0, abs(mu_star))
-    if spec.mu > mu_star + tol:
-        return EXISTS_LARGE_RHO
-    if spec.mu < mu_star - tol:
-        return NO_NONTRIVIAL
-    return BOUNDARY
+    return {nl.HOLDS: EXISTS_LARGE_RHO, nl.FAILS: NO_NONTRIVIAL,
+            nl.INCONCLUSIVE: BOUNDARY}[nl.g4_verdict(spec)]
 
 
 def existence_evidence(results: Sequence, energy_tol: float = 1e-6,

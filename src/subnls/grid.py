@@ -209,6 +209,7 @@ class GNEstimate:
 
 
 def _gn_quotient(grid: RadialGrid, vals: np.ndarray, p: float, theta: float) -> float:
+    vals = vals / np.max(np.abs(vals))  # scale-invariant; |vals|^p <= 1 cannot overflow
     lp = float(np.dot(grid.w, np.abs(vals) ** p)) ** (1.0 / p)
     kin = kinetic(RadialField(grid, vals))
     m = float(np.dot(grid.w, vals**2))
@@ -240,6 +241,8 @@ def gn_constant(dim: int, p: float) -> GNEstimate:
         kin = kinetic(RadialField(grid, vals))
         m = float(np.dot(grid.w, vals**2))
         pp = float(np.dot(grid.w, np.abs(vals) ** p))
+        if pp == 0.0:
+            raise ValueError(f"int |u|^p underflows to 0 at p = {p:g}: no finite estimate")
         lap = laplacian_values(grid, vals)
         direction = (np.abs(vals) ** (p - 2) * vals / pp
                      + theta * lap / kin

@@ -344,13 +344,18 @@ def _rescale(w, vals, rho, sphere=False, slack=0.0):
     return vals * (rho / math.sqrt(m)), rho * rho
 
 
+def _nehari_quotient(pairing: float, kin: float, m: float) -> float:
+    """The multiplier (int g_eps(u) u - |grad u|^2)/m at the caller's mass m."""
+    return (pairing - kin) / m
+
+
 def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> float:
     """Multiplier from the Nehari pairing: (int g_eps(u) u - |grad u|^2)/|u|^2."""
     m = mass(u)
     if m <= 0.0:
         raise ValueError("cannot extract a multiplier from the zero field")
     pairing = float(np.dot(u.grid.w, nl.g_eps(spec, u.values, eps) * u.values))
-    return (pairing - kinetic(u)) / m
+    return _nehari_quotient(pairing, kinetic(u), m)
 
 
 def _plateau(r, level):
@@ -682,8 +687,7 @@ def _result(config, at, eps, energy, dens, g, m, status, **solver) -> SolverResu
     rho = config.rho
     u = RadialField(at.grid, at.s)
     parts = identity_parts(u, at.kinetic, dens, g)
-    # extract_lambda's quotient
-    lam = (parts.pairing - parts.kinetic) / parts.mass if m > 0 else 0.0
+    lam = _nehari_quotient(parts.pairing, parts.kinetic, parts.mass) if m > 0 else 0.0
     return SolverResult(
         u=u, lam=lam, energy=energy, eps=eps, rho=rho, mass=m, kinetic=parts.kinetic,
         on_sphere=abs(m - rho * rho) <= TOL_MASS * rho * rho, status=status,
@@ -859,7 +863,6 @@ def _predict(grid, spec, known, rho):
     vals, m = _rescale(grid.w, u1, rho, sphere=True)
     x = _At(vals, grid)
     if not two:
-        # extract_lambda's quotient
         pairing = float(np.dot(grid.w, nl.bind_eps(spec, 0.0).g(x) * vals))
-        lam1 = (pairing - x.kinetic) / m
+        lam1 = _nehari_quotient(pairing, x.kinetic, m)
     return x, lam1

@@ -547,6 +547,25 @@ def eta_coefficient(spec: NonlinearitySpec) -> float:
     return 0.0 if spec.p_exp < spec.mass_critical_exp else math.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def g4_verdict(spec: NonlinearitySpec) -> str:
+    """(g4), G > 0 somewhere, from the sign structure of g: it holds where
+    g > 0 at infinity (G is unbounded above) and fails where g <= 0 on the
+    whole half line.  With two roots (log_power, mu < 0) it holds exactly
+    when mu > mu_threshold, inconclusive within 1e-12 max(1, |mu*|) of it.
+    A g that overflows beyond the last root is a value, not a warning."""
+    neg = _sign_structure(spec).neg
+    if not neg[-1]:
+        return HOLDS
+    if neg.all():
+        return FAILS
+    mu_star = mu_threshold(spec.alpha, spec.p_exp)
+    tol = 1e-12 * max(1.0, abs(mu_star))
+    if spec.mu > mu_star + tol:
+        return HOLDS
+    return FAILS if spec.mu < mu_star - tol else INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # assumption report
 
@@ -559,7 +578,6 @@ class AssumptionReport:
     g3: str
     g4: str
     xi0: Optional[float]
-    details: dict
 
     def verdicts(self) -> dict:
         return {"g0": self.g0, "g1": self.g1, "g2": self.g2,
@@ -584,12 +602,9 @@ def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
     return float(s[ok].min()) if ok.any() else None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
-    """Verdicts on the hypotheses (g0)-(g4) of the paper.  Inconclusive is
-    a verdict, not an error.
-
-    (g0)-(g3) are decided from closed forms, with no sample of g:
+    """Verdicts on the paper's hypotheses (g0)-(g4), from closed forms with
+    no sample of g (inconclusive is a verdict, not an error):
     - (g0) continuity with g(0) = 0 and (g1) G_plus(s) = o(s^2) at 0 hold
       for every spec its family accepts: every g is continuous and odd with
       g(0) = 0, and G_plus vanishes near 0 (g < 0 on (0, r) for the log
@@ -600,20 +615,11 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
       |s| ln s^2, and for N = 2 every growth is subexponential;
     - (g3), mass-subcriticality of G_plus, holds exactly when
       eta_coefficient is 0.  A mass-critical mu > 0 fails it: existence
-      then depends on rho (diagnostics.mass_condition).
-    (g4), G > 0 somewhere, is sampled at 3000 points and the roots of g; a
-    sample where G overflows is a value, not a warning.
+      then depends on rho (diagnostics.mass_condition);
+    - (g4), G > 0 somewhere, is g4_verdict.
+    xi0, where (g4) holds, is the seed level find_positive_level.
     """
     g3 = HOLDS if eta_coefficient(spec) == 0.0 else FAILS
-    # G' = g, so between samples G can only peak at a root of g
-    s4 = np.concatenate([np.logspace(-6, 6, 3000), _sign_structure(spec).roots])
-    gmax = float(np.max(G_value(spec, s4)))
-    xi0 = find_positive_level(spec)
-    if gmax > 0 and xi0 is not None:
-        g4 = HOLDS
-    elif gmax <= -1e-12:
-        g4, xi0 = FAILS, None
-    else:
-        g4, xi0 = INCONCLUSIVE, None
-    return AssumptionReport(g0=HOLDS, g1=HOLDS, g2=HOLDS, g3=g3, g4=g4, xi0=xi0,
-                            details={"g4_max": gmax})
+    g4 = g4_verdict(spec)
+    xi0 = find_positive_level(spec) if g4 == HOLDS else None
+    return AssumptionReport(g0=HOLDS, g1=HOLDS, g2=HOLDS, g3=g3, g4=g4, xi0=xi0)

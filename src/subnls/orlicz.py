@@ -1,11 +1,12 @@
-"""N-function toolkit: Luxemburg norm on radial fields, growth-condition
-(Delta_2 / Nabla_2) verification through the ratio s A'(s)/A(s), and the
-two-piece constructions that match -alpha s^2 ln s^2 near the origin to a
-quadratic or power tail at |s| = e^-3 with C^1 gluing.
+"""N-function toolkit: Luxemburg norm on radial fields, the growth
+conditions Delta_2 / Nabla_2 in index form, and the two-piece constructions
+that match -alpha s^2 ln s^2 near the origin to a quadratic or power tail at
+|s| = e^-3 with C^1 gluing.
 
-Growth verdicts are sampled on |s| in [1e-8, 1e8]; a global analytic
-certificate is outside what sampling can deliver, so reports carry the
-sampled range.
+An N-function A satisfies Delta_2 and Nabla_2 globally exactly when the
+index s a(s)/A(s) has a finite sup and an inf above 1 over s > 0
+(Krasnosel'skii-Rutickii; Rao & Ren, Theory of Orlicz Spaces).  Every
+family has a closed form, so these bounds are exact, not sampled.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .grid import RadialField
 from .nonlinearity import _bisect
 
 KNOT = math.exp(-3.0)
-
-SAMPLED_RANGE = (1e-8, 1e8)
 
 
 class OrliczError(RuntimeError):
@@ -115,10 +114,11 @@ _TAILS = {
     "log_matched": (
         lambda F, x: 3 * F.alpha * x**2 + 4 * F.alpha * KNOT * x - F.alpha * KNOT**2,
         lambda F, x: 6 * F.alpha * x + 4 * F.alpha * KNOT),
+    # in x/KNOT, so that no e^(3p) overflows: alpha KNOT^2 (10/p (x/KNOT)^p + 6 - 10/p)
     "log_matched_power_tail": (
-        lambda F, x: (10 * F.alpha / F.p_exp * math.exp(3 * F.p_exp - 6) * x**F.p_exp
-                      + 2 * F.alpha * (3 - 5 / F.p_exp) * KNOT**2),
-        lambda F, x: 10 * F.alpha * math.exp(3 * F.p_exp - 6) * x ** (F.p_exp - 1)),
+        lambda F, x: F.alpha * KNOT**2 * (10 / F.p_exp * (x / KNOT) ** F.p_exp
+                                          + 6 - 10 / F.p_exp),
+        lambda F, x: 10 * F.alpha * KNOT * (x / KNOT) ** (F.p_exp - 1)),
 }
 
 
@@ -166,22 +166,24 @@ class GrowthReport:
     holds: bool
     c_delta: float
     c_nabla: float
-    sampled_range: tuple
+
+
+# the exact (sup, inf) of s a(s)/A(s) over s > 0: the log core gives
+# 2 + 2/ln s^2 in (5/3, 2); with y = s/KNOT the quadratic tail gives
+# 1 + (3y^2 + 1)/(3y^2 + 4y - 1), least at y = (3 + sqrt 21)/6, and the power
+# tail 10 y^p/(10/p y^p + 6 - 10/p), rising from 5/3 to p
+_INDICES = {"pure_q": lambda A: (A.q_exp, A.q_exp),
+            "log_matched": lambda A: (2.0, 1.0 + math.sqrt(3.0 / 7.0)),
+            "log_matched_power_tail": lambda A: (A.p_exp, 5.0 / 3.0)}
 
 
 @functools.lru_cache(maxsize=64)
 def check_delta2_nabla2(A: NFunction) -> GrowthReport:
-    """Empirical growth constants sup and inf of s a(s)/A(s) over the
-    sampled range; the verdict fails when the sup diverges or the inf is
-    not above 1.
-    """
-    s = np.logspace(math.log10(SAMPLED_RANGE[0]), math.log10(SAMPLED_RANGE[1]), 4000)
-    ratio = s * np.atleast_1d(A.a(s)) / np.atleast_1d(A.A(s))
-    c_delta = float(np.max(ratio))
-    c_nabla = float(np.min(ratio))
-    ok = np.all(np.isfinite(ratio)) and c_nabla > 1.0
-    return GrowthReport(holds=bool(ok), c_delta=c_delta, c_nabla=c_nabla,
-                        sampled_range=SAMPLED_RANGE)
+    """The exact sup and inf of s a(s)/A(s) over s > 0; Delta_2 and Nabla_2
+    hold (for every accepted N-function) when the sup is finite and the inf > 1."""
+    c_delta, c_nabla = _INDICES[A.family](A)
+    return GrowthReport(holds=c_delta < math.inf and c_nabla > 1.0, c_delta=c_delta,
+                        c_nabla=c_nabla)
 
 
 def knot_mismatch(A: NFunction) -> tuple:

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subnls import cli
 from subnls import diagnostics as dg
 from subnls import minimizer as mz
 from subnls import nonlinearity as nl
+from subnls import orlicz
 
 QUICK = """
 [nonlinearity]
@@ -207,6 +208,29 @@ def test_sweep_prints_why_a_check_found_nothing(tmp_path, capsys):
     assert "no in-grid triple" in out and "no grid point near rho_max/sqrt(2)" in out
 
 
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name} holds the non-standard constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_artifacts_are_standard_json(tmp_path, capsys):
+    # every float that is not finite is written as null: the sweep's margins
+    # of -inf and inf, and check's eta and gtilde_max
+    cfg = write_config(tmp_path, QUICK)
+    assert cli.main(["solve", "--config", cfg]) == cli.EXIT_OK
+    _strict_json(tmp_path / "out" / "result.json")
+    check = write_config(tmp_path, QUICK.replace("mu = 0.0", "mu = 0.5"), "check.ini")
+    assert cli.main(["check", "--config", check]) == cli.EXIT_ASSUMPTION
+    threshold = _strict_json(tmp_path / "out" / "check.json")["threshold"]
+    assert threshold["eta"] is None and threshold["gtilde_max"] is None
+    cli.main(["sweep-rho", "--config", cfg, "18", "30", "3"])
+    assert "margin=-inf" in capsys.readouterr().out
+    rows = _strict_json(tmp_path / "out" / "energy_map_properties.json")
+    margins = {row["check_name"]: row["margin"] for row in rows}
+    assert margins["subadditivity"] is None and margins["divergence_proxy"] is None
+
+
 def test_sweep_without_three_converged_points_exits_two(tmp_path, capsys):
     # max_iter = 1 ends every first stage before it converges, so no radius
     # has a limit and the property checks have nothing to compare
@@ -318,6 +342,31 @@ def test_check_with_orlicz_section(tmp_path):
     assert abs(payload["orlicz"]["knot_mismatch"][0]) <= 1e-10
 
 
+@pytest.mark.parametrize("orlicz_section, c_delta, c_nabla", [
+    ("family = pure_q\nq = 40\n", 40.0, 40.0),
+    ("family = pure_q\nq = 100\n", 100.0, 100.0),
+    ("family = log_matched\nalpha = 1e300\n", 2.0, 1.0 + math.sqrt(3.0 / 7.0)),
+    ("family = log_matched_power_tail\np = 50\n", 50.0, 5.0 / 3.0),
+    ("family = log_matched_power_tail\np = 300\n", 300.0, 5.0 / 3.0),
+], ids=["pure_q_40", "pure_q_100", "log_matched_huge_alpha", "power_tail_50",
+        "power_tail_300"])
+def test_check_growth_constants_in_closed_form(tmp_path, capsys, orlicz_section, c_delta,
+                                               c_nabla):
+    # the sampled ratio overflowed to nan here (exit 3, numpy warnings) or
+    # raised OverflowError (p = 300); the exit code is (g0)-(g4)'s alone
+    cfg = tmp_path / "orl.ini"
+    cfg.write_text("[nonlinearity]\nfamily = log\n[grid]\ndim = 3\n[solver]\nrho = 1.0\n"
+                   f"[orlicz]\n{orlicz_section}[output]\ndirectory = {tmp_path / 'o'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert f"holds=True C_delta={c_delta:.6g} C_nabla={c_nabla:.6g}" in capsys.readouterr().out
+    growth = json.loads((tmp_path / "o" / "check.json").read_text())["orlicz"]
+    assert (growth["c_delta"], growth["c_nabla"]) == (c_delta, c_nabla)
+    assert growth["delta2_nabla2_holds"] and "sampled_range" not in growth
+
+
 def test_gn_command(capsys):
     assert cli.main(["gn", "3", "7"]) == cli.EXIT_USAGE
     capsys.readouterr()
@@ -327,6 +376,22 @@ def test_gn_command(capsys):
     assert cli.main(["gn", "3", str(10.0 / 3.0)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "C_{3," in out
+
+
+@pytest.mark.parametrize("p", ["1e3", "1e4", "1e7", "1e300"])
+def test_gn_at_large_p(capsys, p):
+    # |u|^p overflowed: an inf estimate or validation excess, or a warning
+    # and then a usage error; now the quotient is scale-free and a p where
+    # int |u|^p underflows to 0 is refused in one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["gn", "2", p])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NOCONV)
+    assert "inf" not in captured.out + captured.err
+    if rc == cli.EXIT_USAGE:
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
 def test_threshold_command(capsys):
@@ -476,8 +541,9 @@ def test_bad_grid_and_solver_values_exit_one(tmp_path, capsys, old, new):
 NUMBERS = (0.0, 1.0, -1.0, 0.5, 3.0, 100.0, 1e-8, 1e300, -1e300, 1e-300,
            math.nan, math.inf, -math.inf)
 IN_DOMAIN = {"alpha": (1.0, 0.5, 3.0, 100.0), "mu": (0.0, 1.0, -1.0, 0.5), "p": (3.0,),
-             "omega": (0.5,), "r_max": (1.0, 3.0, 100.0), "rho": (0.5, 1.0, 3.0, 100.0)}
-INI_KEY = {"alpha": "alpha", "mu": "mu", "p_exp": "p", "omega": "omega"}
+             "omega": (0.5,), "q": (1.5, 100.0), "r_max": (1.0, 3.0, 100.0),
+             "rho": (0.5, 1.0, 3.0, 100.0)}
+INI_KEY = {"alpha": "alpha", "mu": "mu", "p_exp": "p", "omega": "omega", "q_exp": "q"}
 
 
 def _number(key):
@@ -498,14 +564,25 @@ def _fuzzed_call(draw):
               "[solver]", f"rho = {rho!r}", f"max_iter = {draw(st.integers(1, 40))}"]
     command = draw(st.sampled_from(["solve", "check", "sweep-rho"]))
     extra = [repr(rho), repr(2.0 * rho), "3"] if command == "sweep-rho" else []
+    if command == "check" and draw(st.booleans()):
+        # an [orlicz] block with only the keys its family reads
+        nfamily = draw(st.sampled_from(sorted(orlicz._PARAMS)))
+        lines += ["[orlicz]", f"family = {nfamily}"]
+        lines += [f"{INI_KEY[f]} = {draw(_number(INI_KEY[f]))!r}"
+                  for f in orlicz._PARAMS[nfamily]]
     return command, extra, "\n".join(lines)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_fuzzed_call())
+# a sampled growth ratio of pure_q overflowed at q = 100, with a warning
+@example(("check", [], "[nonlinearity]\nfamily = log\nalpha = 1.0\n[grid]\ndim = 3\n"
+                       "r_max = 3.0\nn = 40\n[solver]\nrho = 1.0\nmax_iter = 1\n"
+                       "[orlicz]\nfamily = pure_q\nq = 100.0"))
 def test_every_config_ends_in_a_documented_exit_code(tmp_path_factory, call):
     # solve, check and sweep-rho on configs drawn across each family's keys,
-    # finite and not: each returns 0-3, raises nothing and warns of nothing
+    # finite and not, check with or without an [orlicz] block: each returns
+    # 0-3, raises nothing and warns of nothing
     command, extra, text = call
     tmp = tmp_path_factory.mktemp("fuzz")
     cfg = tmp / "run.ini"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from subnls import cli
+from subnls import diagnostics as dg
 from subnls import nonlinearity as nl
 
 E = math.e
@@ -177,19 +178,18 @@ def test_check_assumptions_growth_verdicts():
     supercritical = nl.check_assumptions(nl.log_power(1.0, 0.1, 4.0, dim=3))
     assert supercritical.g3 == nl.FAILS and supercritical.g2 == nl.HOLDS
     assert supercritical.any_fails
-    # N = 2 has no 2*: (g2) holds for a subexponential growth, and details
-    # holds only the (g4) maximum
+    # N = 2 has no 2*: (g2) holds for a subexponential growth
     planar = nl.check_assumptions(nl.logarithmic(1.0, dim=2))
-    assert planar.g2 == nl.HOLDS and set(planar.details) == {"g4_max"}
-    # just above mu*, G is positive only on a window between the (g4)
+    assert planar.g2 == nl.HOLDS
+    # just above mu*, G is positive only on a window between the seed
     # samples around the larger root of g, where G peaks: that root is the
-    # witness xi0, so (g4) holds
+    # witness xi0, and (g4) holds
     for p, rel in [(4.0, 1e-8), (4.0, 2e-7), (3.0, 1e-6)]:
         mu_star = nl.mu_threshold(1.0, p)
         spec = nl.log_power(1.0, mu_star + rel * abs(mu_star), p, dim=3)
         near = nl.check_assumptions(spec)
         larger = nl._sign_structure(spec).roots[-1]
-        assert near.g4 == nl.HOLDS and near.details["g4_max"] > 0, (p, rel)
+        assert near.g4 == nl.HOLDS and nl.G_value(spec, larger) > 0, (p, rel)
         assert near.xi0 == nl.find_positive_level(spec) == larger, (p, rel)
         assert not near.any_fails
 
@@ -209,12 +209,14 @@ def test_check_assumptions_threshold_straddle():
     nl.log_power(1.0, 0.7, 3.0, dim=3),                                # one root
 ], ids=["log", "near_threshold", "two_roots", "one_root"])
 def test_g4_max_over_samples_and_roots(spec):
-    # G' = g, so G peaks between the (g4) samples only at a root of g
+    # the closed-form (g4) against the maximum of G over dense samples and
+    # the roots of g: G' = g, so between samples G peaks only at a root
     at_samples = np.max(nl.G_value(spec, np.logspace(-6, 6, 3000)))
     at_roots = np.max(nl.G_value(spec, nl._sign_structure(spec).roots))
     report = nl.check_assumptions(spec)
-    assert report.details["g4_max"] == float(max(at_samples, at_roots))
+    assert max(at_samples, at_roots) > 0
     assert report.g4 == nl.HOLDS
+    assert nl.G_value(spec, report.xi0) > 0
 
 
 def _check_exit(tmp_path, spec):
@@ -240,8 +242,21 @@ def _check_exit(tmp_path, spec):
     (nl.power_sublinear(0.05, dim=3), "g0", nl.HOLDS),
     # mass-critical mu > 0: eta = mu/p is not 0
     (nl.log_power(1.0, 0.05, 10.0 / 3.0, dim=3), "g3", nl.FAILS),
+    # G < 0 on (0, inf) at every omega; from omega = 0.97 on, the sampled
+    # maximum of G, -s^(1 + omega)/(1 + omega) at s = 1e-6, lay above -1e-12
+    (nl.power_sublinear(0.97, dim=3), "g4", nl.FAILS),
+    (nl.power_sublinear(0.999, dim=2), "g4", nl.FAILS),
+    (nl.power_sublinear(0.05, dim=3), "g4", nl.FAILS),
+    # g has no root, so G < 0, but its sampled maximum lay above -1e-12
+    (nl.log_power(0.05, 2.0 * nl.mu_threshold(0.05, 4.0), 4.0, dim=3), "g4", nl.FAILS),
+    # g > 0 at infinity, but G stays below the seed level's 1e-14 (1 + s^2)
+    (nl.log_power(1e-300, 0.0, 4.0, dim=3), "g4", nl.HOLDS),
+    (nl.logarithmic(1e300, dim=3), "g4", nl.HOLDS),
+    (nl.saturation(dim=5), "g4", nl.HOLDS),
 ], ids=["log_huge_alpha_g3", "log_huge_alpha_g2", "log_N5", "log_power_mu0.7",
-        "log_power_mu1e8", "sublinear_omega0.05", "mass_critical"])
+        "log_power_mu1e8", "sublinear_omega0.05", "mass_critical", "sublinear_0.97_g4",
+        "sublinear_0.999_g4", "sublinear_0.05_g4", "log_power_2mu_star_g4",
+        "log_power_tiny_alpha_g4", "log_huge_alpha_g4", "saturation_g4"])
 def test_check_assumptions_exact_verdicts(spec, verdict, expect):
     assert nl.check_assumptions(spec).verdicts()[verdict] == expect
 
@@ -255,12 +270,12 @@ def test_check_exit_code_from_exact_verdicts(tmp_path, spec, rc):
     payload = json.loads((tmp_path / "o" / "check.json").read_text())
     if rc == cli.EXIT_OK:
         assert set(payload["assumptions"].values()) == {nl.HOLDS}
-    assert set(payload["details"]) == {"g4_max"}
+    assert "details" not in payload
 
 
 def test_threshold_g4_holds_within_the_band_of_mu_star(tmp_path):
-    # one double above mu*, G peaks at rounding level: (g4) is inconclusive,
-    # and the analytic verdict is boundary within its 1e-12 band, where
+    # one double above mu*, G peaks at rounding level: within the 1e-12 band
+    # (g4) is inconclusive and the analytic verdict is boundary, and
     # g4_holds does not claim that mu > mu*
     spec = nl.log_power(1.0, math.nextafter(nl.mu_threshold(1.0, 4.0), 0.0), 4.0, dim=3)
     assert _check_exit(tmp_path, spec) == cli.EXIT_OK
@@ -274,6 +289,53 @@ def test_threshold_g4_holds_within_the_band_of_mu_star(tmp_path):
     payload = json.loads((tmp_path / "o" / "check.json").read_text())
     assert payload["threshold"]["g4_holds"] is True
     assert payload["threshold"]["verdict"] == "exists_large_rho"
+
+
+def _log_power_specs():
+    """log_power specs on both sides of mu*, on its band and where |mu*| is
+    below the band's 1e-12 floor."""
+    specs = [nl.log_power(1.0, 0.0, 1000.0, dim=2), nl.log_power(1e-3, 0.0, 50.0, dim=2),
+             nl.log_power(1.0, -1e-15, 100.0, dim=2), nl.log_power(1e-300, 0.0, 4.0, dim=3)]
+    for alpha in (1e-3, 0.05, 1.0, 100.0):
+        for p in (2.5, 4.0, 6.0):
+            mu_star = nl.mu_threshold(alpha, p)
+            for mu in (2.0 * mu_star, 1.001 * mu_star, mu_star,
+                       math.nextafter(mu_star, 0.0), 0.999 * mu_star, 0.5 * mu_star,
+                       -1.0, 0.0, 0.7, 1e8):
+                try:
+                    specs.append(nl.log_power(alpha, mu, p, dim=3))
+                except ValueError:  # a root of g outside the root search's brackets
+                    pass
+    return specs
+
+
+def test_g4_agrees_with_the_threshold_verdict():
+    # one (g4) decision: the verdict reads it wherever mu > 0 does not decide
+    pairs = {nl.HOLDS: {"exists_large_rho", "unbounded_below", "mass_critical"},
+             nl.FAILS: {"no_nontrivial"}, nl.INCONCLUSIVE: {"boundary"}}
+    seen = set()
+    for spec in _log_power_specs():
+        g4 = nl.check_assumptions(spec).g4
+        assert dg.nonexistence_verdict(spec) in pairs[g4], spec
+        seen.add(g4)
+    assert seen == set(pairs)
+
+
+@pytest.mark.parametrize("spec", [
+    nl.log_power(0.05, 2.0 * nl.mu_threshold(0.05, 4.0), 4.0, dim=3),
+    nl.log_power(1.0, 0.0, 1000.0, dim=2),
+    nl.log_power(100.0, math.nextafter(nl.mu_threshold(100.0, 4.0), 0.0), 4.0, dim=3),
+], ids=["no_root", "mu_star_below_the_band_floor", "one_double_above_mu_star"])
+def test_check_json_g4_matches_its_threshold_block(tmp_path, spec):
+    # these read (g4) inconclusive beside no_nontrivial, boundary beside a
+    # positive G, and holds beside boundary
+    rc = _check_exit(tmp_path, spec)
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    g4, block = payload["assumptions"]["g4"], payload["threshold"]
+    assert block["g4_holds"] == (g4 == nl.HOLDS)
+    assert (g4 == nl.FAILS) == (block["verdict"] == "no_nontrivial")
+    assert (g4 == nl.INCONCLUSIVE) == (block["verdict"] == "boundary")
+    assert rc == (cli.EXIT_ASSUMPTION if g4 == nl.FAILS else cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("spec", [

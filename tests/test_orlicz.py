@@ -75,6 +75,42 @@ def test_growth_ratio_log_matched_band():
         assert ratio == pytest.approx(2.0 + 2.0 / math.log(s * s), rel=1e-12)
 
 
+@pytest.mark.parametrize("A, sup, inf", [
+    (ox.pure_q(1.5), 1.5, 1.5),
+    (ox.pure_q(100.0), 100.0, 100.0),
+    (ox.log_matched(1.0), 2.0, 1.0 + math.sqrt(3.0 / 7.0)),
+    (ox.log_matched(1e300), 2.0, 1.0 + math.sqrt(3.0 / 7.0)),
+    (ox.log_matched_power_tail(1.0, 3.0), 3.0, 5.0 / 3.0),
+    (ox.log_matched_power_tail(2.0, 300.0), 300.0, 5.0 / 3.0),
+], ids=["pure_q_1.5", "pure_q_100", "log_matched", "log_matched_huge_alpha",
+        "power_tail_3", "power_tail_300"])
+def test_growth_constants_against_a_dense_ratio(A, sup, inf):
+    rep = ox.check_delta2_nabla2(A)
+    assert rep.holds and (rep.c_delta, rep.c_nabla) == (sup, inf)
+    # s a(s)/A(s) on a dense grid in y = s/KNOT, denser about the knot y = 1
+    # and the quadratic tail's minimum at y = (3 + sqrt 21)/6, where A is a
+    # finite normal double; the sup of the two-piece families is a limit at
+    # 0 or infinity, not attained
+    s = ox.KNOT * np.concatenate([np.logspace(-250, 250, 200001),
+                                  np.linspace(0.5, 2.0, 200001)])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        values, slopes = A.A(s), A.a(s)
+        ok = (values > 1e-290) & np.isfinite(values) & np.isfinite(slopes)
+        ratio = s[ok] * (slopes[ok] / values[ok])
+    assert ratio.max() <= sup * (1 + 1e-12) and ratio.max() >= sup * (1 - 1e-3)
+    assert ratio.min() >= inf * (1 - 1e-12) and ratio.min() <= inf * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("p", [238.0, 300.0, 1e300])
+def test_power_tail_at_large_p(p):
+    # the tail in x/KNOT: e^(3p - 6) overflowed in knot_mismatch from p = 238
+    # and raised OverflowError from p = 237
+    A = ox.log_matched_power_tail(1.0, p)
+    assert ox.knot_mismatch(A) == (0.0, 0.0)
+    assert A.A(ox.KNOT) == pytest.approx(6.0 * ox.KNOT**2, rel=1e-15)
+    assert A.a(ox.KNOT) == pytest.approx(10.0 * ox.KNOT, rel=1e-15)
+
+
 def test_nfunction_axioms_sampled():
     s = np.logspace(-8, 8, 200)
     for A in (ox.pure_q(1.5), ox.log_matched(0.7), ox.log_matched_power_tail(1.0, 4.0)):
