@@ -15,8 +15,8 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
+import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
@@ -199,7 +199,8 @@ def cmd_solve(args) -> int:
     notes = []
     spec = solve_cfg.spec
     if spec.family == "log_power":
-        verdict = dg.nonexistence_verdict(spec)
+        report = dg.threshold_report(spec)
+        verdict = report["verdict"]
         if verdict == dg.UNBOUNDED_BELOW:
             notes.append(f"analytic verdict: {verdict} "
                          f"((g3) fails: mu > 0 and p > 2 + 4/N = {spec.mass_critical_exp:.6g})")
@@ -210,7 +211,7 @@ def cmd_solve(args) -> int:
                          f"{solve_cfg.rho:g}, {'<' if holds else '>='} 1)")
         elif verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
-                         f"(mu <= threshold {nl.mu_threshold(spec.alpha, spec.p_exp):.6g})")
+                         f"(mu <= threshold {report['mu_star']:.6g})")
     _warn_without_positive_level(spec)
     limits = mz.multistart(solve_cfg)
     if not limits:
@@ -279,19 +280,12 @@ def cmd_sweep_rho(args) -> int:
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     spec = build_spec(cfg)
-    report = nl.check_assumptions(spec)
-    payload = {"assumptions": report.verdicts(), "xi0": report.xi0,
+    verdicts = nl.check_assumptions(spec)
+    xi0 = nl.find_positive_level(spec) if verdicts["g4"] == nl.HOLDS else None
+    payload = {"assumptions": verdicts, "xi0": xi0,
                "config_digest": cfg.digest, "version": __version__}
     if spec.family == "log_power":
-        payload["threshold"] = {
-            "mu_star": nl.mu_threshold(spec.alpha, spec.p_exp),
-            # G(s)/s^2 is unbounded (null) unless mu < 0
-            "gtilde_max": (nl.gtilde_max(spec.alpha, spec.mu, spec.p_exp) if spec.mu < 0
-                           else math.inf),
-            "g4_holds": report.g4 == nl.HOLDS,
-            "eta": nl.eta_coefficient(spec),
-            "verdict": dg.nonexistence_verdict(spec),
-        }
+        payload["threshold"] = dg.threshold_report(spec)
     nfun = build_nfunction(cfg)
     if nfun is not None:
         growth = orlicz.check_delta2_nabla2(nfun)
@@ -302,17 +296,17 @@ def cmd_check(args) -> int:
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     _dump_json(payload, os.path.join(out_dir, "check.json"))
-    for name, verdict in report.verdicts().items():
+    for name, verdict in verdicts.items():
         print(f"({name}) {verdict}")
-    if report.xi0 is not None:
-        print(f"positive-primitive witness xi0 = {report.xi0:.6g}")
+    if xi0 is not None:
+        print(f"positive-primitive witness xi0 = {xi0:.6g}")
     if "threshold" in payload:
         print(f"mu_star = {payload['threshold']['mu_star']:.12g} "
               f"verdict = {payload['threshold']['verdict']}")
     if nfun is not None:
         print(f"N-function growth: holds={growth.holds} C_delta={growth.c_delta:.6g} "
               f"C_nabla={growth.c_nabla:.6g}")
-    return EXIT_ASSUMPTION if report.any_fails else EXIT_OK
+    return EXIT_ASSUMPTION if nl.FAILS in verdicts.values() else EXIT_OK
 
 
 def cmd_gn(args) -> int:
@@ -340,16 +334,15 @@ def cmd_threshold(args) -> int:
     try:
         # the spec checks alpha, mu, p and dim, with or without --mu
         spec = nl.log_power(args.alpha, args.mu or 0.0, args.p, dim=args.dim)
-        lines = [f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = "
-                 f"{nl.mu_threshold(args.alpha, args.p):.15g}"]
-        if args.mu is not None:
-            if args.mu < 0:
-                lines.append(f"gtilde_max = {nl.gtilde_max(args.alpha, args.mu, args.p):.15g}")
-            lines.append(f"verdict = {dg.nonexistence_verdict(spec)}")
+        report = dg.threshold_report(spec)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print("\n".join(lines))
+    print(f"mu_star(alpha={args.alpha:g}, p={args.p:g}) = {report['mu_star']:.15g}")
+    if args.mu is not None:
+        if spec.mu < 0:
+            print(f"gtilde_max = {report['gtilde_max']:.15g}")
+        print(f"verdict = {report['verdict']}")
     return EXIT_OK
 
 
@@ -402,6 +395,22 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a negative decimal number: argparse reads only -5 and -0.05 as numbers, and
+# any other token that starts with "-" as an option
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _joined_values(argv):
+    """argv with every "--option -5e-2" written "--option=-5e-2"."""
+    out = []
+    for token in argv:
+        if out and re.fullmatch("--[^=]+", out[-1]) and _NEGATIVE.fullmatch(token):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     # SUBNLS_LOG sets the level of the subnls loggers on every call, so no
     # call inherits the last one's; the stderr handler goes on the root
@@ -414,7 +423,7 @@ def main(argv=None) -> int:
                     value, ", ".join(_LOG_LEVELS))
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -127,20 +127,31 @@ MASS_CRITICAL = "mass_critical"
 
 
 def nonexistence_verdict(spec: nl.NonlinearitySpec) -> str:
-    """Analytic verdict for a log_power spec.  For mu > 0 it is
-    mass_critical at p = 2 + 4/N within 1e-12 relative (existence then
-    depends on rho, see mass_condition) and unbounded_below at p > 2 + 4/N
-    ((g3) fails; the energy is unbounded below on every sphere); otherwise
-    exists_large_rho, no_nontrivial or boundary where nl.g4_verdict holds,
-    fails or is inconclusive (it compares mu with mu_threshold)."""
+    """Analytic verdict for a log_power spec, from nl.eta_coefficient and
+    nl.g4_verdict: unbounded_below where eta is infinite ((g3) fails for
+    mu > 0 and p > 2 + 4/N; the energy is unbounded below on every sphere),
+    mass_critical where 0 < eta < inf (mu > 0 and p = 2 + 4/N; existence then
+    depends on rho, see mass_condition), and otherwise exists_large_rho,
+    no_nontrivial or boundary where (g4) holds, fails or is inconclusive."""
     if spec.family != "log_power":
         raise ValueError("nonexistence verdict applies to the log_power family")
-    if spec.mu > 0.0 and spec.mass_critical:
-        return MASS_CRITICAL
-    if spec.mu > 0.0 and spec.p_exp > spec.mass_critical_exp:
-        return UNBOUNDED_BELOW
+    eta = nl.eta_coefficient(spec)
+    if eta > 0.0:
+        return UNBOUNDED_BELOW if math.isinf(eta) else MASS_CRITICAL
     return {nl.HOLDS: EXISTS_LARGE_RHO, nl.FAILS: NO_NONTRIVIAL,
             nl.INCONCLUSIVE: BOUNDARY}[nl.g4_verdict(spec)]
+
+
+def threshold_report(spec: nl.NonlinearitySpec) -> dict:
+    """The existence threshold of a log_power spec, as check.json's
+    threshold block: mu_star, the maximum of G(s)/s^2 (unbounded, inf,
+    unless mu < 0), whether (g4) holds, eta and the analytic verdict."""
+    a, mu, p = spec.alpha, spec.mu, spec.p_exp
+    return {"mu_star": nl.mu_threshold(a, p),
+            "gtilde_max": nl.gtilde_max(a, mu, p) if mu < 0 else math.inf,
+            "g4_holds": nl.g4_verdict(spec) == nl.HOLDS,
+            "eta": nl.eta_coefficient(spec),
+            "verdict": nonexistence_verdict(spec)}
 
 
 def existence_evidence(results: Sequence, energy_tol: float = 1e-6,

@@ -552,40 +552,24 @@ def g4_verdict(spec: NonlinearitySpec) -> str:
     """(g4), G > 0 somewhere, from the sign structure of g: it holds where
     g > 0 at infinity (G is unbounded above) and fails where g <= 0 on the
     whole half line.  With two roots (log_power, mu < 0) it holds exactly
-    when mu > mu_threshold, inconclusive within 1e-12 max(1, |mu*|) of it.
+    when mu > mu_threshold, inconclusive where ln(-mu) lies within 1e-12 of
+    ln(-mu*) = ln(alpha p/(p-2)) - p/2: a relative band with no absolute
+    floor, and no e^(-p/2) to underflow (mu* is -0.0 from p near 1490).
     A g that overflows beyond the last root is a value, not a warning."""
     neg = _sign_structure(spec).neg
     if not neg[-1]:
         return HOLDS
     if neg.all():
         return FAILS
-    mu_star = mu_threshold(spec.alpha, spec.p_exp)
-    tol = 1e-12 * max(1.0, abs(mu_star))
-    if spec.mu > mu_star + tol:
+    a, p = spec.alpha, spec.p_exp
+    gap = math.log(-spec.mu) - (math.log(a * p / (p - 2.0)) - 0.5 * p)
+    if gap < -1e-12:
         return HOLDS
-    return FAILS if spec.mu < mu_star - tol else INCONCLUSIVE
+    return FAILS if gap > 1e-12 else INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
-# assumption report
-
-
-@dataclass
-class AssumptionReport:
-    g0: str
-    g1: str
-    g2: str
-    g3: str
-    g4: str
-    xi0: Optional[float]
-
-    def verdicts(self) -> dict:
-        return {"g0": self.g0, "g1": self.g1, "g2": self.g2,
-                "g3": self.g3, "g4": self.g4}
-
-    @property
-    def any_fails(self) -> bool:
-        return FAILS in self.verdicts().values()
+# assumption verdicts
 
 
 @functools.lru_cache(maxsize=128)
@@ -602,9 +586,10 @@ def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
     return float(s[ok].min()) if ok.any() else None
 
 
-def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
-    """Verdicts on the paper's hypotheses (g0)-(g4), from closed forms with
-    no sample of g (inconclusive is a verdict, not an error):
+def check_assumptions(spec: NonlinearitySpec) -> dict:
+    """Verdicts on the paper's hypotheses (g0)-(g4), keyed "g0" to "g4", from
+    closed forms with no sample of g (inconclusive is a verdict, not an
+    error):
     - (g0) continuity with g(0) = 0 and (g1) G_plus(s) = o(s^2) at 0 hold
       for every spec its family accepts: every g is continuous and odd with
       g(0) = 0, and G_plus vanishes near 0 (g < 0 on (0, r) for the log
@@ -617,9 +602,6 @@ def check_assumptions(spec: NonlinearitySpec) -> AssumptionReport:
       eta_coefficient is 0.  A mass-critical mu > 0 fails it: existence
       then depends on rho (diagnostics.mass_condition);
     - (g4), G > 0 somewhere, is g4_verdict.
-    xi0, where (g4) holds, is the seed level find_positive_level.
     """
     g3 = HOLDS if eta_coefficient(spec) == 0.0 else FAILS
-    g4 = g4_verdict(spec)
-    xi0 = find_positive_level(spec) if g4 == HOLDS else None
-    return AssumptionReport(g0=HOLDS, g1=HOLDS, g2=HOLDS, g3=g3, g4=g4, xi0=xi0)
+    return {"g0": HOLDS, "g1": HOLDS, "g2": HOLDS, "g3": g3, "g4": g4_verdict(spec)}

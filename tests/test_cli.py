@@ -399,6 +399,11 @@ def test_threshold_command(capsys):
     out = capsys.readouterr().out
     assert f"{-2 * math.exp(-2):.6f}"[:8] in out
     assert "no_nontrivial" in out
+    # a negative --mu in exponent notation is a number, not an option
+    assert cli.main(["threshold", "--alpha", "1", "--p", "4", "--mu", "-0.05"]) == 0
+    decimal = capsys.readouterr()
+    assert cli.main(["threshold", "--alpha", "1", "--p", "4", "--mu", "-5e-2"]) == 0
+    assert capsys.readouterr() == decimal and len(decimal.out.splitlines()) == 3
     assert cli.main(["threshold", "--alpha", "1", "--p", "1.5"]) == cli.EXIT_USAGE
     capsys.readouterr()
     # p = 7 lies above 2N/(N-2) = 6 for the default dimension 3: one line, no traceback

@@ -162,25 +162,25 @@ def test_gtilde_max_sign_and_oracle():
 
 def test_check_assumptions_examples():
     below = nl.check_assumptions(nl.log_power(1.0, -0.5, 4.0, dim=3))
-    assert below.g4 == nl.FAILS
+    assert below["g4"] == nl.FAILS
     spec = nl.log_power(1.0, 0.0, 4.0, dim=3)
-    above = nl.check_assumptions(spec)
-    assert above.g4 == nl.HOLDS
-    assert above.xi0 is not None and nl.G_value(spec, above.xi0) > 0
+    assert nl.check_assumptions(spec)["g4"] == nl.HOLDS
+    xi0 = nl.find_positive_level(spec)
+    assert xi0 is not None and nl.G_value(spec, xi0) > 0
     assert nl.G_value(spec, math.e) > 0  # e is itself a valid witness
     sat = nl.check_assumptions(nl.saturation(dim=3))
-    assert all(v == nl.HOLDS for v in sat.verdicts().values())
+    assert set(sat) == {"g0", "g1", "g2", "g3", "g4"}
+    assert all(v == nl.HOLDS for v in sat.values())
 
 
 def test_check_assumptions_growth_verdicts():
     # a positive power above 2 + 4/N: G_plus / s^(2+4/N) grows, so (g3) fails
     # while the (g2) growth cap p <= 2* holds
     supercritical = nl.check_assumptions(nl.log_power(1.0, 0.1, 4.0, dim=3))
-    assert supercritical.g3 == nl.FAILS and supercritical.g2 == nl.HOLDS
-    assert supercritical.any_fails
+    assert supercritical["g3"] == nl.FAILS and supercritical["g2"] == nl.HOLDS
     # N = 2 has no 2*: (g2) holds for a subexponential growth
     planar = nl.check_assumptions(nl.logarithmic(1.0, dim=2))
-    assert planar.g2 == nl.HOLDS
+    assert planar["g2"] == nl.HOLDS
     # just above mu*, G is positive only on a window between the seed
     # samples around the larger root of g, where G peaks: that root is the
     # witness xi0, and (g4) holds
@@ -189,9 +189,9 @@ def test_check_assumptions_growth_verdicts():
         spec = nl.log_power(1.0, mu_star + rel * abs(mu_star), p, dim=3)
         near = nl.check_assumptions(spec)
         larger = nl._sign_structure(spec).roots[-1]
-        assert near.g4 == nl.HOLDS and nl.G_value(spec, larger) > 0, (p, rel)
-        assert near.xi0 == nl.find_positive_level(spec) == larger, (p, rel)
-        assert not near.any_fails
+        assert near["g4"] == nl.HOLDS and nl.G_value(spec, larger) > 0, (p, rel)
+        assert nl.find_positive_level(spec) == larger, (p, rel)
+        assert nl.FAILS not in near.values()
 
 
 def test_check_assumptions_threshold_straddle():
@@ -199,7 +199,7 @@ def test_check_assumptions_threshold_straddle():
         mu_star = nl.mu_threshold(alpha, p)
         for dmu, expect in [(1e-3, nl.HOLDS), (-1e-3, nl.FAILS)]:
             rep = nl.check_assumptions(nl.log_power(alpha, mu_star + dmu, p, dim=3))
-            assert rep.g4 == expect, (alpha, p, dmu, rep.g4)
+            assert rep["g4"] == expect, (alpha, p, dmu, rep["g4"])
 
 
 @pytest.mark.parametrize("spec", [
@@ -213,10 +213,9 @@ def test_g4_max_over_samples_and_roots(spec):
     # the roots of g: G' = g, so between samples G peaks only at a root
     at_samples = np.max(nl.G_value(spec, np.logspace(-6, 6, 3000)))
     at_roots = np.max(nl.G_value(spec, nl._sign_structure(spec).roots))
-    report = nl.check_assumptions(spec)
     assert max(at_samples, at_roots) > 0
-    assert report.g4 == nl.HOLDS
-    assert nl.G_value(spec, report.xi0) > 0
+    assert nl.check_assumptions(spec)["g4"] == nl.HOLDS
+    assert nl.G_value(spec, nl.find_positive_level(spec)) > 0
 
 
 def _check_exit(tmp_path, spec):
@@ -258,7 +257,7 @@ def _check_exit(tmp_path, spec):
         "sublinear_0.999_g4", "sublinear_0.05_g4", "log_power_2mu_star_g4",
         "log_power_tiny_alpha_g4", "log_huge_alpha_g4", "saturation_g4"])
 def test_check_assumptions_exact_verdicts(spec, verdict, expect):
-    assert nl.check_assumptions(spec).verdicts()[verdict] == expect
+    assert nl.check_assumptions(spec)[verdict] == expect
 
 
 @pytest.mark.parametrize("spec, rc", [
@@ -292,10 +291,13 @@ def test_threshold_g4_holds_within_the_band_of_mu_star(tmp_path):
 
 
 def _log_power_specs():
-    """log_power specs on both sides of mu*, on its band and where |mu*| is
-    below the band's 1e-12 floor."""
+    """log_power specs on both sides of mu*, on its band, where |mu*| is far
+    below 1e-12, and mass-critical ones, with mu/p = eta underflowing to 0
+    in the last."""
     specs = [nl.log_power(1.0, 0.0, 1000.0, dim=2), nl.log_power(1e-3, 0.0, 50.0, dim=2),
-             nl.log_power(1.0, -1e-15, 100.0, dim=2), nl.log_power(1e-300, 0.0, 4.0, dim=3)]
+             nl.log_power(1.0, -1e-15, 100.0, dim=2), nl.log_power(1e-300, 0.0, 4.0, dim=3),
+             nl.log_power(1.0, 0.1, 10.0 / 3.0, dim=3),
+             nl.log_power(1.0, 5e-324, 10.0 / 3.0, dim=3)]
     for alpha in (1e-3, 0.05, 1.0, 100.0):
         for p in (2.5, 4.0, 6.0):
             mu_star = nl.mu_threshold(alpha, p)
@@ -310,32 +312,54 @@ def _log_power_specs():
 
 
 def test_g4_agrees_with_the_threshold_verdict():
-    # one (g4) decision: the verdict reads it wherever mu > 0 does not decide
+    # one (g3) and one (g4) decision: the verdict is unbounded_below or
+    # mass_critical exactly where (g3) fails, and reads (g4) elsewhere
     pairs = {nl.HOLDS: {"exists_large_rho", "unbounded_below", "mass_critical"},
              nl.FAILS: {"no_nontrivial"}, nl.INCONCLUSIVE: {"boundary"}}
     seen = set()
     for spec in _log_power_specs():
-        g4 = nl.check_assumptions(spec).g4
-        assert dg.nonexistence_verdict(spec) in pairs[g4], spec
-        seen.add(g4)
-    assert seen == set(pairs)
+        verdicts = nl.check_assumptions(spec)
+        verdict = dg.nonexistence_verdict(spec)
+        assert verdict in pairs[verdicts["g4"]], spec
+        g3_fails = verdict in {"unbounded_below", "mass_critical"}
+        assert (verdicts["g3"] == nl.FAILS) == g3_fails, spec
+        seen |= {verdicts["g4"], verdict}
+    assert seen == set(pairs) | set().union(*pairs.values())
 
 
-@pytest.mark.parametrize("spec", [
-    nl.log_power(0.05, 2.0 * nl.mu_threshold(0.05, 4.0), 4.0, dim=3),
-    nl.log_power(1.0, 0.0, 1000.0, dim=2),
-    nl.log_power(100.0, math.nextafter(nl.mu_threshold(100.0, 4.0), 0.0), 4.0, dim=3),
-], ids=["no_root", "mu_star_below_the_band_floor", "one_double_above_mu_star"])
-def test_check_json_g4_matches_its_threshold_block(tmp_path, spec):
-    # these read (g4) inconclusive beside no_nontrivial, boundary beside a
-    # positive G, and holds beside boundary
+@pytest.mark.parametrize("spec, expect", [
+    (nl.log_power(0.05, 2.0 * nl.mu_threshold(0.05, 4.0), 4.0, dim=3), nl.FAILS),
+    (nl.log_power(1.0, 0.0, 1000.0, dim=2), nl.HOLDS),
+    (nl.log_power(100.0, math.nextafter(nl.mu_threshold(100.0, 4.0), 0.0), 4.0, dim=3),
+     nl.INCONCLUSIVE),
+    # |mu*| < 1: the band is relative, with no absolute 1e-12 floor
+    (nl.log_power(1.0, 0.999 * nl.mu_threshold(1.0, 50.0), 50.0, dim=2), nl.HOLDS),
+    (nl.log_power(1e-3, 0.5 * nl.mu_threshold(1e-3, 50.0), 50.0, dim=2), nl.HOLDS),
+    (nl.log_power(2.0, 1.001 * nl.mu_threshold(2.0, 50.0), 50.0, dim=2), nl.FAILS),
+    (nl.log_power(1.0, -1e-15, 100.0, dim=2), nl.FAILS),
+], ids=["no_root", "mu_star_below_the_band_floor", "one_double_above_mu_star",
+        "p50_just_above_mu_star", "p50_tiny_alpha_above_mu_star", "p50_just_below_mu_star",
+        "p100_far_below_mu_star"])
+def test_check_json_g4_matches_its_threshold_block(tmp_path, capsys, spec, expect):
+    # (g4) against the threshold block, and the block against the lines
+    # that threshold prints for the same spec (mu given in exponent notation)
     rc = _check_exit(tmp_path, spec)
     payload = json.loads((tmp_path / "o" / "check.json").read_text())
     g4, block = payload["assumptions"]["g4"], payload["threshold"]
+    assert g4 == expect
     assert block["g4_holds"] == (g4 == nl.HOLDS)
     assert (g4 == nl.FAILS) == (block["verdict"] == "no_nontrivial")
     assert (g4 == nl.INCONCLUSIVE) == (block["verdict"] == "boundary")
     assert rc == (cli.EXIT_ASSUMPTION if g4 == nl.FAILS else cli.EXIT_OK)
+    capsys.readouterr()
+    assert cli.main(["threshold", "--alpha", repr(spec.alpha), "--p", repr(spec.p_exp),
+                     "--mu", repr(spec.mu),
+                     "--dim", str(spec.dim)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f" = {block['mu_star']:.15g}")
+    if spec.mu < 0:
+        assert lines[1] == f"gtilde_max = {block['gtilde_max']:.15g}"
+    assert lines[-1] == f"verdict = {block['verdict']}"
 
 
 @pytest.mark.parametrize("spec", [
