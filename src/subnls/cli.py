@@ -150,14 +150,13 @@ def build_solve_config(cfg: RunConfig) -> mz.SolveConfig:
     return config
 
 
-def _warn_without_positive_level(spec):
-    """Log once per command, before its first start, that every start of
-    spec seeds from a Gaussian: without a level where G > 0 there is no
-    negative-energy seed (minimizer._guess logs the fallback at INFO, once
-    per start)."""
-    if nl.find_positive_level(spec) is None:
-        log.warning("no level with positive primitive: every start falls back to a "
-                    "Gaussian seed of mass rho^2 (no negative-energy start)")
+def _warn_without_g4(spec):
+    """Log once per command, before its first start, when (g4) does not
+    hold: then no start has negative energy."""
+    verdict = nl.g4_verdict(spec)
+    if verdict != nl.HOLDS:
+        log.warning("(g4) %s: no level has a positive primitive%s, so no start has "
+                    "negative energy", verdict, "" if verdict == nl.FAILS else " beyond rounding")
 
 
 def build_nfunction(cfg: RunConfig):
@@ -212,7 +211,7 @@ def cmd_solve(args) -> int:
         elif verdict != dg.EXISTS_LARGE_RHO:
             notes.append(f"analytic verdict: {verdict} "
                          f"(mu <= threshold {report['mu_star']:.6g})")
-    _warn_without_positive_level(spec)
+    _warn_without_g4(spec)
     limits = mz.multistart(solve_cfg)
     if not limits:
         # multistart has logged how each start ended
@@ -251,7 +250,7 @@ def cmd_sweep_rho(args) -> int:
     _checked(replace, solve_cfg, rho=args.rho_max)
     out_dir = args.out or cfg.values["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    _warn_without_positive_level(solve_cfg.spec)
+    _warn_without_g4(solve_cfg.spec)
     points = mz.energy_map(solve_cfg, np.geomspace(args.rho_min, args.rho_max, args.steps))
     csv_path = os.path.join(out_dir, "energy_map.csv")
     lines = ["rho,c_value,eps,converged"]

@@ -358,40 +358,14 @@ def extract_lambda(u: RadialField, spec: nl.NonlinearitySpec, eps: float) -> flo
     return _nehari_quotient(pairing, kinetic(u), m)
 
 
-def _plateau(r, level):
-    # level on [0, 1], a half-cosine taper to 0 on [1, 2], 0 beyond
-    out = np.full_like(r, float(level))
-    ramp = (r >= 1.0) & (r < 2.0)
-    out[ramp] = level * 0.5 * (1.0 + np.cos(math.pi * (r[ramp] - 1.0)))
-    out[r >= 2.0] = 0.0
-    return out
-
-
-@functools.lru_cache(maxsize=128)
-def _plateau_mass(dim, level):
-    # continuum mass of the base profile via fine 1-D quadrature
-    rq = np.linspace(0.0, 2.0, 4001)
-    fq = _plateau(rq, level) ** 2 * rq ** (dim - 1)
-    return sphere_area(dim) * np.trapezoid(fq, rq)
-
-
-def _witness(grid, rho, level):
-    """Nodal values of the mass-rho dilation of the plateau at the given
-    level: u(sigma r), with sigma = (m0/rho^2)^(1/N) and m0 the plateau's
-    mass, keeps the amplitude and scales the kinetic term like rho^(2-4/N)."""
-    sigma = (_plateau_mass(grid.dim, level) / rho**2) ** (1.0 / grid.dim)
-    return _rescale(grid.w, _plateau(grid.r * sigma, level), rho, sphere=True)[0]
-
-
 def initial_guess(spec, grid, rho, eps, rng=None) -> RadialField:
-    """Negative-energy seed on the mass sphere when one is available.
-
-    Candidates: the dilated plateau witness at a level where G > 0, plus
-    amplitude-matched Gaussians of a few widths; the lowest-energy candidate
-    wins.  Without a positive level (so no negative-energy seed exists) a
-    Gaussian of mass rho^2 is returned, and the fallback is logged at INFO:
-    every start of such a spec takes it, so the commands that start solves
-    (cli.cmd_solve, cli.cmd_sweep_rho) report it once, at WARNING.
+    """Seed on the mass sphere: the lowest-energy candidate of two closed
+    forms.  One is the Gausson of the log term, exp(-alpha r^2/2): three
+    Gaussians of widths (0.7, 1, 1.5) alpha^(-1/2), jittered by rng.  The
+    other, where nl.drop_level gives the level s0 at which G(s)/s^2 peaks,
+    is the flat-top drop 0.5 s0 (1 - tanh(r - R)), with s0^2 |B_R| = rho^2.
+    Every candidate is rescaled onto the sphere; without a level where
+    G > 0 no candidate has negative energy.
     """
     return RadialField(grid, _guess(_bind_stage(grid, spec, eps), grid, spec, rho, rng)[0].s)
 
@@ -404,19 +378,16 @@ def _guess(stage, grid, spec, rho, rng):
     if rng is not None:
         widths = [w * float(rng.uniform(0.7, 1.4)) for w in widths]
     amp = rho * math.pi ** (-grid.dim / 4.0)
-    candidates = [_rescale(grid.w, amp * np.exp(-(grid.r / wdt) ** 2 / 2.0), rho, sphere=True)[0]
+    candidates = [amp * np.exp(-(grid.r / (wdt * spec.alpha ** -0.5)) ** 2 / 2.0)
                   for wdt in widths]
-    level = nl.find_positive_level(spec)
-    if level is None:
-        log.info("no level with positive primitive: falling back to a "
-                 "Gaussian seed of mass rho^2 (no negative-energy start)")
-    else:
-        # the two levels coincide when amp <= 1.5 level: score that seed once
-        for lv in dict.fromkeys((level * 1.5, max(level * 1.5, amp))):
-            candidates.append(_witness(grid, rho, lv))
+    s0 = nl.drop_level(spec)
+    if s0 is not None:
+        dim = grid.dim
+        R = (rho**2 * dim / (s0**2 * sphere_area(dim))) ** (1.0 / dim)
+        candidates.append(0.5 * s0 * (1.0 - np.tanh(grid.r - R)))
     best = None
     for vals in candidates:
-        x = _At(vals, grid)
+        x = _At(_rescale(grid.w, vals, rho, sphere=True)[0], grid)
         scored = stage.energy(x)
         # the first of equal energies wins, as with min()
         if best is None or scored[0] < best[1][0]:

@@ -568,19 +568,30 @@ def g4_verdict(spec: NonlinearitySpec) -> str:
     return FAILS if gap > 1e-12 else INCONCLUSIVE
 
 
+def drop_level(spec: NonlinearitySpec) -> Optional[float]:
+    """The level s0 = (alpha p/(mu (2 - p)))^(1/(p-2)) where G(s)/s^2 peaks,
+    the height of the flat-top ground state at large mass for
+    mu* < mu < 0 (Lewin & Rota Nodari, Calc. Var. PDE 2020), when mu < 0
+    and (g4) holds; None otherwise.  A family that does not read mu keeps
+    mu = 0.  With (g4), s0 lies between the two roots of g, so the power
+    is finite."""
+    if spec.mu < 0.0 and g4_verdict(spec) == HOLDS:
+        p = spec.p_exp
+        return (spec.alpha * p / (spec.mu * (2.0 - p))) ** (1.0 / (p - 2.0))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # assumption verdicts
 
 
-@functools.lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")
 def find_positive_level(spec: NonlinearitySpec) -> Optional[float]:
     """Smallest |s|, among 3000 samples and the roots of g, where the
-    primitive G is safely positive; cached per spec, since every solver
-    start seeds from it.  G' = g, so G peaks only at a root of g, and just
-    above mu* its positive window is a neighbourhood of the larger root
-    that the samples miss.  A sample where G overflows is a value, not a
-    warning."""
+    primitive G is safely positive (check's xi0).  G' = g, so G peaks only
+    at a root of g, and just above mu* its positive window is a
+    neighbourhood of the larger root that the samples miss.  A sample where
+    G overflows is a value, not a warning."""
     s = np.concatenate([np.logspace(-6, 6, 3000), _sign_structure(spec).roots])
     ok = G_value(spec, s) > 1e-14 * (1.0 + s**2)
     return float(s[ok].min()) if ok.any() else None

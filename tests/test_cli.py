@@ -892,17 +892,28 @@ def subnls_level():
     logger.setLevel(level)
 
 
-FALLBACK = "no level with positive primitive"
+NO_G4 = "(g4) fails: no level has a positive primitive, so no start has negative energy"
 
 
 def test_solve_without_positive_level_warns_once(tmp_path, monkeypatch, caplog, subnls_level):
-    # every one of the three starts seeds from the Gaussian fallback; the
+    # (g4) fails, so none of the three starts has negative energy; the
     # command says so once, before the first start
     monkeypatch.delenv("SUBNLS_LOG", raising=False)
     cfg = write_config(tmp_path, NONEXIST.replace("[solver]\n", "[solver]\nmultistarts = 3\n"))
     assert cli.main(["solve", "--config", cfg]) == cli.EXIT_NOCONV
-    fallback = [r for r in caplog.records if FALLBACK in r.getMessage()]
-    assert [(r.name, r.levelno) for r in fallback] == [("subnls.cli", logging.WARNING)]
+    records = [r for r in caplog.records if r.getMessage().startswith("(g4)")]
+    assert [(r.name, r.levelno, r.getMessage()) for r in records] == [
+        ("subnls.cli", logging.WARNING, NO_G4)]
+
+
+def test_solve_with_g4_does_not_warn(tmp_path, monkeypatch, caplog, subnls_level):
+    # log_power with mu = 0 at alpha = 1e-300: (g4) holds, though G > 0 only
+    # where it lies below the sampled tolerance of find_positive_level
+    monkeypatch.delenv("SUBNLS_LOG", raising=False)
+    cfg = write_config(tmp_path, NONEXIST.replace("alpha = 1.0", "alpha = 1e-300")
+                       .replace("mu = -0.55", "mu = 0.0"))
+    assert cli.main(["solve", "--config", cfg]) == cli.EXIT_NOCONV
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_subnls_log_applies_to_each_call(tmp_path, monkeypatch, caplog, subnls_level):
@@ -914,12 +925,10 @@ def test_subnls_log_applies_to_each_call(tmp_path, monkeypatch, caplog, subnls_l
         monkeypatch.setenv("SUBNLS_LOG", level)
         caplog.clear()
         assert cli.main(["solve", "--config", cfg]) == cli.EXIT_NOCONV
-        seen.append({(r.name, r.levelname) for r in caplog.records if FALLBACK in r.getMessage()})
+        seen.append({(r.name, r.levelname) for r in caplog.records if r.getMessage() == NO_G4})
         if level == "debug":
             assert any(r.getMessage().startswith("stage eps=") for r in caplog.records)
-    assert seen == [set(),
-                    {("subnls.cli", "WARNING"), ("subnls.minimizer", "INFO")},
-                    {("subnls.cli", "WARNING")}]
+    assert seen == [set(), {("subnls.cli", "WARNING")}, {("subnls.cli", "WARNING")}]
 
 
 def test_unknown_subnls_log_value_is_reported(monkeypatch, caplog, capsys, subnls_level):

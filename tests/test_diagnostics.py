@@ -60,7 +60,7 @@ def test_planar_run_identities(planar_run):
     assert abs(balance) <= 1e-3 * (lim.kinetic + abs(lim.energy))
     m = lim.rho**2
     exact = m * (1.5 - 0.5 * math.log(m) + 0.5 * math.log(math.pi))
-    assert lim.energy == pytest.approx(exact, rel=5e-3)
+    assert lim.energy == pytest.approx(exact, rel=5e-3, abs=0.0)
 
 
 def test_shape_check():
@@ -171,7 +171,7 @@ def test_energy_map_properties_constructed_violation():
     checks = {c.check_name: c for c in dg.energy_map_properties(_pts(rhos, cs))}
     sub = checks["subadditivity"]
     assert not sub.passed
-    assert sub.margin == pytest.approx(1.0 + tol, rel=1e-12)
+    assert sub.margin == pytest.approx(1.0 + tol, rel=1e-12, abs=0.0)
 
 
 def test_energy_map_properties_without_triples_says_why():

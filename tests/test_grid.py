@@ -20,7 +20,7 @@ def test_mass_zero_field(grid3):
 
 
 def test_mass_gaussian(grid3, gauss3):
-    assert gr.mass(gauss3) == pytest.approx(PI32, rel=1e-4)
+    assert gr.mass(gauss3) == pytest.approx(PI32, rel=1e-4, abs=0.0)
 
 
 def test_mass_doubling(gauss3):
@@ -29,7 +29,7 @@ def test_mass_doubling(gauss3):
 
 
 def test_kinetic_gaussian(gauss3):
-    assert gr.kinetic(gauss3) == pytest.approx(1.5 * PI32, rel=1e-3)
+    assert gr.kinetic(gauss3) == pytest.approx(1.5 * PI32, rel=1e-3, abs=0.0)
 
 
 def test_kinetic_dilation_scaling():
@@ -41,7 +41,7 @@ def test_kinetic_dilation_scaling():
         g2 = gr.RadialGrid(dim, 12.0 / lam, 300)
         k1 = gr.kinetic(gr.RadialField(g1, vals))
         k2 = gr.kinetic(gr.RadialField(g2, vals))
-        assert k2 == pytest.approx(lam ** (2 - dim) * k1, rel=1e-12)
+        assert k2 == pytest.approx(lam ** (2 - dim) * k1, rel=1e-12, abs=0.0)
 
 
 def test_kinetic_flat_region_contributes_nothing():
@@ -60,7 +60,7 @@ def test_kinetic_flat_region_contributes_nothing():
     rq = np.linspace(r0, r0 + w, 20001)
     du = -0.5 * np.pi / w * np.sin(np.pi * (rq - r0) / w)
     oracle = gr.sphere_area(3) * np.trapezoid(du**2 * rq**2, rq)
-    assert gr.kinetic(u) == pytest.approx(oracle, rel=1e-3)
+    assert gr.kinetic(u) == pytest.approx(oracle, rel=1e-3, abs=0.0)
 
 
 def test_summation_by_parts(grid3):
@@ -95,7 +95,7 @@ def test_lowest_dirichlet_eigenvalue_bessel():
     g = gr.RadialGrid(2, 15.0, 1200)
     ev = gr.lowest_dirichlet_eigenvalue(g)[0]
     exact = (jn_zeros(0, 1)[0] / g.r_max) ** 2
-    assert ev == pytest.approx(exact, rel=1e-3)
+    assert ev == pytest.approx(exact, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -140,7 +140,7 @@ def test_integrate_composite_vs_fine_grid():
     fine = gr.RadialGrid(3, 10.0, 6400)
     ref = gr.integrate(gr.from_function(fine, lambda r: 1.3 * np.exp(-(r**2))),
                        lambda s: np.abs(s) ** 3)
-    assert val == pytest.approx(ref, rel=1e-5)
+    assert val == pytest.approx(ref, rel=1e-5, abs=0.0)
 
 
 def test_quadrature_second_order_n2():
@@ -155,8 +155,8 @@ def test_quadrature_second_order_n2():
         if exact is None:
             exact = gr.sphere_area(2) * np.trapezoid(np.cos(np.pi * rq / 16.0) ** 2 * rq, rq)
         errs.append(abs(gr.mass(u) - exact))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2, abs=0.0)
+    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2, abs=0.0)
 
 
 def test_ball_volume_boundary_term():
@@ -189,7 +189,7 @@ def test_gn_gaussian_below_estimate(gn24):
 
 
 def test_gn_matches_shooting_oracle(gn24, weinstein_constant):
-    assert gn24.value == pytest.approx(weinstein_constant, rel=0.05)
+    assert gn24.value == pytest.approx(weinstein_constant, rel=0.05, abs=0.0)
 
 
 def test_gn_domain_errors():

@@ -112,7 +112,7 @@ def test_project_disc_scaling(small_grid):
     u = random_bump(small_grid, rng)
     rho = math.sqrt(gr.mass(u)) / 2.0  # mass(u) = 4 rho^2
     p = gr.RadialField(small_grid, mz._rescale(small_grid.w, u.values, rho)[0])
-    assert gr.mass(p) == pytest.approx(rho**2, rel=1e-12)
+    assert gr.mass(p) == pytest.approx(rho**2, rel=1e-12, abs=0.0)
     assert np.allclose(p.values, 0.5 * u.values)
     again = mz._rescale(small_grid.w, p.values, rho)[0]
     assert np.array_equal(again, p.values)  # idempotent
@@ -149,25 +149,22 @@ def test_initial_guess_mass_and_negative_energy(log_spec3):
     grid = gr.RadialGrid(3, 16.0, 800)
     rho = 25.0
     u0 = mz.initial_guess(log_spec3, grid, rho, 0.1)
-    assert gr.mass(u0) == pytest.approx(rho**2, rel=1e-8)
+    assert gr.mass(u0) == pytest.approx(rho**2, rel=1e-8, abs=0.0)
     assert mz.energy_eps(u0, log_spec3, 0.1) < 0.0
 
 
-def test_initial_guess_fallback_warning(caplog):
-    # logged at INFO, once per seed: the commands warn once (test_cli.py)
+def test_initial_guess_fallback_warning():
+    # (g4) fails: no candidate has negative energy, and the winner still
+    # lies on the sphere
     spec = nl.log_power(1.0, 2 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     grid = gr.RadialGrid(3, 10.0, 200)
-    with caplog.at_level(logging.INFO, logger="subnls.minimizer"):
-        u0 = mz.initial_guess(spec, grid, 5.0, 0.1)
-    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.INFO, "no level with positive primitive: falling back to a Gaussian seed "
-                       "of mass rho^2 (no negative-energy start)")]
-    assert gr.mass(u0) == pytest.approx(25.0, rel=1e-8)
+    u0 = mz.initial_guess(spec, grid, 5.0, 0.1)
+    assert gr.mass(u0) == pytest.approx(25.0, rel=1e-8, abs=0.0)
 
 
 def test_collapse_continuations_log_no_warning(caplog):
-    # the perfbench nonexistence batch: 24 starts without a positive level,
-    # each seeding from the Gaussian fallback, create no record at WARNING
+    # the perfbench nonexistence batch: 24 starts of a spec where (g4)
+    # fails create no record at WARNING
     spec = nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3)
     cfg = mz.SolveConfig(spec=spec, rho=10.0, r_max=16.0, n=120,
                          eps_schedule=(1e-1, 1e-2, 1e-3), max_iter=60000)
@@ -176,52 +173,31 @@ def test_collapse_continuations_log_no_warning(caplog):
         for rep in range(24):
             assert mz.continuation(cfg, grid=grid, rng=np.random.default_rng([7, rep])).limit
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
-    assert sum("falling back" in r.getMessage() for r in caplog.records) == 24
 
 
-def test_initial_guess_scores_each_witness_once(log_spec3, monkeypatch):
-    # the witness levels are 1.5 level and max(1.5 level, amp): for log in
-    # N = 3 they coincide below rho ~= 5.85, and the seed is built once
-    levels = []
-    real = mz._witness
-
-    def spy(grid, rho, level):
-        levels.append(level)
-        return real(grid, rho, level)
-
-    monkeypatch.setattr(mz, "_witness", spy)
-    grid = gr.RadialGrid(3, 16.0, 200)
-    for rho, built in ((3.0, 1), (5.0, 1), (20.0, 2)):
-        levels.clear()
-        mz.initial_guess(log_spec3, grid, rho, 0.1)
-        assert len(levels) == len(set(levels)) == built, rho
-
-
-def test_plateau_seed_finds_the_ground_state_near_mu_star():
+@pytest.mark.parametrize("spec, rho, r_max, n, energy, max_iters", [
     # log_power mu = -0.2, just above mu* = -0.2707, at rho = 150 above
-    # rho_bar(-0.2) = 102.59: only the plateau candidates of initial_guess
-    # start in the basin of the ground state; from the best of the three
-    # Gaussians the flow collapses to the zero field
-    spec = nl.log_power(1.0, -0.2, 4.0, dim=3)
-    lim = mz.continuation(mz.SolveConfig(spec=spec, rho=150.0, r_max=40.0, n=200)).limit
+    # rho_bar(-0.2) = 102.59: only the flat-top drop at s0 =
+    # nl.drop_level(spec) starts in the basin of the ground state; from the
+    # best of the three Gaussians the flow collapses to the zero field
+    pytest.param(nl.log_power(1.0, -0.2, 4.0, dim=3), 150.0, 40.0, 200, -842.4163, None,
+                 id="drop_mu_near_mu_star"),
+    # alpha = 10, mu = -0.1 (mu* = -0.747): the drop at s0 = 3.50 wins; a
+    # plateau at level 2.52 ends its eps = 0.1 stage at max_iter
+    pytest.param(nl.log_power(10.0, -0.1, 6.0, dim=2), 150.0, 40.0, 400, -111161.2943, 100,
+                 id="drop_alpha10_p6_N2"),
+    # log alpha = 10: Gaussians of widths fixed at (0.7, 1, 1.5) instead of
+    # (0.7, 1, 1.5) alpha^(-1/2), the Gausson width, collapse
+    pytest.param(nl.logarithmic(10.0, dim=5), 5.0, 16.0, 200, -20.12689053, None,
+                 id="gausson_width_alpha10_N5"),
+])
+def test_closed_form_seeds_find_the_ground_state(spec, rho, r_max, n, energy, max_iters):
+    res = mz.continuation(mz.SolveConfig(spec=spec, rho=rho, r_max=r_max, n=n))
+    lim = res.limit
     assert lim.limit_kind == "eps0_stage" and lim.status == "converged" and lim.on_sphere
-    assert lim.energy == pytest.approx(-842.4163, rel=1e-6, abs=0.0) and lim.lam > 0
-
-
-def test_dilated_witness_kinetic_scaling():
-    # along the dilated family the gradient term scales like rho^(2-4/N)
-    grid = gr.RadialGrid(3, 40.0, 2400)
-    level = 2.0
-    kins = []
-    rhos = (20.0, 40.0, 80.0)
-    for rho in rhos:
-        u = gr.RadialField(grid, mz._witness(grid, rho, level))
-        assert gr.mass(u) == pytest.approx(rho**2, rel=1e-8)
-        kins.append(gr.kinetic(u))
-    expo = 2.0 - 4.0 / 3.0
-    for rho, kin in zip(rhos[1:], kins[1:]):
-        predicted = kins[0] * (rho / rhos[0]) ** expo
-        assert kin == pytest.approx(predicted, rel=2e-2)
+    assert lim.energy == pytest.approx(energy, rel=1e-6, abs=0.0) and lim.lam > 0
+    if max_iters is not None:
+        assert res.total_iterations <= max_iters
 
 
 def test_extract_lambda_linear_eigenproblem(small_grid):
@@ -247,7 +223,7 @@ def test_extract_lambda_linear_eigenproblem(small_grid):
         return alpha * np.dot(g.w, u2 * np.log(u2)) / np.dot(g.w, u2)
 
     lam = mz.extract_lambda(mode, spec, 0.0)
-    assert lam == pytest.approx(log_term(mode) - lam1[0], rel=1e-10)
+    assert lam == pytest.approx(log_term(mode) - lam1[0], rel=1e-10, abs=0.0)
     rng = np.random.default_rng(8)
     u = random_bump(g, rng)
     assert mz.extract_lambda(u, spec, 0.0) == pytest.approx(
@@ -260,7 +236,7 @@ def test_extract_lambda_sign_flip(small_grid, log_spec3):
     neg = gr.RadialField(small_grid, -u.values)
     for eps in (0.0, 0.1):
         assert mz.extract_lambda(u, log_spec3, eps) == pytest.approx(
-            mz.extract_lambda(neg, log_spec3, eps), rel=1e-12)
+            mz.extract_lambda(neg, log_spec3, eps), rel=1e-12, abs=0.0)
 
 
 def test_extract_lambda_zero_field(small_grid, log_spec3):
@@ -328,9 +304,9 @@ def test_ground_state_contract(quick_run):
     # exact planar-free reference: Gaussian profile energy at this mass
     m = lim.rho**2
     exact = m * (2.0 - 0.5 * math.log(m) + 0.75 * math.log(math.pi))
-    assert lim.energy == pytest.approx(exact, rel=2e-3)
+    assert lim.energy == pytest.approx(exact, rel=2e-3, abs=0.0)
     lam_exact = 2 * math.log(lim.rho) - 1.5 * math.log(math.pi) - 3.0
-    assert lim.lam == pytest.approx(lam_exact, rel=2e-3)
+    assert lim.lam == pytest.approx(lam_exact, rel=2e-3, abs=0.0)
 
 
 def test_continuation_ordering_and_limit(quick_run):

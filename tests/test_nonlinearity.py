@@ -28,7 +28,7 @@ FAMILIES = [
 def test_split_log_at_e():
     sv = nl.eval_split(nl.logarithmic(1.0, dim=3), E)
     assert sv.G == pytest.approx(E**2 / 2, rel=1e-14, abs=0.0)
-    assert sv.G_plus == pytest.approx(E**2 / 2 + 0.5, rel=1e-12)
+    assert sv.G_plus == pytest.approx(E**2 / 2 + 0.5, rel=1e-12, abs=0.0)
     assert sv.G_minus == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
@@ -64,7 +64,7 @@ def test_gme_zero_and_limit():
         val = nl.G_minus_eps(spec, s, eps)
         assert val >= prev  # monotone in decreasing eps
         prev = val
-    assert prev == pytest.approx(target, rel=1e-10)
+    assert prev == pytest.approx(target, rel=1e-10, abs=0.0)
 
 
 def test_gme_quadrature_oracle_two_roots():
@@ -155,9 +155,27 @@ def test_gtilde_max_sign_and_oracle():
         return -res.fun
 
     for alpha, mu, p in [(1.0, -0.1, 4.0), (1.0, -0.5, 4.0), (2.0, -0.3, 3.0)]:
-        assert nl.gtilde_max(alpha, mu, p) == pytest.approx(oracle(alpha, mu, p), rel=1e-8)
+        assert nl.gtilde_max(alpha, mu, p) == pytest.approx(oracle(alpha, mu, p), rel=1e-8, abs=0.0)
     assert nl.gtilde_max(1.0, -0.1, 4.0) > 0
     assert nl.gtilde_max(1.0, -0.5, 4.0) < 0
+
+
+def test_drop_level_is_the_peak_of_G_over_s2():
+    # s0 lies between the two roots of g, where G(s)/s^2 takes gtilde_max
+    for alpha, mu, p, dim in [(1.0, -0.2, 4.0, 3), (10.0, -0.1, 6.0, 2), (0.05, -0.0025, 4.0, 2),
+                              (2.0, -0.6, 3.0, 5)]:
+        spec = nl.log_power(alpha, mu, p, dim=dim)
+        s0 = nl.drop_level(spec)
+        r1, r2 = nl._sign_structure(spec).roots
+        assert r1 < s0 < r2
+        assert nl.G_value(spec, s0) / s0**2 == pytest.approx(nl.gtilde_max(alpha, mu, p),
+                                                             rel=1e-12, abs=0.0)
+    # mu >= 0, mu <= mu* and the families that do not read mu have no drop
+    for spec in (nl.logarithmic(1.0, dim=3), nl.log_power(1.0, 0.7, 3.0, dim=3),
+                 nl.log_power(1.0, 2.0 * nl.mu_threshold(1.0, 4.0), 4.0, dim=3),
+                 nl.log_power(1.0, nl.mu_threshold(1.0, 4.0), 4.0, dim=3),
+                 nl.saturation(dim=3), nl.power_sublinear(0.5, dim=2)):
+        assert nl.drop_level(spec) is None, spec
 
 
 def test_check_assumptions_examples():

@@ -22,7 +22,7 @@ def bump8(small_grid):
 
 def test_luxemburg_quadratic(bump8):
     # A(s) = s^2/2 and int u^2 = 8: the modular equals 1 at kappa = 2
-    assert ox.luxemburg_norm(bump8, ox.pure_q(2.0)) == pytest.approx(2.0, rel=1e-10)
+    assert ox.luxemburg_norm(bump8, ox.pure_q(2.0)) == pytest.approx(2.0, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -47,7 +47,7 @@ def test_luxemburg_pure_power_closed_form(bump8):
     q = 1.5
     norm = ox.luxemburg_norm(bump8, ox.pure_q(q))
     integral = gr.integrate(bump8, lambda s: np.abs(s) ** q)
-    assert norm == pytest.approx((integral / q) ** (1.0 / q), rel=1e-10)
+    assert norm == pytest.approx((integral / q) ** (1.0 / q), rel=1e-10, abs=0.0)
 
 
 def test_modular_equation_residual(bump8):
@@ -60,8 +60,8 @@ def test_growth_ratios_pure_power():
     for q in (1.2, 1.5, 2.0, 3.0):
         rep = ox.check_delta2_nabla2(ox.pure_q(q))
         assert rep.holds
-        assert rep.c_delta == pytest.approx(q, rel=1e-12)
-        assert rep.c_nabla == pytest.approx(q, rel=1e-12)
+        assert rep.c_delta == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert rep.c_nabla == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 def test_growth_ratio_log_matched_band():
@@ -72,7 +72,7 @@ def test_growth_ratio_log_matched_band():
     A = ox.log_matched(1.0)
     for s in (1e-6, 1e-3, 2e-2):
         ratio = s * A.a(s) / A.A(s)
-        assert ratio == pytest.approx(2.0 + 2.0 / math.log(s * s), rel=1e-12)
+        assert ratio == pytest.approx(2.0 + 2.0 / math.log(s * s), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("A, sup, inf", [
@@ -107,8 +107,8 @@ def test_power_tail_at_large_p(p):
     # and raised OverflowError from p = 237
     A = ox.log_matched_power_tail(1.0, p)
     assert ox.knot_mismatch(A) == (0.0, 0.0)
-    assert A.A(ox.KNOT) == pytest.approx(6.0 * ox.KNOT**2, rel=1e-15)
-    assert A.a(ox.KNOT) == pytest.approx(10.0 * ox.KNOT, rel=1e-15)
+    assert A.A(ox.KNOT) == pytest.approx(6.0 * ox.KNOT**2, rel=1e-15, abs=0.0)
+    assert A.a(ox.KNOT) == pytest.approx(10.0 * ox.KNOT, rel=1e-15, abs=0.0)
 
 
 def test_nfunction_axioms_sampled():
